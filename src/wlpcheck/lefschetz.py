@@ -2,11 +2,12 @@
 
 The rank of multiplication by g from the degree-m piece of the quotient is
 computed without ever writing down quotient coordinates: it is the number
-of rows g * (degree-m monomial) that enlarge the row basis of the ideal in
-the target degree.  A modular elimination runs first; because a modular
-rank never exceeds the rational one, reaching min(source, target) modulo
-the working prime already certifies maximal rank, and only the remaining
-degrees fall through to exact integer elimination.
+of image rows, g times the degree-m standard monomials, that enlarge the
+row basis of the ideal in the target degree.  The algebra supplies both in
+its normalized coordinates.  A modular elimination runs first; because a
+modular rank never exceeds the rational one, reaching min(source, target)
+modulo the working prime already certifies maximal rank, and only the
+remaining degrees fall through to exact integer elimination.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .errors import GenericityError
 from .linalg import rank_mod_prime
 from .poly import GradedPoly, LinearForm, expand_power
-from .quotient import GradedIdeal, QuotientAlgebra, algebra, integer_terms, shifted_rows
+from .quotient import GradedIdeal, QuotientAlgebra, algebra
 from .rng import SplitMix64
 
 DEFAULT_SEED = 20100601
@@ -104,10 +105,10 @@ def multiplication_rank(alg: QuotientAlgebra, g: GradedPoly, m: int) -> int:
     target = alg.piece(m + g.degree)
     if source_dim == 0 or target.dim == 0:
         return 0
-    image_rows = shifted_rows(integer_terms(g), alg.num_vars, g.degree, m + g.degree)
+    image_rows = alg.image_rows(g, m)
     # target.rows is exact here: only full pieces may lack a row basis
-    stacked = list(target.rows.rows) + image_rows
-    floor = rank_mod_prime(stacked, target.ambient_dim) - target.ideal_rank
+    stacked = target.rows.rows + image_rows
+    floor = rank_mod_prime(stacked, target.rows.ncols) - target.rows.rank
     want = min(source_dim, target.dim)
     if floor >= want:
         return want

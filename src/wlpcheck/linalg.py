@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (Hilbert functions, multiplication-map ranks, syzygy
-shift recovery) reduces to ranks, kernels and echelon forms of matrices with
-rational entries.  The engine is fraction-free: rows are cleared to primitive
+shift recovery) reduces to ranks and row spans of matrices with rational
+entries.  The engine is fraction-free: rows are cleared to primitive
 integer vectors and eliminated by cross-multiplication with content removal,
 so no division ever leaves the integers and every answer is exact.
 
@@ -18,118 +18,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-Q = Fraction
-
 FAST_PRIME = 2**31 - 1
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"matrix entries must be exact rationals, got {type(value).__name__}")
-
-
-class ExactMatrix:
-    """Dense matrix of rationals.  Treated as immutable after construction."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        entries = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
-        if entries:
-            widths = {len(row) for row in entries}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            inferred = widths.pop()
-            if ncols is not None and ncols != inferred:
-                raise ValueError(f"ncols={ncols} does not match rows of length {inferred}")
-            ncols = inferred
-        elif ncols is None:
-            ncols = 0
-        self.entries = entries
-        self.nrows = len(entries)
-        self.ncols = ncols
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Q(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[Q(0)] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "ExactMatrix":
-        cols = [tuple(_as_fraction(x) for x in col) for col in columns]
-        if cols:
-            heights = {len(c) for c in cols}
-            if len(heights) != 1:
-                raise ValueError("ragged columns")
-            inferred = heights.pop()
-            if nrows is not None and nrows != inferred:
-                raise ValueError(f"nrows={nrows} does not match columns of length {inferred}")
-            nrows = inferred
-        elif nrows is None:
-            nrows = 0
-        return cls([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_columns(self.entries, nrows=self.ncols)
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = []
-        for row in self.entries:
-            out.append([
-                sum((row[k] * other.entries[k][j] for k in range(self.ncols)), Q(0))
-                for j in range(other.ncols)
-            ])
-        return ExactMatrix(out, ncols=other.ncols)
-
-    def augment(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return ExactMatrix(
-            [a + b for a, b in zip(self.entries, other.entries)],
-            ncols=self.ncols + other.ncols,
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
 
 
 def clear_row_to_int(row: Sequence[Fraction]) -> list[int]:
@@ -223,73 +116,6 @@ class IntRowBasis:
 
     def extend(self, rows: Iterable[Sequence[int]]) -> int:
         return sum(1 for row in rows if self.insert(row))
-
-
-def _int_rows(matrix: ExactMatrix) -> list[list[int]]:
-    return [clear_row_to_int(row) for row in matrix.entries]
-
-
-def _basis_of(matrix: ExactMatrix) -> IntRowBasis:
-    basis = IntRowBasis(matrix.ncols)
-    basis.extend(_int_rows(matrix))
-    return basis
-
-
-def rank(matrix: ExactMatrix) -> int:
-    """Exact rank over the rationals."""
-    return _basis_of(matrix).rank
-
-
-class EchelonResult(NamedTuple):
-    matrix: ExactMatrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
-def echelonize(matrix: ExactMatrix) -> EchelonResult:
-    """Row-echelon form (same shape, zero rows at the bottom), rank, pivots."""
-    basis = _basis_of(matrix)
-    rows = [[Q(x) for x in row] for row in basis.rows]
-    rows.extend([Q(0)] * matrix.ncols for _ in range(matrix.nrows - basis.rank))
-    return EchelonResult(ExactMatrix(rows, ncols=matrix.ncols), basis.rank, tuple(basis.pivots))
-
-
-def rref_from_basis(basis: IntRowBasis) -> list[list[Fraction]]:
-    """Reduced echelon rows (unit pivots, zeros above and below) of a row basis."""
-    rows = [[Q(x) for x in row] for row in basis.rows]
-    pivots = basis.pivots
-    for i in range(len(rows) - 1, -1, -1):
-        p = pivots[i]
-        head = rows[i][p]
-        if head != 1:
-            rows[i] = [x / head for x in rows[i]]
-        for j in range(i):
-            c = rows[j][p]
-            if c:
-                rows[j] = [a - c * b for a, b in zip(rows[j], rows[i])]
-    return rows
-
-
-def rref(matrix: ExactMatrix) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Nonzero rows of the reduced row-echelon form, with their pivot columns."""
-    basis = _basis_of(matrix)
-    return rref_from_basis(basis), tuple(basis.pivots)
-
-
-def kernel_basis(matrix: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel; one vector per non-pivot column."""
-    rows, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    out = []
-    for free in range(matrix.ncols):
-        if free in pivot_set:
-            continue
-        v = [Q(0)] * matrix.ncols
-        v[free] = Q(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[free]
-        out.append(tuple(v))
-    return out
 
 
 def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int, prime: int = FAST_PRIME) -> int:

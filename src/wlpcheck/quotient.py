@@ -6,6 +6,20 @@ and therefore the dimension of the quotient piece.  Ranks go through a
 modular fast path first; a full-rank answer modulo the working prime is
 already a certificate, anything less is recomputed exactly, so every number
 that leaves this module is exact.
+
+Pieces are computed in normalized coordinates.  When the algebra is built
+it picks a maximal linearly independent set of the power generators'
+forms L_1, ..., L_k (smallest exponents first, ties by generator order) and
+completes them to a basis with unit vectors.  In the coordinates
+y_i = L_i the chosen powers become the monomials y_i^{a_i}, so the monomial
+part of every graded piece is counted rather than eliminated: only the
+standard monomials, those with u_i < a_i for every bounded coordinate, are
+columns, and only the remaining generators, rewritten and projected onto
+them, are rows.  A linear change of coordinates is a graded automorphism
+of the polynomial ring.  It maps the ideal onto its rewritten form and
+multiplication by g onto multiplication by the rewritten g, so Hilbert
+functions, ranks of multiplication maps and ideal membership are the same
+in both coordinate systems.  Callers only ever see original coordinates.
 """
 
 from __future__ import annotations
@@ -13,48 +27,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import NotArtinianError
-from .linalg import (
-    ExactMatrix,
-    IntRowBasis,
-    clear_row_to_int,
-    rank_mod_prime,
-    rref_from_basis,
-)
+from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
 from .poly import GradedPoly, LinearForm, basis_size, expand_power, monomial_basis
 
-IntTerms = tuple[tuple[tuple[int, ...], int], ...]
+Exponents = tuple[int, ...]
+IntTerms = tuple[tuple[Exponents, int], ...]
 
 
-def integer_terms(poly: GradedPoly) -> IntTerms:
-    """Nonzero terms of a common-denominator integer multiple of ``poly``."""
-    cleared = clear_row_to_int(poly.coeffs)
-    basis = monomial_basis(poly.num_vars, poly.degree)
-    return tuple((exps, c) for exps, c in zip(basis.exponents, cleared) if c)
+def shifted_rows(terms: IntTerms, shifts: Iterable[Exponents], target: dict[Exponents, int]) -> list[list[int]]:
+    """Rows for monomial multiples: one row per shift monomial, zero rows dropped.
 
-
-def shifted_rows(terms: IntTerms, num_vars: int, degree: int, target_degree: int) -> list[list[int]]:
-    """Rows for monomial multiples: one row per monomial of the complementary degree.
-
-    ``terms`` is the integer term list of a degree ``degree`` polynomial; the
-    row for monomial u is the coefficient vector of u * poly in degree
-    ``target_degree``.  Monomial multiplication only shifts exponents, so no
-    coefficient arithmetic happens here.
+    ``terms`` lists the (exponents, coefficient) pairs of a polynomial; the
+    row for shift u is the coefficient vector of u * poly over the monomials
+    indexed by ``target``.  Products missing from ``target`` are dropped,
+    which projects onto the standard monomials.  Monomial multiplication
+    only shifts exponents, so no coefficient arithmetic happens here.
     """
-    shift = target_degree - degree
-    if shift < 0:
-        return []
-    target = monomial_basis(num_vars, target_degree)
     width = len(target)
     out = []
-    for mono in monomial_basis(num_vars, shift).exponents:
+    for mono in shifts:
         row = [0] * width
         for exps, c in terms:
-            row[target.index(tuple(a + b for a, b in zip(exps, mono)))] = c
-        out.append(row)
+            j = target.get(tuple(a + b for a, b in zip(exps, mono)))
+            if j is not None:
+                row[j] = c
+        if any(row):
+            out.append(row)
     return out
+
+
+def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of an invertible square matrix, by Gauss-Jordan over the rationals."""
+    n = len(rows)
+    work = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if work[i][c])
+        work[c], work[p] = work[p], work[c]
+        head = work[c][c]
+        work[c] = [x / head for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    return [row[n:] for row in work]
 
 
 @dataclass(frozen=True)
@@ -62,8 +81,8 @@ class GradedIdeal:
     """Homogeneous ideal given by generators; remembers pure-power structure.
 
     ``power_parts[i]`` is ``(form, exponent)`` when generator i was supplied
-    as a power of a linear form, else None.  The structure is used for fast
-    Artinian tests and for restriction to a hyperplane.
+    as a power of a linear form, else None.  The structure is used to pick
+    normalized coordinates and for restriction to a hyperplane.
     """
 
     num_vars: int
@@ -109,9 +128,6 @@ class GradedIdeal:
     def all_powers(self) -> bool:
         return all(p is not None for p in self.power_parts)
 
-    def power_forms(self) -> list[LinearForm]:
-        return [p[0] for p in self.power_parts if p is not None]
-
     def restricted(self, ell: LinearForm) -> "GradedIdeal":
         """Image ideal in the coordinate ring of the hyperplane ell = 0.
 
@@ -143,7 +159,12 @@ class GradedIdeal:
 
 
 class DegreePiece:
-    """One graded piece: ideal row space and quotient dimension in one degree."""
+    """One graded piece: ideal row space and quotient dimension in one degree.
+
+    ``rows`` spans the ideal's projection onto the standard monomials of the
+    algebra's normalized coordinates; ``ambient_dim`` and ``ideal_rank``
+    count all monomials of the degree, the monomial part included.
+    """
 
     __slots__ = ("degree", "ambient_dim", "ideal_rank", "rows")
 
@@ -178,19 +199,110 @@ class QuotientAlgebra:
 
     def __init__(self, ideal: GradedIdeal):
         self.ideal = ideal
-        self.num_vars = ideal.num_vars
+        self.num_vars = n = ideal.num_vars
         self._pieces: dict[int, DegreePiece] = {}
-        self._gen_terms = [integer_terms(g) for g in ideal.generators]
-        self._rref_cache: dict[int, tuple[list[list[Fraction]], tuple[int, ...]]] = {}
         self._hilbert: tuple[int, ...] | None = None
+        # normalized coordinates: y_i = coords[i]; bounds[i] is the exponent
+        # of the chosen power y_i^{a_i}, None for a completing unit vector
+        span = IntRowBasis(n)
+        coords: list[Sequence[Fraction]] = []
+        bounds: list[int | None] = []
+        chosen: set[int] = set()
+        powers = sorted((part[1], i) for i, part in enumerate(ideal.power_parts) if part)
+        for a, i in powers:
+            form = ideal.power_parts[i][0]
+            if span.insert(clear_row_to_int(form.coeffs)):
+                coords.append(form.coeffs)
+                bounds.append(a)
+                chosen.add(i)
+        for j in range(n):
+            unit = [Fraction(i == j) for i in range(n)]
+            if span.insert(clear_row_to_int(unit)):
+                coords.append(unit)
+                bounds.append(None)
+        self._bounds = tuple(bounds)
+        # x = B y / D with B an integer matrix, row i of B listed as (j, B_ij);
+        # a degree-d polynomial only picks up the scalar D^-d, which changes no span
+        flat = clear_row_to_int([x for row in _inverse(coords) for x in row])
+        self._substitution = [
+            [(j, b) for j, b in enumerate(flat[i * n:(i + 1) * n]) if b] for i in range(n)
+        ]
+        self._standard_cache: dict[int, dict[Exponents, int]] = {}
+        self._images: list[list[dict[Exponents, int]]] = [[{(0,) * n: 1}]]
+        self._others: list[tuple[int, IntTerms]] = []
+        for i, g in enumerate(ideal.generators):
+            if i not in chosen:
+                terms = self._rewrite(g)
+                if terms:  # a generator inside the monomial part adds nothing
+                    self._others.append((g.degree, terms))
+
+    # -- normalized coordinates ------------------------------------------
+
+    def _standard(self, m: int) -> dict[Exponents, int]:
+        """Column index of each standard monomial of degree m, graded-lex order."""
+        got = self._standard_cache.get(m)
+        if got is None:
+            bounds = self._bounds
+            got = {}
+            for exps in monomial_basis(self.num_vars, m).exponents:
+                if all(a is None or u < a for u, a in zip(exps, bounds)):
+                    got[exps] = len(got)
+            self._standard_cache[m] = got
+        return got
+
+    def _monomial_images(self, d: int) -> list[dict[Exponents, int]]:
+        """Projected images of the degree-d monomials of the original coordinates.
+
+        Built from degree d - 1: x^u = x^{u - e_i} * x_i with x_i = (B y)_i.
+        The nonstandard monomials span an ideal, so projecting the factor
+        first and the product afterwards loses nothing.
+        """
+        n = self.num_vars
+        while len(self._images) <= d:
+            k = len(self._images)
+            below = self._images[k - 1]
+            lower = monomial_basis(n, k - 1)
+            standard = self._standard(k)
+            level = []
+            for u in monomial_basis(n, k).exponents:
+                i = next(i for i, e in enumerate(u) if e)
+                parent = below[lower.index(u[:i] + (u[i] - 1,) + u[i + 1:])]
+                image: dict[Exponents, int] = {}
+                for v, c in parent.items():
+                    for j, b in self._substitution[i]:
+                        w = v[:j] + (v[j] + 1,) + v[j + 1:]
+                        if w in standard:
+                            image[w] = image.get(w, 0) + c * b
+                level.append({w: c for w, c in image.items() if c})
+            self._images.append(level)
+        return self._images[d]
+
+    def _rewrite(self, f: GradedPoly) -> IntTerms:
+        """Primitive integer multiple of f in normalized coordinates, projected."""
+        acc: dict[Exponents, int] = {}
+        for c, image in zip(clear_row_to_int(f.coeffs), self._monomial_images(f.degree)):
+            if c:
+                for w, b in image.items():
+                    acc[w] = acc.get(w, 0) + c * b
+        content = gcd(*acc.values())
+        return tuple((w, c // content) for w, c in acc.items() if c)
 
     # -- graded pieces -------------------------------------------------
 
     def spanning_rows(self, m: int) -> list[list[int]]:
+        """Rows spanning the degree-m ideal piece modulo its monomial part."""
+        target = self._standard(m)
         rows: list[list[int]] = []
-        for g, terms in zip(self.ideal.generators, self._gen_terms):
-            rows.extend(shifted_rows(terms, self.num_vars, g.degree, m))
+        for degree, terms in self._others:
+            if degree <= m:
+                rows.extend(shifted_rows(terms, self._standard(m - degree), target))
         return rows
+
+    def image_rows(self, g: GradedPoly, m: int) -> list[list[int]]:
+        """Rows spanning g times the degree-m piece, on the degree m + deg g columns."""
+        if g.num_vars != self.num_vars:
+            raise ValueError("variable count does not match")
+        return shifted_rows(self._rewrite(g), self._standard(m), self._standard(m + g.degree))
 
     def piece(self, m: int) -> DegreePiece:
         if m < 0:
@@ -203,15 +315,17 @@ class QuotientAlgebra:
 
     def _compute_piece(self, m: int) -> DegreePiece:
         ambient = basis_size(self.num_vars, m)
+        ncols = len(self._standard(m))
+        counted = ambient - ncols  # nonstandard monomials lie in the ideal
         rows = self.spanning_rows(m)
         if not rows:
-            return DegreePiece(m, ambient, 0, IntRowBasis(ambient))
-        if rank_mod_prime(rows, ambient) == ambient:
+            return DegreePiece(m, ambient, counted, IntRowBasis(ncols))
+        if rank_mod_prime(rows, ncols) == ncols:
             # full modulo p forces full over the rationals
             return DegreePiece(m, ambient, ambient, None)
-        basis = IntRowBasis(ambient)
+        basis = IntRowBasis(ncols)
         basis.extend(rows)
-        return DegreePiece(m, ambient, basis.rank, basis)
+        return DegreePiece(m, ambient, counted + basis.rank, basis)
 
     def dimension(self, m: int) -> int:
         return self.piece(m).dim
@@ -222,19 +336,11 @@ class QuotientAlgebra:
         top = max(self.ideal.generator_degrees)
         return self.num_vars * (top - 1) + 1
 
-    def _definitely_not_artinian(self) -> bool:
-        """Definitive negative for ideals of pure powers: forms must span."""
-        if not self.ideal.all_powers:
-            return False
-        basis = IntRowBasis(self.num_vars)
-        basis.extend(clear_row_to_int(f.coeffs) for f in self.ideal.power_forms())
-        return basis.rank < self.num_vars
-
     def hilbert_function(self) -> tuple[int, ...]:
         """Dimensions (h_0, ..., h_s) with h_s the last nonzero value."""
         if self._hilbert is not None:
             return self._hilbert
-        if self._definitely_not_artinian():
+        if None in self._bounds and self.ideal.all_powers:
             raise NotArtinianError(
                 "the linear forms do not span, so the quotient has positive dimension"
             )
@@ -262,73 +368,13 @@ class QuotientAlgebra:
     def socle_degree(self) -> int:
         return len(self.hilbert_function()) - 1
 
-    # -- exact reduction and coordinate matrices ------------------------
-
     def contains(self, f: GradedPoly) -> bool:
         if f.num_vars != self.num_vars:
             raise ValueError("variable count does not match")
         if f.is_zero:
             return True
-        return self.piece(f.degree).contains(clear_row_to_int(f.coeffs))
-
-    def _rref(self, m: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-        got = self._rref_cache.get(m)
-        if got is None:
-            piece = self.piece(m)
-            if piece.rows is None:
-                # fullness was certified modulo p; build exact rows after all
-                basis = IntRowBasis(piece.ambient_dim)
-                basis.extend(self.spanning_rows(m))
-                piece = DegreePiece(m, piece.ambient_dim, basis.rank, basis)
-                self._pieces[m] = piece
-            got = (rref_from_basis(piece.rows), tuple(piece.rows.pivots))
-            self._rref_cache[m] = got
-        return got
-
-    def reduce_mod_ideal(self, f: GradedPoly) -> GradedPoly:
-        """Canonical representative: support only on non-pivot monomials."""
-        if f.num_vars != self.num_vars:
-            raise ValueError("variable count does not match")
-        rows, pivots = self._rref(f.degree)
-        v = list(f.coeffs)
-        for row, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return GradedPoly(self.num_vars, f.degree, tuple(v))
-
-    def standard_exponents(self, m: int) -> tuple[tuple[int, ...], ...]:
-        """Monomials whose classes are the working basis of the degree-m piece."""
-        piece = self.piece(m)
-        if piece.dim == 0:
-            return ()
-        _, pivots = self._rref(m)
-        pivot_set = set(pivots)
-        exps = monomial_basis(self.num_vars, m).exponents
-        return tuple(e for j, e in enumerate(exps) if j not in pivot_set)
-
-    def quotient_coordinates(self, f: GradedPoly) -> tuple[Fraction, ...]:
-        """Coordinates of the class of f on the standard-monomial basis."""
-        reduced = self.reduce_mod_ideal(f)
-        _, pivots = self._rref(f.degree)
-        pivot_set = set(pivots)
-        return tuple(c for j, c in enumerate(reduced.coeffs) if j not in pivot_set)
-
-    def multiplication_matrix(self, g: GradedPoly, m: int) -> ExactMatrix:
-        """Matrix of multiplication by g from the degree-m piece to degree m + deg g.
-
-        Rows are indexed by the target standard monomials, columns by the
-        source ones, so the matrix acts on coordinate columns from the left.
-        """
-        if g.num_vars != self.num_vars:
-            raise ValueError("variable count does not match")
-        source = self.standard_exponents(m)
-        target_dim = self.dimension(m + g.degree)
-        columns = []
-        for exps in source:
-            image = GradedPoly.monomial(self.num_vars, exps) * g
-            columns.append(self.quotient_coordinates(image))
-        return ExactMatrix.from_columns(columns, nrows=target_dim)
+        rows = shifted_rows(self._rewrite(f), [(0,) * self.num_vars], self._standard(f.degree))
+        return not rows or self.piece(f.degree).contains(rows[0])
 
 
 @lru_cache(maxsize=256)

@@ -11,6 +11,7 @@ from oracles import dict_from_graded, naive_multiplication_rank
 from wlpcheck import (
     CheckConfig,
     GenericityError,
+    GradedIdeal,
     algebra,
     linear_form,
     multiplication_rank,
@@ -18,7 +19,6 @@ from wlpcheck import (
     slp_check,
     wlp_check,
 )
-from wlpcheck.linalg import rank
 from wlpcheck.poly import expand_power
 from wlpcheck.rng import stream
 
@@ -157,8 +157,6 @@ def test_multiplication_rank_matches_coordinate_oracle(degrees, salt, g_degree):
             gen_dicts, gen_degrees, 3, dict_from_graded(g), g_degree, m
         )
         assert ours == naive
-        # and the explicit matrix route agrees as well
-        assert rank(alg.multiplication_matrix(g, m)) == ours
 
 
 def test_zero_map_edges():
@@ -168,3 +166,35 @@ def test_zero_map_edges():
     assert multiplication_rank(alg, ell, 3) == 0
     g3 = expand_power(linear_form([1, 2, 1]), 3)
     assert multiplication_rank(alg, g3, 1) == 0
+
+
+@pytest.mark.parametrize(
+    "degrees, special",
+    [
+        ((2, 2, 3, 3, 2), False),
+        ((3, 2, 2, 2, 2), False),
+        ((2, 3, 2, 3, 3, 2), False),
+        ((2, 2, 2, 2, 2), True),
+        ((3, 2, 2, 2, 2), True),
+    ],
+)
+def test_four_variable_ranks_match_naive_oracle(degrees, special):
+    # non-coordinate forms, so the algebra's coordinates differ from the
+    # original ones; the oracle never leaves the original coordinates.  A
+    # special ideal's last form is the sum of the first two, a position
+    # whose ranks differ from the general ones.
+    forms = seeded_forms(4, len(degrees), seed=61, index=0)
+    if special:
+        forms[-1] = linear_form([a + b for a, b in zip(forms[0].coeffs, forms[1].coeffs)])
+    ideal = GradedIdeal.from_powers(zip(forms, degrees))
+    alg = algebra(ideal)
+    gen_dicts = [dict_from_graded(gen) for gen in ideal.generators]
+    ell = seeded_forms(4, 1, seed=62, index=0)[0]
+    top = alg.socle_degree()
+    for k in range(1, top + 1):
+        g = expand_power(ell, k)
+        for m in range(top - k + 1):  # past the socle both sides are zero
+            naive = naive_multiplication_rank(
+                gen_dicts, list(degrees), 4, dict_from_graded(g), k, m
+            )
+            assert multiplication_rank(alg, g, m) == naive

@@ -1,8 +1,8 @@
-"""Graded quotients: Hilbert functions, membership, coordinate matrices."""
+"""Graded quotients: Hilbert functions, membership, multiplication maps."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from conftest import powers_ideal, seeded_power_ideal
 from oracles import (
     dict_from_graded,
+    monomials,
     naive_hilbert,
     naive_ideal_dim,
     naive_membership,
 )
 from wlpcheck import GradedIdeal, NotArtinianError, algebra, linear_form
 from wlpcheck.binary import power_quotient_dim
-from wlpcheck.poly import GradedPoly, expand_power
+from wlpcheck.linalg import IntRowBasis
+from wlpcheck.poly import GradedPoly, basis_size, expand_power
 from wlpcheck.quotient import QuotientAlgebra
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
@@ -70,43 +72,38 @@ def test_squares_hilbert_function():
 
 def test_squares_standard_monomials_are_squarefree():
     alg = algebra(SQUARES)
-    assert alg.standard_exponents(0) == ((0, 0, 0),)
-    assert alg.standard_exponents(1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert alg.standard_exponents(2) == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
-    assert alg.standard_exponents(3) == ((1, 1, 1),)
-    assert alg.standard_exponents(4) == ()
+    for m in range(5):
+        squarefree = [e for e in monomials(3, m) if max(e) < 2]
+        assert alg.dimension(m) == len(squarefree)
+        for e in monomials(3, m):
+            assert alg.contains(GradedPoly.monomial(3, e)) == (max(e) >= 2)
 
 
 def test_squares_multiplication_matrices():
     alg = algebra(SQUARES)
     ell = linear_form([1, 2, 3]).as_poly()
-    m1 = alg.multiplication_matrix(ell, 1)
-    assert [[int(x) for x in row] for row in m1.entries] == [
-        [2, 1, 0],
-        [3, 0, 1],
-        [0, 3, 2],
+    # (source, target) standard monomials and the matrix of multiplication by
+    # ell between them: rows index the target, columns the source
+    cases = [
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 1, 0), (1, 0, 1), (0, 1, 1)),
+         [[2, 1, 0], [3, 0, 1], [0, 3, 2]]),
+        (((1, 1, 0), (1, 0, 1), (0, 1, 1)), ((1, 1, 1),), [[3, 2, 1]]),
     ]
-    m2 = alg.multiplication_matrix(ell, 2)
-    assert [[int(x) for x in row] for row in m2.entries] == [[3, 2, 1]]
+    for source, target, matrix in cases:
+        degree = sum(target[0])
+        for j, exps in enumerate(source):
+            image = GradedPoly.monomial(3, exps) * ell
+            column = GradedPoly.from_terms(3, degree, zip(target, (row[j] for row in matrix)))
+            assert alg.contains(image - column)
+            assert not alg.contains(image - column - GradedPoly.monomial(3, target[0]))
 
 
 def test_squares_reduction():
     alg = algebra(SQUARES)
     f = expand_power(linear_form([1, 1, 0]), 2)  # (x+y)^2 = x^2 + 2xy + y^2
-    reduced = alg.reduce_mod_ideal(f)
-    assert str(reduced) == "2*x*y"
-    assert alg.quotient_coordinates(f) == (Fraction(2), Fraction(0), Fraction(0))
+    reduced = GradedPoly.monomial(3, (1, 1, 0), 2)
     assert alg.contains(f - reduced)
     assert not alg.contains(f)
-
-
-def test_reduction_is_idempotent_and_linear():
-    alg = algebra(SQUARES)
-    f = expand_power(linear_form([1, 2, -1]), 2)
-    r = alg.reduce_mod_ideal(f)
-    assert alg.reduce_mod_ideal(r) == r
-    g = expand_power(linear_form([2, -1, 1]), 2)
-    assert alg.reduce_mod_ideal(f + g) == alg.reduce_mod_ideal(f) + alg.reduce_mod_ideal(g)
 
 
 # -- not-Artinian handling ----------------------------------------------------
@@ -170,7 +167,7 @@ def test_three_variable_dimensions_match_naive_oracle(degrees, salt):
     top = max(degrees)
     for m in range(3 * top):
         ours = alg.dimension(m)
-        ambient = len(alg.standard_exponents(m)) + alg.piece(m).ideal_rank
+        ambient = basis_size(3, m)
         naive = naive_ideal_dim(gen_dicts, gen_degrees, 3, m)
         assert alg.piece(m).ideal_rank == naive
         assert ours + naive == ambient
@@ -210,13 +207,57 @@ def test_full_hilbert_function_matches_naive_oracle(degrees, salt):
     assert alg.hilbert_function() == expected
 
 
-def test_reduction_lands_off_the_pivots():
-    alg = algebra(SQUARES)
-    f = expand_power(linear_form([3, -2, 5]), 3)
-    reduced = alg.reduce_mod_ideal(f)
-    standard = set(alg.standard_exponents(3))
-    for exps, coeff in reduced.terms():
-        assert exps in standard
+def test_mixed_ideal_hilbert_matches_naive_oracle():
+    powers = seeded_power_ideal([3, 3, 4], seed=31, index=0, num_vars=3)
+    # the product of the power forms, a monomial in the algebra's coordinates
+    a, b, c = (form.as_poly() for form, _ in powers.power_parts)
+    cubic = a * b * c
+    ideal = GradedIdeal(3, powers.generators + (cubic,), powers.power_parts + (None,))
+    gen_dicts, gen_degrees = _ideal_dicts(ideal)
+    expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 4 + 1)
+    assert expected is not None
+    assert QuotientAlgebra(ideal).hilbert_function() == expected
+
+
+def test_polynomials_make_too_few_power_forms_artinian():
+    # the power forms span only a plane, and one of them repeats; the cubic
+    # is monic in z, which makes the quotient Artinian
+    powers = powers_ideal(((1, 1, 0), 2), ((1, -2, 0), 3), ((1, 1, 0), 3))
+    z = GradedPoly.monomial(3, (0, 0, 1))
+    cubic = z * z * z + powers.generators[0] * z  # z^3 + (x + y)^2 z
+    ideal = GradedIdeal(3, powers.generators + (cubic,), powers.power_parts + (None,))
+    gen_dicts, gen_degrees = _ideal_dicts(ideal)
+    expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
+    assert expected is not None
+    assert QuotientAlgebra(ideal).hilbert_function() == expected
+
+
+def _complete_intersection_series(exponents, num_vars):
+    """Coefficients of prod(1 - t^a) / (1 - t)^n up to the socle degree."""
+    numerator = [1]
+    for a in exponents:
+        padded = numerator + [0] * a
+        numerator = [x - (padded[i - a] if i >= a else 0) for i, x in enumerate(padded)]
+    socle = sum(exponents) - num_vars
+    return tuple(
+        sum(c * comb(m - i + num_vars - 1, num_vars - 1) for i, c in enumerate(numerator) if i <= m)
+        for m in range(socle + 1)
+    )
+
+
+def test_complete_intersection_of_powers_needs_no_elimination(monkeypatch):
+    calls = []
+    original = IntRowBasis.extend
+
+    def counting(self, rows):
+        calls.append(self.ncols)
+        return original(self, rows)
+
+    monkeypatch.setattr(IntRowBasis, "extend", counting)
+    exponents = (3, 2, 4, 2)
+    ideal = seeded_power_ideal(exponents, seed=41, index=0, num_vars=4)
+    assert QuotientAlgebra(ideal).hilbert_function() == _complete_intersection_series(exponents, 4)
+    assert calls == []
 
 
 def test_algebra_cache_returns_same_object():
