@@ -1,13 +1,17 @@
 """Maximal-rank checks for multiplication by powers of a linear form.
 
-The rank of multiplication by g from the degree-m piece of the quotient is
-computed without ever writing down quotient coordinates: it is the number
-of image rows, g times the degree-m standard monomials, that enlarge the
-row basis of the ideal in the target degree.  The algebra supplies both in
-its normalized coordinates.  A modular elimination runs first; because a
-modular rank never exceeds the rational one, reaching min(source, target)
-modulo the working prime already certifies maximal rank, and only the
-remaining degrees fall through to exact integer elimination.
+The rank of multiplication by g from the degree-m piece of A = R/I is never
+computed from a matrix of the map.  The image of g times A_m is
+(I + gR) / I in degree m + deg g, so
+
+    rank(x g : A_m -> A_{m + deg g}) = h_A(m + deg g) - dim (R/(I + (g)))_{m + deg g},
+
+and both dimensions are Hilbert-function values.  The quotient by I + (g)
+is an algebra of its own.  For g = l^k it is given the power (l, k), so
+its normalized coordinates pick l as a coordinate whenever k is among the
+smallest exponents, which k = 1 always is: its pieces then live on
+standard monomials in one variable fewer, and l^k is never expanded in the
+original coordinates.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenericityError
-from .linalg import rank_mod_prime
-from .poly import GradedPoly, LinearForm, expand_power
-from .quotient import GradedIdeal, QuotientAlgebra, algebra
+from .poly import LinearForm
+from .quotient import Generator, GradedIdeal, QuotientAlgebra, algebra
 from .rng import SplitMix64
 
 DEFAULT_SEED = 20100601
@@ -95,25 +98,23 @@ class LefschetzReport:
         return len(self.hilbert) - 1
 
 
-def multiplication_rank(alg: QuotientAlgebra, g: GradedPoly, m: int) -> int:
-    """Exact rank of multiplication by g out of the degree-m quotient piece."""
-    if g.num_vars != alg.num_vars:
+def multiplication_rank(alg: QuotientAlgebra, g: Generator, m: int) -> int:
+    """Exact rank of multiplication by g out of the degree-m quotient piece.
+
+    g is a polynomial or a power ``(form, k)`` of a linear form.  The image
+    of g times the degree-m piece is (I + gR) / I in degree m + deg g, so
+    the rank is the drop in dimension from A to the quotient by I + (g).
+    """
+    base, degree = g if isinstance(g, tuple) else (g, g.degree)
+    if base.num_vars != alg.num_vars:
         raise ValueError("variable count does not match")
-    if g.is_zero:
+    if base.is_zero:
         return 0
-    source_dim = alg.dimension(m)
-    target = alg.piece(m + g.degree)
-    if source_dim == 0 or target.dim == 0:
+    target = m + degree
+    target_dim = alg.dimension(target)
+    if alg.dimension(m) == 0 or target_dim == 0:
         return 0
-    image_rows = alg.image_rows(g, m)
-    # target.rows is exact here: only full pieces may lack a row basis
-    stacked = target.rows.rows + image_rows
-    floor = rank_mod_prime(stacked, target.rows.ncols) - target.rows.rank
-    want = min(source_dim, target.dim)
-    if floor >= want:
-        return want
-    grown = target.rows.copy()
-    return grown.extend(image_rows)
+    return target_dim - alg.adjoined(g).dimension(target)
 
 
 def _rank_records(alg: QuotientAlgebra, form: LinearForm, powers: int) -> tuple[MapRankRecord, ...]:
@@ -121,9 +122,8 @@ def _rank_records(alg: QuotientAlgebra, form: LinearForm, powers: int) -> tuple[
     top = len(hf) - 1
     records = []
     for k in range(1, powers + 1):
-        g = form.as_poly() if k == 1 else expand_power(form, k)
         for m in range(top - k + 1):
-            rank = multiplication_rank(alg, g, m)
+            rank = multiplication_rank(alg, (form, k), m)
             records.append(MapRankRecord(k, m, hf[m], hf[m + k], rank))
     return tuple(records)
 

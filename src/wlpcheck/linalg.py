@@ -7,9 +7,10 @@ integer vectors and eliminated by cross-multiplication with content removal,
 so no division ever leaves the integers and every answer is exact.
 
 ``rank_mod_prime`` is a single-prime modular fast path with a one-sided
-guarantee: the modular rank never exceeds the rational rank, so a full-rank
-modular answer certifies exact full rank.  Callers in this package only use
-it that way; any deficient modular answer is recomputed exactly before it can
+guarantee: the modular rank never exceeds the rational rank, and no rank
+exceeds the number of rows or of columns, so a modular rank that reaches
+min(#rows, #cols) is the exact rank.  Callers in this package only use it
+that way; any smaller modular answer is recomputed exactly before it can
 influence a reported value.
 """
 
@@ -70,12 +71,6 @@ class IntRowBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "IntRowBasis":
-        dup = IntRowBasis(self.ncols)
-        dup.rows = list(self.rows)  # stored rows are never mutated
-        dup.pivots = list(self.pivots)
-        return dup
-
     def reduce(self, vec: Sequence[int]) -> list[int]:
         """Eliminate the pivot coordinates of ``vec``; scale is not preserved."""
         v = list(vec)
@@ -123,7 +118,7 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int, prime: int = FAST_
 
     Always a lower bound for the rational rank (a nonzero minor can vanish mod
     p but not the other way around), so ``rank_mod_prime(...) == min(shape)``
-    certifies exact full rank.  Deficient answers are only probabilistic.
+    certifies the exact rank.  Smaller answers are only probabilistic.
     """
     if not rows or ncols == 0:
         return 0

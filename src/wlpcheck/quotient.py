@@ -3,9 +3,9 @@
 The central object is :class:`QuotientAlgebra`, which computes one graded
 piece at a time: the row space of the ideal in that degree, its exact rank,
 and therefore the dimension of the quotient piece.  Ranks go through a
-modular fast path first; a full-rank answer modulo the working prime is
-already a certificate, anything less is recomputed exactly, so every number
-that leaves this module is exact.
+modular fast path first; a rank modulo the working prime that reaches the
+number of rows or of columns is already a certificate, anything less is
+recomputed exactly, so every number that leaves this module is exact.
 
 Pieces are computed in normalized coordinates.  When the algebra is built
 it picks a maximal linearly independent set of the power generators'
@@ -20,6 +20,11 @@ of the polynomial ring.  It maps the ideal onto its rewritten form and
 multiplication by g onto multiplication by the rewritten g, so Hilbert
 functions, ranks of multiplication maps and ideal membership are the same
 in both coordinate systems.  Callers only ever see original coordinates.
+
+Powers of linear forms are rewritten from their form: the form goes
+through the change of coordinates and its power is expanded on the
+standard monomials only.  Other polynomials are rewritten monomial by
+monomial.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ from typing import Iterable, Sequence
 
 from .errors import NotArtinianError
 from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
-from .poly import GradedPoly, LinearForm, basis_size, expand_power, monomial_basis
+from .poly import GradedPoly, LinearForm, basis_size, expand_power, monomial_basis, multinomial
 
 Exponents = tuple[int, ...]
 IntTerms = tuple[tuple[Exponents, int], ...]
+# a generator given as a polynomial, or as a power (form, k) of a linear form
+Generator = GradedPoly | tuple[LinearForm, int]
 
 
 def shifted_rows(terms: IntTerms, shifts: Iterable[Exponents], target: dict[Exponents, int]) -> list[list[int]]:
@@ -161,18 +168,31 @@ class GradedIdeal:
 class DegreePiece:
     """One graded piece: ideal row space and quotient dimension in one degree.
 
-    ``rows`` spans the ideal's projection onto the standard monomials of the
-    algebra's normalized coordinates; ``ambient_dim`` and ``ideal_rank``
-    count all monomials of the degree, the monomial part included.
+    The ideal's projection onto the standard monomials of the algebra's
+    normalized coordinates is spanned by ``ncols``-wide integer rows;
+    ``ambient_dim`` and ``ideal_rank`` count all monomials of the degree,
+    the monomial part included.  A piece whose rank was certified without
+    elimination keeps its spanning rows and echelonizes them only when
+    ``contains`` first needs a basis.
     """
 
-    __slots__ = ("degree", "ambient_dim", "ideal_rank", "rows")
+    __slots__ = ("degree", "ambient_dim", "ideal_rank", "_ncols", "_rows", "_basis")
 
-    def __init__(self, degree: int, ambient_dim: int, ideal_rank: int, rows: IntRowBasis | None):
+    def __init__(
+        self,
+        degree: int,
+        ambient_dim: int,
+        ideal_rank: int,
+        ncols: int,
+        rows: list[list[int]] | None = None,
+        basis: IntRowBasis | None = None,
+    ):
         self.degree = degree
         self.ambient_dim = ambient_dim
         self.ideal_rank = ideal_rank
-        self.rows = rows  # None only when fullness was certified without exact rows
+        self._ncols = ncols
+        self._rows = rows  # spanning rows, until a basis is built from them
+        self._basis = basis
 
     @property
     def dim(self) -> int:
@@ -185,32 +205,52 @@ class DegreePiece:
     def contains(self, int_vector: Sequence[int]) -> bool:
         if self.full:
             return True
-        return self.rows.contains(int_vector)
+        if self._basis is None:
+            self._basis = IntRowBasis(self._ncols)
+            self._basis.extend(self._rows)
+            self._rows = None
+        return self._basis.contains(int_vector)
 
 
 class QuotientAlgebra:
     """Quotient of the polynomial ring by a homogeneous ideal.
 
-    Pieces are computed on demand and cached.  ``hilbert_function`` scans
-    degrees upward and stops at the first zero piece; the scan is abandoned
-    (NotArtinianError) past the socle bound of a complete intersection in
-    the top generator degree, which no Artinian quotient can exceed.
+    ``extra`` adjoins further generators to ``ideal``, each a polynomial or
+    a power ``(form, k)``; a power is only ever expanded in normalized
+    coordinates.  Pieces are computed on demand and cached.
+    ``hilbert_function`` scans degrees upward and stops at the first zero
+    piece; the scan is abandoned (NotArtinianError) past the socle bound of
+    a complete intersection in the top generator degree, which no Artinian
+    quotient can exceed.
     """
 
-    def __init__(self, ideal: GradedIdeal):
+    def __init__(self, ideal: GradedIdeal, extra: tuple[Generator, ...] = ()):
         self.ideal = ideal
         self.num_vars = n = ideal.num_vars
+        self._extra = extra
+        # generator i as (polynomial, None) or (None, (form, exponent))
+        gens = list(zip(ideal.generators, ideal.power_parts))
+        for g in extra:
+            if isinstance(g, tuple):
+                gens.append((None, g))
+                g = g[0]
+            else:
+                gens.append((g, None))
+            if g.num_vars != n:
+                raise ValueError("variable count does not match")
+        self._degrees = tuple(part[1] if part else poly.degree for poly, part in gens)
+        self._all_powers = all(part for _, part in gens)
         self._pieces: dict[int, DegreePiece] = {}
         self._hilbert: tuple[int, ...] | None = None
+        self._adjoined: tuple[Generator, QuotientAlgebra] | None = None
         # normalized coordinates: y_i = coords[i]; bounds[i] is the exponent
         # of the chosen power y_i^{a_i}, None for a completing unit vector
         span = IntRowBasis(n)
         coords: list[Sequence[Fraction]] = []
         bounds: list[int | None] = []
         chosen: set[int] = set()
-        powers = sorted((part[1], i) for i, part in enumerate(ideal.power_parts) if part)
-        for a, i in powers:
-            form = ideal.power_parts[i][0]
+        for a, i in sorted((part[1], i) for i, (_, part) in enumerate(gens) if part):
+            form = gens[i][1][0]
             if span.insert(clear_row_to_int(form.coeffs)):
                 coords.append(form.coeffs)
                 bounds.append(a)
@@ -230,11 +270,11 @@ class QuotientAlgebra:
         self._standard_cache: dict[int, dict[Exponents, int]] = {}
         self._images: list[list[dict[Exponents, int]]] = [[{(0,) * n: 1}]]
         self._others: list[tuple[int, IntTerms]] = []
-        for i, g in enumerate(ideal.generators):
+        for i, (poly, part) in enumerate(gens):
             if i not in chosen:
-                terms = self._rewrite(g)
+                terms = self._power_terms(*part) if part else self._rewrite(poly)
                 if terms:  # a generator inside the monomial part adds nothing
-                    self._others.append((g.degree, terms))
+                    self._others.append((self._degrees[i], terms))
 
     # -- normalized coordinates ------------------------------------------
 
@@ -249,6 +289,28 @@ class QuotientAlgebra:
                     got[exps] = len(got)
             self._standard_cache[m] = got
         return got
+
+    def _power_terms(self, form: LinearForm, k: int) -> IntTerms:
+        """Primitive integer multiple of form^k in normalized coordinates, projected.
+
+        The form is pushed through B first (one dot product per coordinate),
+        then its power is expanded over the integers on the standard
+        monomials only.
+        """
+        w = [0] * self.num_vars
+        for c, row in zip(clear_row_to_int(form.coeffs), self._substitution):
+            if c:
+                for j, b in row:
+                    w[j] += c * b
+        acc = []
+        for u in self._standard(k):
+            c = multinomial(k, u)
+            for w_j, e in zip(w, u):
+                c *= w_j**e
+            if c:
+                acc.append((u, c))
+        content = gcd(*(c for _, c in acc))
+        return tuple((u, c // content) for u, c in acc)
 
     def _monomial_images(self, d: int) -> list[dict[Exponents, int]]:
         """Projected images of the degree-d monomials of the original coordinates.
@@ -298,11 +360,16 @@ class QuotientAlgebra:
                 rows.extend(shifted_rows(terms, self._standard(m - degree), target))
         return rows
 
-    def image_rows(self, g: GradedPoly, m: int) -> list[list[int]]:
-        """Rows spanning g times the degree-m piece, on the degree m + deg g columns."""
-        if g.num_vars != self.num_vars:
-            raise ValueError("variable count does not match")
-        return shifted_rows(self._rewrite(g), self._standard(m), self._standard(m + g.degree))
+    def adjoined(self, g: Generator) -> "QuotientAlgebra":
+        """The quotient by this ideal plus g, a polynomial or a power (form, k).
+
+        Only the latest one is kept, so the ranks of one multiplier in every
+        source degree share its pieces.
+        """
+        last = self._adjoined
+        if last is None or last[0] != g:
+            last = self._adjoined = (g, QuotientAlgebra(self.ideal, self._extra + (g,)))
+        return last[1]
 
     def piece(self, m: int) -> DegreePiece:
         if m < 0:
@@ -318,14 +385,14 @@ class QuotientAlgebra:
         ncols = len(self._standard(m))
         counted = ambient - ncols  # nonstandard monomials lie in the ideal
         rows = self.spanning_rows(m)
-        if not rows:
-            return DegreePiece(m, ambient, counted, IntRowBasis(ncols))
-        if rank_mod_prime(rows, ncols) == ncols:
-            # full modulo p forces full over the rationals
-            return DegreePiece(m, ambient, ambient, None)
+        rank = rank_mod_prime(rows, ncols) if rows else 0
+        if rank == min(len(rows), ncols):
+            # a rank mod p never exceeds the rational rank, which never
+            # exceeds either count: this is the exact rank
+            return DegreePiece(m, ambient, counted + rank, ncols, None if rank == ncols else rows)
         basis = IntRowBasis(ncols)
         basis.extend(rows)
-        return DegreePiece(m, ambient, counted + basis.rank, basis)
+        return DegreePiece(m, ambient, counted + basis.rank, ncols, basis=basis)
 
     def dimension(self, m: int) -> int:
         return self.piece(m).dim
@@ -333,14 +400,13 @@ class QuotientAlgebra:
     # -- Hilbert function ----------------------------------------------
 
     def _scan_bound(self) -> int:
-        top = max(self.ideal.generator_degrees)
-        return self.num_vars * (top - 1) + 1
+        return self.num_vars * (max(self._degrees) - 1) + 1
 
     def hilbert_function(self) -> tuple[int, ...]:
         """Dimensions (h_0, ..., h_s) with h_s the last nonzero value."""
         if self._hilbert is not None:
             return self._hilbert
-        if None in self._bounds and self.ideal.all_powers:
+        if None in self._bounds and self._all_powers:
             raise NotArtinianError(
                 "the linear forms do not span, so the quotient has positive dimension"
             )

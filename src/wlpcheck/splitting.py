@@ -133,6 +133,19 @@ def _restrict_generators(
     return restricted, tuple(dead)
 
 
+def _splitting_at(ideal: GradedIdeal, ell: LinearForm) -> tuple[SplittingType, tuple[int, ...]]:
+    """Splitting type on the line ell = 0 and the restricted Hilbert function."""
+    restricted, dead = _restrict_generators(ideal, ell)
+    rhf = algebra(restricted).hilbert_function()
+
+    def ideal_dim(m: int) -> int:
+        quotient = rhf[m] if 0 <= m < len(rhf) else 0
+        return (m + 1) - quotient
+
+    alive = syzygy_shifts_from_hilbert(restricted.generator_degrees, ideal_dim)
+    return SplittingType(tuple(sorted(alive + dead)), len(rhf) - 1), rhf
+
+
 def splitting_type_at(ideal: GradedIdeal, ell: LinearForm) -> SplittingType:
     """Exact splitting type on the line ell = 0 (dimension counts, no sampling).
 
@@ -142,17 +155,7 @@ def splitting_type_at(ideal: GradedIdeal, ell: LinearForm) -> SplittingType:
     if ideal.num_vars != 3:
         raise ValueError("splitting data is defined for three variables")
     algebra(ideal).hilbert_function()  # Artinian or bust
-    restricted, dead = _restrict_generators(ideal, ell)
-    ralg = algebra(restricted)
-    rhf = ralg.hilbert_function()
-
-    def ideal_dim(m: int) -> int:
-        quotient = rhf[m] if 0 <= m < len(rhf) else 0
-        return (m + 1) - quotient
-
-    alive = syzygy_shifts_from_hilbert(restricted.generator_degrees, ideal_dim)
-    shifts = tuple(sorted(alive + dead))
-    return SplittingType(shifts, len(rhf) - 1)
+    return _splitting_at(ideal, ell)[0]
 
 
 def generic_splitting_type(
@@ -252,25 +255,14 @@ def predict_wlp(ideal: GradedIdeal, ell: LinearForm) -> WlpPrediction:
     alg = algebra(ideal)
     hf = alg.hilbert_function()
     top = len(hf) - 1
-    restricted, dead = _restrict_generators(ideal, ell)
-    ralg = algebra(restricted)
-    rhf = ralg.hilbert_function()
-
-    def restricted_quotient_dim(m: int) -> int:
-        return rhf[m] if 0 <= m < len(rhf) else 0
-
-    def restricted_ideal_dim(m: int) -> int:
-        return (m + 1) - restricted_quotient_dim(m)
-
-    alive = syzygy_shifts_from_hilbert(restricted.generator_degrees, restricted_ideal_dim)
-    shifts = tuple(sorted(alive + dead))
-    stype = SplittingType(shifts, len(rhf) - 1)
+    stype, rhf = _splitting_at(ideal, ell)
+    shifts = stype.shifts
 
     degrees = ideal.generator_degrees
     records = []
     for m in range(top):
         coker = restriction_h1(shifts, m + 1) - (syzygy_h2(degrees, m) - syzygy_h2(degrees, m + 1))
-        elementary = restricted_quotient_dim(m + 1)
+        elementary = rhf[m + 1] if m + 1 < len(rhf) else 0
         if coker != elementary:
             raise HilbertDataError(
                 f"cokernel formulas disagree at degree {m}: {coker} vs {elementary}"

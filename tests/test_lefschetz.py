@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import powers_ideal, seeded_forms, seeded_power_ideal
-from oracles import dict_from_graded, naive_multiplication_rank
+from oracles import dict_from_graded, frac_rank, naive_ideal_dim, naive_multiplication_rank
 from wlpcheck import (
     CheckConfig,
     GenericityError,
@@ -19,7 +19,7 @@ from wlpcheck import (
     slp_check,
     wlp_check,
 )
-from wlpcheck.poly import expand_power
+from wlpcheck.poly import GradedPoly, expand_power
 from wlpcheck.rng import stream
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
@@ -98,9 +98,6 @@ def test_mixed_quintics_fail_exactly_once():
     ideal = powers_ideal(
         ((1, 0, 0), 5), ((0, 1, 0), 5), ((0, 0, 1), 5)
     )
-    from wlpcheck.poly import GradedPoly
-    from wlpcheck.quotient import GradedIdeal
-
     gens = list(ideal.generators) + [
         GradedPoly.monomial(3, (2, 1, 1)),
         GradedPoly.monomial(3, (1, 2, 1)),
@@ -130,6 +127,7 @@ def test_degree_one_multiplier_reproduces_the_wlp_table():
     g = report.form.as_poly()
     for record in report.records:
         assert multiplication_rank(alg, g, record.degree) == record.rank
+        assert multiplication_rank(alg, (report.form, 1), record.degree) == record.rank
 
 
 # -- oracle agreement -----------------------------------------------------------
@@ -152,11 +150,11 @@ def test_multiplication_rank_matches_coordinate_oracle(degrees, salt, g_degree):
     gen_degrees = list(ideal.generator_degrees)
     top = alg.socle_degree()
     for m in range(0, top + 1):
-        ours = multiplication_rank(alg, g, m)
         naive = naive_multiplication_rank(
             gen_dicts, gen_degrees, 3, dict_from_graded(g), g_degree, m
         )
-        assert ours == naive
+        assert multiplication_rank(alg, g, m) == naive
+        assert multiplication_rank(alg, (g_form, g_degree), m) == naive
 
 
 def test_zero_map_edges():
@@ -164,8 +162,14 @@ def test_zero_map_edges():
     ell = linear_form([1, 1, 1]).as_poly()
     # target beyond the socle: rank 0
     assert multiplication_rank(alg, ell, 3) == 0
+    assert multiplication_rank(alg, (linear_form([1, 1, 1]), 1), 3) == 0
     g3 = expand_power(linear_form([1, 2, 1]), 3)
     assert multiplication_rank(alg, g3, 1) == 0
+    assert multiplication_rank(alg, (linear_form([1, 2, 1]), 3), 1) == 0
+    # the zero form multiplies everything to zero
+    assert multiplication_rank(alg, (linear_form([0, 0, 0]), 1), 1) == 0
+    with pytest.raises(ValueError):
+        multiplication_rank(alg, (linear_form([1, 1]), 1), 1)
 
 
 @pytest.mark.parametrize(
@@ -198,3 +202,85 @@ def test_four_variable_ranks_match_naive_oracle(degrees, special):
                 gen_dicts, list(degrees), 4, dict_from_graded(g), k, m
             )
             assert multiplication_rank(alg, g, m) == naive
+            assert multiplication_rank(alg, (ell, k), m) == naive
+
+
+# -- rank as a Hilbert-function difference: edge cases ---------------------------
+
+
+def _assert_ranks_match_oracle(ideal, multipliers):
+    """Every multiplier, in each of its spellings, against the naive oracle.
+
+    ``multipliers`` lists (poly, spellings) pairs: the polynomial the oracle
+    multiplies by, and the arguments ``multiplication_rank`` is given for it.
+    """
+    alg = algebra(ideal)
+    gen_dicts = [dict_from_graded(gen) for gen in ideal.generators]
+    gen_degrees = list(ideal.generator_degrees)
+    top = alg.socle_degree()
+    for poly, spellings in multipliers:
+        for m in range(top - poly.degree + 1):  # past the socle both sides are zero
+            naive = naive_multiplication_rank(
+                gen_dicts, gen_degrees, ideal.num_vars, dict_from_graded(poly), poly.degree, m
+            )
+            for g in spellings:
+                assert multiplication_rank(alg, g, m) == naive, (g, m)
+
+
+def _every_power(ell, top):
+    return [(expand_power(ell, k), [(ell, k), expand_power(ell, k)]) for k in range(1, top + 1)]
+
+
+def test_rank_when_ell_is_proportional_to_a_generator_form():
+    # below the exponent ell is a coordinate and the generator's cube dies in
+    # the monomial part; at the exponent the generator wins the tie and the
+    # power of ell lies in the ideal
+    ideal = seeded_power_ideal([3, 2, 3, 4], seed=71, index=0, num_vars=3)
+    ell = linear_form([2 * c for c in ideal.power_parts[0][0].coeffs])
+    _assert_ranks_match_oracle(ideal, _every_power(ell, algebra(ideal).socle_degree()))
+
+
+def test_rank_when_k_ties_or_exceeds_every_exponent():
+    # exponents (2, 2, 3): k = 2 and k = 3 tie with generator exponents, and
+    # k = 4 is above all of them, so there ell is not a coordinate
+    ideal = seeded_power_ideal([2, 2, 3], seed=72, index=0, num_vars=3)
+    ell = seeded_forms(3, 1, seed=73, index=0)[0]
+    top = algebra(ideal).socle_degree()
+    assert top == 4
+    _assert_ranks_match_oracle(ideal, _every_power(ell, top))
+
+
+def test_rank_with_dependent_rows_in_a_non_full_degree():
+    # x*h and y*h have the relation y*(x*h) = x*(y*h): in degree 4 their six
+    # shifted rows have rank 5, fewer than the rows and than the columns, so
+    # neither count may certify the rank
+    powers = seeded_power_ideal([4, 4, 4], seed=74, index=0, num_vars=3)
+    x, y = (GradedPoly.monomial(3, e) for e in ((1, 0, 0), (0, 1, 0)))
+    h = expand_power(linear_form([1, 2, 3]), 2) + GradedPoly.monomial(3, (0, 1, 1))
+    ideal = GradedIdeal(3, powers.generators + (x * h, y * h), powers.power_parts + (None, None))
+    alg = algebra(ideal)
+    rows = alg.spanning_rows(4)
+    assert frac_rank(rows) == len(rows) - 1 < len(rows[0])
+    assert alg.piece(4).ideal_rank == naive_ideal_dim(
+        [dict_from_graded(g) for g in ideal.generators], list(ideal.generator_degrees), 3, 4
+    )
+    ell = seeded_forms(3, 1, seed=75, index=0)[0]
+    _assert_ranks_match_oracle(ideal, _every_power(ell, alg.socle_degree()))
+
+
+def test_rank_of_a_non_power_multiplier():
+    ideal = seeded_power_ideal([2, 3, 3, 2], seed=76, index=0, num_vars=3)
+    a, b = seeded_forms(3, 2, seed=77, index=0)
+    quadric = a.as_poly() * b.as_poly() + GradedPoly.monomial(3, (0, 0, 2))
+    cubic = quadric * a.as_poly() - expand_power(b, 3)
+    _assert_ranks_match_oracle(ideal, [(quadric, [quadric]), (cubic, [cubic])])
+
+
+def test_complete_intersections_of_general_powers_have_the_slp():
+    # monomial complete intersections have the SLP in characteristic 0
+    # (Stanley 1980; Watanabe), and a change of coordinates keeps it
+    for exponents, num_vars in (((2, 3, 4), 3), ((2, 2, 3, 3), 4)):
+        ideal = seeded_power_ideal(exponents, seed=78, index=0, num_vars=num_vars)
+        report = slp_check(ideal)
+        assert report.holds, report.failures
+        assert {r.power for r in report.records} == set(range(1, sum(exponents) - num_vars + 1))

@@ -60,15 +60,6 @@ def test_extend_reports_rank_gain():
     assert basis.rank == 2
 
 
-def test_basis_copy_is_independent():
-    basis = IntRowBasis(2)
-    basis.extend([[1, 0]])
-    clone = basis.copy()
-    clone.extend([[0, 1]])
-    assert basis.rank == 1
-    assert clone.rank == 2
-
-
 # -- oracle agreement -----------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from wlpcheck import GradedIdeal, NotArtinianError, algebra, linear_form
 from wlpcheck.binary import power_quotient_dim
 from wlpcheck.linalg import IntRowBasis
 from wlpcheck.poly import GradedPoly, basis_size, expand_power
+from wlpcheck import quotient
 from wlpcheck.quotient import QuotientAlgebra
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
@@ -262,3 +263,42 @@ def test_complete_intersection_of_powers_needs_no_elimination(monkeypatch):
 
 def test_algebra_cache_returns_same_object():
     assert algebra(SQUARES) is algebra(SQUARES)
+
+
+def test_contains_on_a_piece_certified_by_its_row_count(monkeypatch):
+    calls = []
+    original = IntRowBasis.extend
+
+    def counting(self, rows):
+        calls.append(self.ncols)
+        return original(self, rows)
+
+    monkeypatch.setattr(IntRowBasis, "extend", counting)
+    # three cubes pick the coordinates; the fourth cube is the only row in
+    # degree 3, one row against seven standard monomials
+    ideal = seeded_power_ideal([3, 3, 3, 3], seed=43, index=0, num_vars=3)
+    alg = QuotientAlgebra(ideal)
+    piece = alg.piece(3)
+    assert (piece.ideal_rank, piece.ambient_dim) == (4, 10)
+    assert calls == []
+    fourth = ideal.generators[3]
+    assert alg.contains(fourth.scale(3) - ideal.generators[0])
+    assert calls == [7]  # the exact basis is built once, on demand
+    stranger = expand_power(linear_form([1, 1, 1]), 3)
+    assert not alg.contains(stranger)
+    assert not alg.contains(fourth + stranger)
+    assert calls == [7]
+    gen_dicts, gen_degrees = _ideal_dicts(ideal)
+    assert not naive_membership(gen_dicts, gen_degrees, 3, dict_from_graded(stranger), 3)
+
+
+def test_a_low_modular_rank_is_never_trusted(monkeypatch):
+    # an unlucky prime gives a rank mod p below min(#rows, #cols); such an
+    # answer must send the piece to exact elimination
+    real = quotient.rank_mod_prime
+    monkeypatch.setattr(quotient, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
+    ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
+    gen_dicts, gen_degrees = _ideal_dicts(ideal)
+    expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
+    assert expected is not None
+    assert QuotientAlgebra(ideal).hilbert_function() == expected

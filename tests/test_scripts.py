@@ -6,11 +6,27 @@ import json
 import os
 import subprocess
 import sys
+from itertools import count, takewhile
+from math import comb
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:], "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 @pytest.mark.parametrize(
@@ -22,14 +38,18 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_prints_json(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:], "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    assert run_script(argv)
+
+
+def test_five_general_quintics_in_four_variables():
+    out = run_script(["four_variable_failures.py", "--trials", "1", "--generators", "5", "--power", "5"])
+    (trial,) = out["trials"]
+    # (1 - t^5)^5 / (1 - t)^4, the Hilbert function of five general quintics
+    # cut off before its first non-positive coefficient
+    series = (
+        sum((-1) ** j * comb(5, j) * comb(m - 5 * j + 3, 3) for j in range(m // 5 + 1))
+        for m in count()
     )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)
+    assert trial["hilbert"] == list(takewhile(lambda h: h > 0, series))
+    assert not trial["wlp"]
+    assert trial["failures"] == [{"degree": 7, "source": 70, "target": 65, "rank": 64}]
