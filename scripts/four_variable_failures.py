@@ -15,49 +15,20 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass
 
-from wlpcheck import CheckConfig, GradedIdeal, algebra, wlp_check
-from wlpcheck.lefschetz import sample_linear_form
-from wlpcheck.rng import SplitMix64, stream
-
-
-@dataclass(frozen=True)
-class FourVarConfig:
-    trials: int = 10
-    seed: int = 20100601
-    bound: int = 100
-    attempts: int = 5
-    power: int = 3
-    generators: int = 5
-    num_vars: int = 4
+from wlpcheck import TrialConfig, wlp_check
+from wlpcheck.rng import stream
+from wlpcheck.trials import random_power_ideal
 
 
-def random_power_ideal(rng: SplitMix64, config: FourVarConfig) -> GradedIdeal:
-    for _ in range(64):
-        forms = []
-        while len(forms) < config.generators:
-            candidate = sample_linear_form(
-                rng, config.num_vars, config.bound, avoid=tuple(forms)
-            )
-            forms.append(candidate)
-        ideal = GradedIdeal.from_powers((f, config.power) for f in forms)
-        if algebra(ideal).is_artinian():
-            return ideal
-    raise RuntimeError("could not draw an Artinian ideal")
-
-
-def run(config: FourVarConfig) -> dict:
+def run(config: TrialConfig) -> dict:
     rows = []
-    for index in range(config.trials):
+    for index in range(config.count):
         # Multiplier sampling must not replay the draws that built the ideal:
         # a multiplier equal to a generator form has a forced kernel.
         rng = stream(config.seed, index)
         ideal = random_power_ideal(rng, config)
-        check = CheckConfig(
-            seed=rng.next_uint64(), bound=config.bound, attempts=config.attempts
-        )
-        report = wlp_check(ideal, check)
+        report = wlp_check(ideal, config.check_config(seed=rng.next_uint64()))
         rows.append(
             {
                 "index": index,
@@ -77,7 +48,15 @@ def run(config: FourVarConfig) -> dict:
             }
         )
     return {
-        "config": config.__dict__,
+        "config": {
+            "trials": config.count,
+            "seed": config.seed,
+            "bound": config.bound,
+            "attempts": config.attempts,
+            "power": config.min_degree,
+            "generators": config.min_generators,
+            "num_vars": config.num_vars,
+        },
         "trials": rows,
         "summary": {
             "total": len(rows),
@@ -89,23 +68,29 @@ def run(config: FourVarConfig) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=FourVarConfig.trials)
-    parser.add_argument("--seed", type=int, default=FourVarConfig.seed)
-    parser.add_argument("--bound", type=int, default=FourVarConfig.bound)
-    parser.add_argument("--attempts", type=int, default=FourVarConfig.attempts)
-    parser.add_argument("--power", type=int, default=FourVarConfig.power)
-    parser.add_argument("--generators", type=int, default=FourVarConfig.generators)
+    parser.add_argument("--trials", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=TrialConfig.seed)
+    parser.add_argument("--bound", type=int, default=TrialConfig.bound)
+    parser.add_argument("--attempts", type=int, default=TrialConfig.attempts)
+    parser.add_argument("--power", type=int, default=3)
+    parser.add_argument("--generators", type=int, default=5)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    config = FourVarConfig(
-        trials=args.trials,
-        seed=args.seed,
-        bound=args.bound,
-        attempts=args.attempts,
-        power=args.power,
-        generators=args.generators,
-    )
+    try:
+        config = TrialConfig(
+            count=args.trials,
+            seed=args.seed,
+            bound=args.bound,
+            attempts=args.attempts,
+            num_vars=4,
+            min_degree=args.power,
+            max_degree=args.power,
+            min_generators=args.generators,
+            max_generators=args.generators,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     outcome = run(config)
 
     if args.json:
@@ -114,7 +99,7 @@ def main() -> None:
 
     summary = outcome["summary"]
     print(
-        f"{config.generators} general forms to the power {config.power} "
+        f"{args.generators} general forms to the power {args.power} "
         f"in four variables, {summary['total']} trials"
     )
     print(f"weak Lefschetz true:  {summary['wlp_true']}")

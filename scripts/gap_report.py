@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from wlpcheck import (
     CheckConfig,
     GradedIdeal,
-    algebra,
     generic_splitting_type,
     linear_form,
     load_corpus_entry,
@@ -77,7 +76,7 @@ def random_cases(config: GapConfig) -> list[tuple[str, GradedIdeal]]:
                     sample_linear_form(rng, 3, config.bound, avoid=tuple(forms))
                 )
             ideal = GradedIdeal.from_powers(zip(forms, degrees))
-            if algebra(ideal).is_artinian():
+            if ideal.algebra.is_artinian():
                 cases.append((f"random-{index}", ideal))
                 break
     return cases

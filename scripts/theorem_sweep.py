@@ -17,38 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 from wlpcheck import TrialConfig, predicted_splitting_type, run_random_trials
 from wlpcheck.binary import minimal_power_degrees
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    trials: int = 100
-    seed: int = 20100601
-    bound: int = 100
-    attempts: int = 5
-    min_degree: int = 2
-    max_degree: int = 8
-    min_generators: int = 3
-    max_generators: int = 6
-
-    def trial_config(self) -> TrialConfig:
-        return TrialConfig(
-            count=self.trials,
-            seed=self.seed,
-            bound=self.bound,
-            attempts=self.attempts,
-            min_degree=self.min_degree,
-            max_degree=self.max_degree,
-            min_generators=self.min_generators,
-            max_generators=self.max_generators,
-        )
-
-
-def run_sweep(config: SweepConfig) -> dict:
-    report = run_random_trials(config.trial_config())
+def run_sweep(config: TrialConfig) -> dict:
+    report = run_random_trials(config)
     rows = []
     gap_counts: Counter = Counter()
     for result in report.results:
@@ -70,7 +45,16 @@ def run_sweep(config: SweepConfig) -> dict:
         )
         gap_counts[(stype.gap, result.wlp_holds)] += 1
     return {
-        "config": config.__dict__,
+        "config": {
+            "trials": config.count,
+            "seed": config.seed,
+            "bound": config.bound,
+            "attempts": config.attempts,
+            "min_degree": config.min_degree,
+            "max_degree": config.max_degree,
+            "min_generators": config.min_generators,
+            "max_generators": config.max_generators,
+        },
         "trials": rows,
         "summary": {
             "total": len(rows),
@@ -86,19 +70,19 @@ def run_sweep(config: SweepConfig) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=SweepConfig.trials)
-    parser.add_argument("--seed", type=int, default=SweepConfig.seed)
-    parser.add_argument("--bound", type=int, default=SweepConfig.bound)
-    parser.add_argument("--attempts", type=int, default=SweepConfig.attempts)
-    parser.add_argument("--min-degree", type=int, default=SweepConfig.min_degree)
-    parser.add_argument("--max-degree", type=int, default=SweepConfig.max_degree)
-    parser.add_argument("--min-generators", type=int, default=SweepConfig.min_generators)
-    parser.add_argument("--max-generators", type=int, default=SweepConfig.max_generators)
+    parser.add_argument("--trials", type=int, default=TrialConfig.count)
+    parser.add_argument("--seed", type=int, default=TrialConfig.seed)
+    parser.add_argument("--bound", type=int, default=TrialConfig.bound)
+    parser.add_argument("--attempts", type=int, default=TrialConfig.attempts)
+    parser.add_argument("--min-degree", type=int, default=TrialConfig.min_degree)
+    parser.add_argument("--max-degree", type=int, default=TrialConfig.max_degree)
+    parser.add_argument("--min-generators", type=int, default=TrialConfig.min_generators)
+    parser.add_argument("--max-generators", type=int, default=TrialConfig.max_generators)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    config = SweepConfig(
-        trials=args.trials,
+    config = TrialConfig(
+        count=args.trials,
         seed=args.seed,
         bound=args.bound,
         attempts=args.attempts,

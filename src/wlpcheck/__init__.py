@@ -31,7 +31,7 @@ from .lefschetz import (
     wlp_check,
 )
 from .poly import GradedPoly, LinearForm, linear_form, monomial_basis, restrict_mod_linear
-from .quotient import GradedIdeal, QuotientAlgebra, algebra
+from .quotient import GradedIdeal, QuotientAlgebra
 from .rng import GENERATOR_NAME, SplitMix64, stream
 from .specfile import (
     CorpusEntry,
@@ -90,7 +90,6 @@ __all__ = [
     "TrialResult",
     "TrialsReport",
     "WlpPrediction",
-    "algebra",
     "binary_power_resolution",
     "connecting_image_dim",
     "corpus_names",

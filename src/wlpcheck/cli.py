@@ -25,7 +25,7 @@ from .lefschetz import (
     wlp_check,
 )
 from .poly import LinearForm
-from .quotient import GradedIdeal, algebra
+from .quotient import GradedIdeal
 from .rng import GENERATOR_NAME
 from .specfile import load_ideal_argument
 from .splitting import SplittingType, generic_splitting_type, predict_wlp
@@ -135,8 +135,7 @@ def _splitting_json(stype: SplittingType) -> dict:
 
 def cmd_hilbert(args) -> int:
     ideal = load_ideal_argument(args.ideal)
-    alg = algebra(ideal)
-    hf = alg.hilbert_function()
+    hf = ideal.algebra.hilbert_function()
     payload = {
         "ideal": {"variables": ideal.num_vars, "generator_degrees": list(ideal.generator_degrees)},
         "hilbert": list(hf),

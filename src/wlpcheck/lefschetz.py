@@ -7,11 +7,11 @@ computed from a matrix of the map.  The image of g times A_m is
     rank(x g : A_m -> A_{m + deg g}) = h_A(m + deg g) - dim (R/(I + (g)))_{m + deg g},
 
 and both dimensions are Hilbert-function values.  The quotient by I + (g)
-is an algebra of its own.  For g = l^k it is given the power (l, k), so
-its normalized coordinates pick l as a coordinate whenever k is among the
-smallest exponents, which k = 1 always is: its pieces then live on
-standard monomials in one variable fewer, and l^k is never expanded in the
-original coordinates.
+is the algebra of the ideal I + (g), whose last generator is g.  For
+g = l^k that generator is the power (l, k), so its normalized coordinates
+pick l as a coordinate whenever k is among the smallest exponents, which
+k = 1 always is: its pieces then live on standard monomials in one
+variable fewer, and l^k is never expanded in the original coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import GenericityError
 from .poly import LinearForm
-from .quotient import Generator, GradedIdeal, QuotientAlgebra, algebra
+from .quotient import Generator, GradedIdeal, QuotientAlgebra
 from .rng import SplitMix64
 
 DEFAULT_SEED = 20100601
@@ -135,7 +135,7 @@ def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str, powers
     every power up to the socle degree is checked for the same form, which
     is the all-powers property.
     """
-    alg = algebra(ideal)
+    alg = ideal.algebra
     hf = alg.hilbert_function()
     top = len(hf) - 1
     powers = 1 if powers_of == 1 else top

@@ -1,11 +1,15 @@
 """Graded Artinian quotients of a polynomial ring, degree by degree.
 
-The central object is :class:`QuotientAlgebra`, which computes one graded
-piece at a time: the row space of the ideal in that degree, its exact rank,
-and therefore the dimension of the quotient piece.  Ranks go through a
-modular fast path first; a rank modulo the working prime that reaches the
-number of rows or of columns is already a certificate, anything less is
-recomputed exactly, so every number that leaves this module is exact.
+A :class:`GradedIdeal` lists its generators in one format: a polynomial,
+or a power ``(form, k)`` of a linear form.  Its quotient is the
+:class:`QuotientAlgebra` in ``ideal.algebra``, built on first use and owned
+by the ideal, so it lives exactly as long as the ideal does.  The algebra
+computes one graded piece at a time: the row space of the ideal in that
+degree, its exact rank, and therefore the dimension of the quotient piece.
+Ranks go through a modular fast path first; a rank modulo the working
+prime that reaches the number of rows or of columns is already a
+certificate, anything less is recomputed exactly, so every number that
+leaves this module is exact.
 
 Pieces are computed in normalized coordinates.  When the algebra is built
 it picks a maximal linearly independent set of the power generators'
@@ -23,21 +27,21 @@ in both coordinate systems.  Callers only ever see original coordinates.
 
 Powers of linear forms are rewritten from their form: the form goes
 through the change of coordinates and its power is expanded on the
-standard monomials only.  Other polynomials are rewritten monomial by
-monomial.
+standard monomials only, never in the original coordinates.  Other
+polynomials are rewritten monomial by monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import NotArtinianError
 from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
-from .poly import GradedPoly, LinearForm, basis_size, expand_power, monomial_basis, multinomial
+from .poly import GradedPoly, LinearForm, basis_size, monomial_basis, multinomial
 
 Exponents = tuple[int, ...]
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -85,40 +89,36 @@ def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class GradedIdeal:
-    """Homogeneous ideal given by generators; remembers pure-power structure.
+    """Homogeneous ideal given by generators, each a polynomial or a power.
 
-    ``power_parts[i]`` is ``(form, exponent)`` when generator i was supplied
-    as a power of a linear form, else None.  The structure is used to pick
-    normalized coordinates and for restriction to a hyperplane.
+    A power of a linear form stays the pair ``(form, k)``: it is never
+    expanded in the original coordinates, and its form is what picks the
+    normalized coordinates and what restriction to a hyperplane cuts.  The
+    quotient by the ideal is ``algebra``, built on first use and kept for
+    the ideal's lifetime, so every caller holding the ideal shares its pieces.
     """
 
     num_vars: int
-    generators: tuple[GradedPoly, ...]
-    power_parts: tuple[tuple[LinearForm, int] | None, ...] = ()
+    generators: tuple[Generator, ...]
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
         for g in self.generators:
-            if g.num_vars != self.num_vars:
+            base, degree = g if isinstance(g, tuple) else (g, g.degree)
+            if base.num_vars != self.num_vars:
                 raise ValueError("generator variable count does not match the ideal")
-            if g.is_zero:
+            if base.is_zero:
                 raise ValueError("zero generator")
-            if g.degree < 1:
-                raise ValueError("generators must have positive degree")
-        if not self.power_parts:
-            object.__setattr__(self, "power_parts", (None,) * len(self.generators))
-        elif len(self.power_parts) != len(self.generators):
-            raise ValueError("power_parts length does not match generators")
+            if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+                raise ValueError("generators must have a positive integer degree")
 
     @classmethod
     def from_powers(cls, pairs: Iterable[tuple[LinearForm, int]]) -> "GradedIdeal":
         pairs = tuple(pairs)
         if not pairs:
             raise ValueError("need at least one generator")
-        num_vars = pairs[0][0].num_vars
-        gens = tuple(expand_power(form, power) for form, power in pairs)
-        return cls(num_vars, gens, pairs)
+        return cls(pairs[0][0].num_vars, pairs)
 
     @classmethod
     def from_polys(cls, polys: Iterable[GradedPoly]) -> "GradedIdeal":
@@ -129,40 +129,11 @@ class GradedIdeal:
 
     @property
     def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.generators)
+        return tuple(g[1] if isinstance(g, tuple) else g.degree for g in self.generators)
 
-    @property
-    def all_powers(self) -> bool:
-        return all(p is not None for p in self.power_parts)
-
-    def restricted(self, ell: LinearForm) -> "GradedIdeal":
-        """Image ideal in the coordinate ring of the hyperplane ell = 0.
-
-        Generators restricting to zero are dropped; powers stay powers.
-        Raises ValueError when every generator dies (the zero ideal is not
-        representable here and such a restriction is degenerate anyway).
-        """
-        from .poly import restrict_linear_form, restrict_mod_linear
-
-        gens: list[GradedPoly] = []
-        parts: list[tuple[LinearForm, int] | None] = []
-        for g, part in zip(self.generators, self.power_parts):
-            if part is not None:
-                form, power = part
-                cut = restrict_linear_form(form, ell)
-                if cut.is_zero:
-                    continue
-                gens.append(expand_power(cut, power))
-                parts.append((cut, power))
-            else:
-                cut_poly = restrict_mod_linear(g, ell)
-                if cut_poly.is_zero:
-                    continue
-                gens.append(cut_poly)
-                parts.append(None)
-        if not gens:
-            raise ValueError("every generator restricts to zero")
-        return GradedIdeal(self.num_vars - 1, tuple(gens), tuple(parts))
+    @cached_property
+    def algebra(self) -> "QuotientAlgebra":
+        return QuotientAlgebra(self)
 
 
 class DegreePiece:
@@ -215,31 +186,18 @@ class DegreePiece:
 class QuotientAlgebra:
     """Quotient of the polynomial ring by a homogeneous ideal.
 
-    ``extra`` adjoins further generators to ``ideal``, each a polynomial or
-    a power ``(form, k)``; a power is only ever expanded in normalized
-    coordinates.  Pieces are computed on demand and cached.
-    ``hilbert_function`` scans degrees upward and stops at the first zero
-    piece; the scan is abandoned (NotArtinianError) past the socle bound of
-    a complete intersection in the top generator degree, which no Artinian
-    quotient can exceed.
+    Reached as ``ideal.algebra``.  Pieces are computed on demand and
+    cached.  ``hilbert_function`` scans degrees upward and stops at the
+    first zero piece; the scan is abandoned (NotArtinianError) past the
+    socle bound of a complete intersection in the top generator degree,
+    which no Artinian quotient can exceed.
     """
 
-    def __init__(self, ideal: GradedIdeal, extra: tuple[Generator, ...] = ()):
+    def __init__(self, ideal: GradedIdeal):
         self.ideal = ideal
         self.num_vars = n = ideal.num_vars
-        self._extra = extra
-        # generator i as (polynomial, None) or (None, (form, exponent))
-        gens = list(zip(ideal.generators, ideal.power_parts))
-        for g in extra:
-            if isinstance(g, tuple):
-                gens.append((None, g))
-                g = g[0]
-            else:
-                gens.append((g, None))
-            if g.num_vars != n:
-                raise ValueError("variable count does not match")
-        self._degrees = tuple(part[1] if part else poly.degree for poly, part in gens)
-        self._all_powers = all(part for _, part in gens)
+        gens = ideal.generators
+        self._degrees = ideal.generator_degrees
         self._pieces: dict[int, DegreePiece] = {}
         self._hilbert: tuple[int, ...] | None = None
         self._adjoined: tuple[Generator, QuotientAlgebra] | None = None
@@ -249,8 +207,8 @@ class QuotientAlgebra:
         coords: list[Sequence[Fraction]] = []
         bounds: list[int | None] = []
         chosen: set[int] = set()
-        for a, i in sorted((part[1], i) for i, (_, part) in enumerate(gens) if part):
-            form = gens[i][1][0]
+        for a, i in sorted((g[1], i) for i, g in enumerate(gens) if isinstance(g, tuple)):
+            form = gens[i][0]
             if span.insert(clear_row_to_int(form.coeffs)):
                 coords.append(form.coeffs)
                 bounds.append(a)
@@ -270,9 +228,9 @@ class QuotientAlgebra:
         self._standard_cache: dict[int, dict[Exponents, int]] = {}
         self._images: list[list[dict[Exponents, int]]] = [[{(0,) * n: 1}]]
         self._others: list[tuple[int, IntTerms]] = []
-        for i, (poly, part) in enumerate(gens):
+        for i, g in enumerate(gens):
             if i not in chosen:
-                terms = self._power_terms(*part) if part else self._rewrite(poly)
+                terms = self._power_terms(*g) if isinstance(g, tuple) else self._rewrite(g)
                 if terms:  # a generator inside the monomial part adds nothing
                     self._others.append((self._degrees[i], terms))
 
@@ -361,14 +319,15 @@ class QuotientAlgebra:
         return rows
 
     def adjoined(self, g: Generator) -> "QuotientAlgebra":
-        """The quotient by this ideal plus g, a polynomial or a power (form, k).
+        """The algebra of I + (g), for g a polynomial or a power (form, k).
 
         Only the latest one is kept, so the ranks of one multiplier in every
         source degree share its pieces.
         """
         last = self._adjoined
         if last is None or last[0] != g:
-            last = self._adjoined = (g, QuotientAlgebra(self.ideal, self._extra + (g,)))
+            bigger = GradedIdeal(self.num_vars, self.ideal.generators + (g,))
+            last = self._adjoined = (g, bigger.algebra)
         return last[1]
 
     def piece(self, m: int) -> DegreePiece:
@@ -406,7 +365,7 @@ class QuotientAlgebra:
         """Dimensions (h_0, ..., h_s) with h_s the last nonzero value."""
         if self._hilbert is not None:
             return self._hilbert
-        if None in self._bounds and self._all_powers:
+        if None in self._bounds and all(isinstance(g, tuple) for g in self.ideal.generators):
             raise NotArtinianError(
                 "the linear forms do not span, so the quotient has positive dimension"
             )
@@ -441,9 +400,3 @@ class QuotientAlgebra:
             return True
         rows = shifted_rows(self._rewrite(f), [(0,) * self.num_vars], self._standard(f.degree))
         return not rows or self.piece(f.degree).contains(rows[0])
-
-
-@lru_cache(maxsize=256)
-def algebra(ideal: GradedIdeal) -> QuotientAlgebra:
-    """Shared per-ideal algebra so piece computations are reused."""
-    return QuotientAlgebra(ideal)

@@ -26,8 +26,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import SpecFormatError
-from .poly import GradedPoly, LinearForm, expand_power
-from .quotient import GradedIdeal
+from .poly import GradedPoly, LinearForm
+from .quotient import Generator, GradedIdeal
 
 
 def _fail(where: str, message: str) -> SpecFormatError:
@@ -69,8 +69,7 @@ def parse_ideal(data, where: str = "ideal") -> GradedIdeal:
     if not isinstance(num_vars, int) or isinstance(num_vars, bool) or num_vars < 1:
         raise _fail(where, "'variables' must be a positive integer")
 
-    generators: list[GradedPoly] = []
-    parts: list[tuple[LinearForm, int] | None] = []
+    generators: list[Generator] = []
 
     powers = data.get("powers", [])
     if not isinstance(powers, list):
@@ -89,8 +88,7 @@ def parse_ideal(data, where: str = "ideal") -> GradedIdeal:
         form = LinearForm(coeffs)
         if form.is_zero:
             raise _fail(spot, "the zero form has no meaningful power")
-        parts.append((form, exponent))
-        generators.append(expand_power(form, exponent))
+        generators.append((form, exponent))
 
     polys = data.get("polynomials", [])
     if not isinstance(polys, list):
@@ -98,12 +96,11 @@ def parse_ideal(data, where: str = "ideal") -> GradedIdeal:
     for i, entry in enumerate(polys):
         spot = f"{where}.polynomials[{i}]"
         generators.append(parse_polynomial(entry, num_vars, spot))
-        parts.append(None)
 
     if not generators:
         raise _fail(where, "no generators given")
     try:
-        return GradedIdeal(num_vars, tuple(generators), tuple(parts))
+        return GradedIdeal(num_vars, tuple(generators))
     except ValueError as exc:
         raise _fail(where, str(exc)) from None
 
@@ -139,9 +136,9 @@ def render_ideal(ideal: GradedIdeal) -> dict:
     """
     powers = []
     polynomials = []
-    for gen, part in zip(ideal.generators, ideal.power_parts):
-        if part is not None:
-            form, exponent = part
+    for gen in ideal.generators:
+        if isinstance(gen, tuple):
+            form, exponent = gen
             powers.append({
                 "form": [_render_coefficient(c) for c in form.coeffs],
                 "power": exponent,

@@ -38,15 +38,8 @@ from typing import Sequence
 from .binary import binary_power_resolution, syzygy_shifts_from_hilbert
 from .errors import GenericityError, HilbertDataError
 from .lefschetz import CheckConfig, sample_linear_form
-from .poly import (
-    GradedPoly,
-    LinearForm,
-    basis_size,
-    expand_power,
-    restrict_linear_form,
-    restrict_mod_linear,
-)
-from .quotient import GradedIdeal, algebra
+from .poly import LinearForm, basis_size, restrict_linear_form, restrict_mod_linear
+from .quotient import Generator, GradedIdeal
 from .rng import SplitMix64
 
 
@@ -106,37 +99,32 @@ def predicted_splitting_type(exponents: Sequence[int]) -> SplittingType:
 def _restrict_generators(
     ideal: GradedIdeal, ell: LinearForm
 ) -> tuple[GradedIdeal, tuple[int, ...]]:
-    """Split the generators at ell into a surviving ideal and dead degrees."""
-    survivors: list[GradedPoly] = []
-    parts: list[tuple[LinearForm, int] | None] = []
+    """Split the generators at ell into a surviving ideal and dead degrees.
+
+    A power (form, k) is cut through its form and stays a power.
+    """
+    survivors: list[Generator] = []
     dead: list[int] = []
-    for g, part in zip(ideal.generators, ideal.power_parts):
-        if part is not None:
-            form, power = part
-            cut_form = restrict_linear_form(form, ell)
-            if cut_form.is_zero:
-                dead.append(g.degree)
-                continue
-            survivors.append(expand_power(cut_form, power))
-            parts.append((cut_form, power))
+    for g, degree in zip(ideal.generators, ideal.generator_degrees):
+        if isinstance(g, tuple):
+            cut = restrict_linear_form(g[0], ell)
+            survivor = (cut, g[1])
         else:
-            cut = restrict_mod_linear(g, ell)
-            if cut.is_zero:
-                dead.append(g.degree)
-                continue
-            survivors.append(cut)
-            parts.append(None)
+            cut = survivor = restrict_mod_linear(g, ell)
+        if cut.is_zero:
+            dead.append(degree)
+        else:
+            survivors.append(survivor)
     if len(survivors) < 2:
         # an Artinian ideal always keeps two generators alive on any line
         raise GenericityError("fewer than two generators survive the restriction")
-    restricted = GradedIdeal(ideal.num_vars - 1, tuple(survivors), tuple(parts))
-    return restricted, tuple(dead)
+    return GradedIdeal(ideal.num_vars - 1, tuple(survivors)), tuple(dead)
 
 
 def _splitting_at(ideal: GradedIdeal, ell: LinearForm) -> tuple[SplittingType, tuple[int, ...]]:
     """Splitting type on the line ell = 0 and the restricted Hilbert function."""
     restricted, dead = _restrict_generators(ideal, ell)
-    rhf = algebra(restricted).hilbert_function()
+    rhf = restricted.algebra.hilbert_function()
 
     def ideal_dim(m: int) -> int:
         quotient = rhf[m] if 0 <= m < len(rhf) else 0
@@ -154,7 +142,7 @@ def splitting_type_at(ideal: GradedIdeal, ell: LinearForm) -> SplittingType:
     """
     if ideal.num_vars != 3:
         raise ValueError("splitting data is defined for three variables")
-    algebra(ideal).hilbert_function()  # Artinian or bust
+    ideal.algebra.hilbert_function()  # Artinian or bust
     return _splitting_at(ideal, ell)[0]
 
 
@@ -252,8 +240,7 @@ def predict_wlp(ideal: GradedIdeal, ell: LinearForm) -> WlpPrediction:
     """
     if ideal.num_vars != 3:
         raise ValueError("predictions are defined for three variables")
-    alg = algebra(ideal)
-    hf = alg.hilbert_function()
+    hf = ideal.algebra.hilbert_function()
     top = len(hf) - 1
     stype, rhf = _splitting_at(ideal, ell)
     shifts = stype.shifts

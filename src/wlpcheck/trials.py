@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import GenericityError
 from .lefschetz import CheckConfig, LefschetzReport, sample_linear_form, wlp_check
 from .poly import LinearForm
-from .quotient import GradedIdeal, algebra
+from .quotient import GradedIdeal
 from .rng import SplitMix64, stream
 from .splitting import WlpPrediction, predict_wlp
 
@@ -60,7 +60,7 @@ def random_power_ideal(rng: SplitMix64, config: TrialConfig) -> GradedIdeal:
             )
         powers = [rng.integer(config.min_degree, config.max_degree) for _ in range(n)]
         ideal = GradedIdeal.from_powers(zip(forms, powers))
-        if algebra(ideal).is_artinian():
+        if ideal.algebra.is_artinian():
             return ideal
     raise GenericityError("could not sample a spanning set of linear forms")
 

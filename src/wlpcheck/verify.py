@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lefschetz import CheckConfig, multiplication_rank, slp_check, wlp_check
-from .quotient import algebra
 from .specfile import CorpusEntry, corpus_names, load_corpus_entry, parse_polynomial
 from .splitting import generic_splitting_type, predict_wlp
 
@@ -51,7 +50,7 @@ def verify_entry(entry: CorpusEntry, config: CheckConfig | None = None) -> Entry
     def record(name: str, expected, actual):
         outcomes.append(CheckOutcome(name, _listify(expected) == _listify(actual), expected, actual))
 
-    alg = algebra(ideal)
+    alg = ideal.algebra
     if "hilbert" in expect:
         record("hilbert", expect["hilbert"], alg.hilbert_function())
     if "socle_degree" in expect:

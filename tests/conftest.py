@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from wlpcheck import GradedIdeal, linear_form, stream
+from wlpcheck.poly import expand_power
 
 
 def powers_ideal(*pairs):
@@ -10,6 +11,11 @@ def powers_ideal(*pairs):
     return GradedIdeal.from_powers(
         (linear_form(coeffs), power) for coeffs, power in pairs
     )
+
+
+def expanded(ideal):
+    """The generators as polynomials in the original coordinates, for the oracles."""
+    return [expand_power(*g) if isinstance(g, tuple) else g for g in ideal.generators]
 
 
 def seeded_forms(num_vars: int, count: int, seed: int, index: int = 0, bound: int = 50):

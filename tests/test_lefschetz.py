@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import powers_ideal, seeded_forms, seeded_power_ideal
+from conftest import expanded, powers_ideal, seeded_forms, seeded_power_ideal
 from oracles import dict_from_graded, frac_rank, naive_ideal_dim, naive_multiplication_rank
 from wlpcheck import (
     CheckConfig,
     GenericityError,
     GradedIdeal,
-    algebra,
     linear_form,
     multiplication_rank,
     sample_linear_form,
@@ -98,12 +97,11 @@ def test_mixed_quintics_fail_exactly_once():
     ideal = powers_ideal(
         ((1, 0, 0), 5), ((0, 1, 0), 5), ((0, 0, 1), 5)
     )
-    gens = list(ideal.generators) + [
+    gens = ideal.generators + (
         GradedPoly.monomial(3, (2, 1, 1)),
         GradedPoly.monomial(3, (1, 2, 1)),
-    ]
-    parts = list(ideal.power_parts) + [None, None]
-    quintics = GradedIdeal(3, tuple(gens), tuple(parts))
+    )
+    quintics = GradedIdeal(3, gens)
 
     report = wlp_check(quintics)
     assert not report.holds
@@ -123,7 +121,7 @@ def test_reports_are_reproducible():
 def test_degree_one_multiplier_reproduces_the_wlp_table():
     config = CheckConfig(seed=5, bound=20, attempts=2)
     report = wlp_check(SQUARES, config)
-    alg = algebra(SQUARES)
+    alg = SQUARES.algebra
     g = report.form.as_poly()
     for record in report.records:
         assert multiplication_rank(alg, g, record.degree) == record.rank
@@ -141,12 +139,12 @@ def test_degree_one_multiplier_reproduces_the_wlp_table():
 )
 def test_multiplication_rank_matches_coordinate_oracle(degrees, salt, g_degree):
     ideal = seeded_power_ideal(degrees, seed=53, index=salt, num_vars=3)
-    alg = algebra(ideal)
+    alg = ideal.algebra
     if not alg.is_artinian():
         return
     g_form = seeded_forms(3, 1, seed=54, index=salt)[0]
     g = expand_power(g_form, g_degree)
-    gen_dicts = [dict_from_graded(gen) for gen in ideal.generators]
+    gen_dicts = [dict_from_graded(gen) for gen in expanded(ideal)]
     gen_degrees = list(ideal.generator_degrees)
     top = alg.socle_degree()
     for m in range(0, top + 1):
@@ -158,7 +156,7 @@ def test_multiplication_rank_matches_coordinate_oracle(degrees, salt, g_degree):
 
 
 def test_zero_map_edges():
-    alg = algebra(SQUARES)
+    alg = SQUARES.algebra
     ell = linear_form([1, 1, 1]).as_poly()
     # target beyond the socle: rank 0
     assert multiplication_rank(alg, ell, 3) == 0
@@ -191,8 +189,8 @@ def test_four_variable_ranks_match_naive_oracle(degrees, special):
     if special:
         forms[-1] = linear_form([a + b for a, b in zip(forms[0].coeffs, forms[1].coeffs)])
     ideal = GradedIdeal.from_powers(zip(forms, degrees))
-    alg = algebra(ideal)
-    gen_dicts = [dict_from_graded(gen) for gen in ideal.generators]
+    alg = ideal.algebra
+    gen_dicts = [dict_from_graded(gen) for gen in expanded(ideal)]
     ell = seeded_forms(4, 1, seed=62, index=0)[0]
     top = alg.socle_degree()
     for k in range(1, top + 1):
@@ -214,8 +212,8 @@ def _assert_ranks_match_oracle(ideal, multipliers):
     ``multipliers`` lists (poly, spellings) pairs: the polynomial the oracle
     multiplies by, and the arguments ``multiplication_rank`` is given for it.
     """
-    alg = algebra(ideal)
-    gen_dicts = [dict_from_graded(gen) for gen in ideal.generators]
+    alg = ideal.algebra
+    gen_dicts = [dict_from_graded(gen) for gen in expanded(ideal)]
     gen_degrees = list(ideal.generator_degrees)
     top = alg.socle_degree()
     for poly, spellings in multipliers:
@@ -236,8 +234,8 @@ def test_rank_when_ell_is_proportional_to_a_generator_form():
     # the monomial part; at the exponent the generator wins the tie and the
     # power of ell lies in the ideal
     ideal = seeded_power_ideal([3, 2, 3, 4], seed=71, index=0, num_vars=3)
-    ell = linear_form([2 * c for c in ideal.power_parts[0][0].coeffs])
-    _assert_ranks_match_oracle(ideal, _every_power(ell, algebra(ideal).socle_degree()))
+    ell = linear_form([2 * c for c in ideal.generators[0][0].coeffs])
+    _assert_ranks_match_oracle(ideal, _every_power(ell, ideal.algebra.socle_degree()))
 
 
 def test_rank_when_k_ties_or_exceeds_every_exponent():
@@ -245,7 +243,7 @@ def test_rank_when_k_ties_or_exceeds_every_exponent():
     # k = 4 is above all of them, so there ell is not a coordinate
     ideal = seeded_power_ideal([2, 2, 3], seed=72, index=0, num_vars=3)
     ell = seeded_forms(3, 1, seed=73, index=0)[0]
-    top = algebra(ideal).socle_degree()
+    top = ideal.algebra.socle_degree()
     assert top == 4
     _assert_ranks_match_oracle(ideal, _every_power(ell, top))
 
@@ -257,12 +255,12 @@ def test_rank_with_dependent_rows_in_a_non_full_degree():
     powers = seeded_power_ideal([4, 4, 4], seed=74, index=0, num_vars=3)
     x, y = (GradedPoly.monomial(3, e) for e in ((1, 0, 0), (0, 1, 0)))
     h = expand_power(linear_form([1, 2, 3]), 2) + GradedPoly.monomial(3, (0, 1, 1))
-    ideal = GradedIdeal(3, powers.generators + (x * h, y * h), powers.power_parts + (None, None))
-    alg = algebra(ideal)
+    ideal = GradedIdeal(3, powers.generators + (x * h, y * h))
+    alg = ideal.algebra
     rows = alg.spanning_rows(4)
     assert frac_rank(rows) == len(rows) - 1 < len(rows[0])
     assert alg.piece(4).ideal_rank == naive_ideal_dim(
-        [dict_from_graded(g) for g in ideal.generators], list(ideal.generator_degrees), 3, 4
+        [dict_from_graded(g) for g in expanded(ideal)], list(ideal.generator_degrees), 3, 4
     )
     ell = seeded_forms(3, 1, seed=75, index=0)[0]
     _assert_ranks_match_oracle(ideal, _every_power(ell, alg.socle_degree()))

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import powers_ideal, seeded_power_ideal
+from conftest import expanded, powers_ideal, seeded_power_ideal
 from oracles import (
     dict_from_graded,
     monomials,
@@ -16,12 +18,13 @@ from oracles import (
     naive_ideal_dim,
     naive_membership,
 )
-from wlpcheck import GradedIdeal, NotArtinianError, algebra, linear_form
+from wlpcheck import GenericityError, GradedIdeal, NotArtinianError, linear_form
 from wlpcheck.binary import power_quotient_dim
 from wlpcheck.linalg import IntRowBasis
 from wlpcheck.poly import GradedPoly, basis_size, expand_power
 from wlpcheck import quotient
 from wlpcheck.quotient import QuotientAlgebra
+from wlpcheck.splitting import _restrict_generators
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 
@@ -35,44 +38,59 @@ def test_ideal_validation():
     with pytest.raises(ValueError):
         GradedIdeal.from_polys([GradedPoly.zero(2, 3)])
     with pytest.raises(ValueError):
-        GradedIdeal(2, (GradedPoly.monomial(3, (1, 0, 0)),), (None,))
+        GradedIdeal(2, (GradedPoly.monomial(3, (1, 0, 0)),))
+    x = linear_form([1, 0, 0])
+    for bad_power in (
+        (linear_form([0, 0, 0]), 2),
+        (linear_form([1, 0]), 2),
+        (x, 0),
+        (x, -1),
+        (x, 2.0),
+        (x, "2"),
+        (x, True),
+    ):
+        with pytest.raises(ValueError):
+            GradedIdeal(3, (bad_power,))
 
 
 def test_degrees_and_power_flags():
     ideal = powers_ideal(((1, 0), 2), ((0, 1), 5))
     assert ideal.generator_degrees == (2, 5)
-    assert ideal.all_powers
-    mixed = GradedIdeal.from_polys([GradedPoly.monomial(2, (1, 1))])
-    assert not mixed.all_powers
+    # powers stay (form, k) pairs, unexpanded
+    assert ideal.generators == ((linear_form([1, 0]), 2), (linear_form([0, 1]), 5))
+    xy = GradedPoly.monomial(2, (1, 1))
+    mixed = GradedIdeal(2, ideal.generators + (xy,))
+    assert mixed.generator_degrees == (2, 5, 2)
+    assert mixed.generators[2] is xy
 
 
 def test_restricted_drops_dead_generators():
     ell = linear_form([1, 0, 0])
-    restricted = SQUARES.restricted(ell)
+    restricted, dead = _restrict_generators(SQUARES, ell)
     # x^2 dies on the line x = 0; y^2 and z^2 survive as binary powers
+    assert dead == (2,)
     assert restricted.num_vars == 2
-    assert restricted.generator_degrees == (2, 2)
-    assert restricted.all_powers
+    assert restricted.generators == ((linear_form([1, 0]), 2), (linear_form([0, 1]), 2))
 
 
 def test_restricting_everything_away_is_rejected():
     only = powers_ideal(((1, 0, 0), 3))
-    with pytest.raises(ValueError):
-        only.restricted(linear_form([1, 0, 0]))
+    with pytest.raises(GenericityError):
+        _restrict_generators(only, linear_form([1, 0, 0]))
 
 
 # -- frozen example: three squares ------------------------------------------
 
 
 def test_squares_hilbert_function():
-    alg = algebra(SQUARES)
+    alg = SQUARES.algebra
     assert alg.hilbert_function() == (1, 3, 3, 1)
     assert alg.socle_degree() == 3
     assert alg.is_artinian()
 
 
 def test_squares_standard_monomials_are_squarefree():
-    alg = algebra(SQUARES)
+    alg = SQUARES.algebra
     for m in range(5):
         squarefree = [e for e in monomials(3, m) if max(e) < 2]
         assert alg.dimension(m) == len(squarefree)
@@ -81,7 +99,7 @@ def test_squares_standard_monomials_are_squarefree():
 
 
 def test_squares_multiplication_matrices():
-    alg = algebra(SQUARES)
+    alg = SQUARES.algebra
     ell = linear_form([1, 2, 3]).as_poly()
     # (source, target) standard monomials and the matrix of multiplication by
     # ell between them: rows index the target, columns the source
@@ -100,7 +118,7 @@ def test_squares_multiplication_matrices():
 
 
 def test_squares_reduction():
-    alg = algebra(SQUARES)
+    alg = SQUARES.algebra
     f = expand_power(linear_form([1, 1, 0]), 2)  # (x+y)^2 = x^2 + 2xy + y^2
     reduced = GradedPoly.monomial(3, (1, 1, 0), 2)
     assert alg.contains(f - reduced)
@@ -113,8 +131,8 @@ def test_squares_reduction():
 def test_powers_that_do_not_span_fail_fast():
     flat = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 3))
     with pytest.raises(NotArtinianError):
-        algebra(flat).hilbert_function()
-    assert not algebra(flat).is_artinian()
+        flat.algebra.hilbert_function()
+    assert not flat.algebra.is_artinian()
 
 
 def test_non_power_non_artinian_reports_partial_dims():
@@ -122,7 +140,7 @@ def test_non_power_non_artinian_reports_partial_dims():
         [GradedPoly.monomial(2, (2, 0)), GradedPoly.monomial(2, (1, 1))]
     )
     with pytest.raises(NotArtinianError) as info:
-        algebra(hollow).hilbert_function()
+        hollow.algebra.hilbert_function()
     dims = info.value.partial_dims
     assert len(dims) > 3
     assert all(d == 1 for d in dims[2:])  # only y^m survives in high degrees
@@ -132,14 +150,14 @@ def test_socle_bound_is_sharp_for_the_tightest_case():
     # monomial complete intersection x^d, y^d, z^d has socle degree 3(d-1)
     d = 3
     cubes = powers_ideal(((1, 0, 0), d), ((0, 1, 0), d), ((0, 0, 1), d))
-    assert algebra(cubes).socle_degree() == 3 * (d - 1)
+    assert cubes.algebra.socle_degree() == 3 * (d - 1)
 
 
 # -- oracle agreement ----------------------------------------------------------
 
 
 def _ideal_dicts(ideal):
-    return [dict_from_graded(g) for g in ideal.generators], list(ideal.generator_degrees)
+    return [dict_from_graded(g) for g in expanded(ideal)], list(ideal.generator_degrees)
 
 
 @settings(max_examples=25, deadline=None)
@@ -187,7 +205,7 @@ def test_membership_matches_naive_oracle(degrees, salt, probe_power):
     alg = QuotientAlgebra(ideal)
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     probe_ideal = seeded_power_ideal([probe_power], seed=14, index=salt, num_vars=2)
-    probe = probe_ideal.generators[0]
+    (probe,) = expanded(probe_ideal)
     expected = naive_membership(
         gen_dicts, gen_degrees, 2, dict_from_graded(probe), probe.degree
     )
@@ -211,9 +229,9 @@ def test_full_hilbert_function_matches_naive_oracle(degrees, salt):
 def test_mixed_ideal_hilbert_matches_naive_oracle():
     powers = seeded_power_ideal([3, 3, 4], seed=31, index=0, num_vars=3)
     # the product of the power forms, a monomial in the algebra's coordinates
-    a, b, c = (form.as_poly() for form, _ in powers.power_parts)
+    a, b, c = (form.as_poly() for form, _ in powers.generators)
     cubic = a * b * c
-    ideal = GradedIdeal(3, powers.generators + (cubic,), powers.power_parts + (None,))
+    ideal = GradedIdeal(3, powers.generators + (cubic,))
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 4 + 1)
     assert expected is not None
@@ -225,8 +243,8 @@ def test_polynomials_make_too_few_power_forms_artinian():
     # is monic in z, which makes the quotient Artinian
     powers = powers_ideal(((1, 1, 0), 2), ((1, -2, 0), 3), ((1, 1, 0), 3))
     z = GradedPoly.monomial(3, (0, 0, 1))
-    cubic = z * z * z + powers.generators[0] * z  # z^3 + (x + y)^2 z
-    ideal = GradedIdeal(3, powers.generators + (cubic,), powers.power_parts + (None,))
+    cubic = z * z * z + expanded(powers)[0] * z  # z^3 + (x + y)^2 z
+    ideal = GradedIdeal(3, powers.generators + (cubic,))
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
     assert expected is not None
@@ -261,8 +279,20 @@ def test_complete_intersection_of_powers_needs_no_elimination(monkeypatch):
     assert calls == []
 
 
-def test_algebra_cache_returns_same_object():
-    assert algebra(SQUARES) is algebra(SQUARES)
+def test_ideal_owns_its_algebra():
+    ideal = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
+    alg = ideal.algebra
+    assert alg is ideal.algebra
+    assert alg.ideal is ideal
+    g = (linear_form([1, 1, 1]), 1)
+    assert alg.adjoined(g).ideal.generators == ideal.generators + (g,)
+    assert alg.adjoined(g) is alg.adjoined(g)
+    # no hidden cache: the algebra goes with its ideal
+    assert alg.hilbert_function() == (1, 3, 3, 1)
+    gone = weakref.ref(alg)
+    del ideal, alg
+    gc.collect()
+    assert gone() is None
 
 
 def test_contains_on_a_piece_certified_by_its_row_count(monkeypatch):
@@ -281,8 +311,8 @@ def test_contains_on_a_piece_certified_by_its_row_count(monkeypatch):
     piece = alg.piece(3)
     assert (piece.ideal_rank, piece.ambient_dim) == (4, 10)
     assert calls == []
-    fourth = ideal.generators[3]
-    assert alg.contains(fourth.scale(3) - ideal.generators[0])
+    first, _, _, fourth = expanded(ideal)
+    assert alg.contains(fourth.scale(3) - first)
     assert calls == [7]  # the exact basis is built once, on demand
     stranger = expand_power(linear_form([1, 1, 1]), 3)
     assert not alg.contains(stranger)

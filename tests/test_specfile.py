@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wlpcheck import (
+    GradedPoly,
     SpecFormatError,
     corpus_names,
     load_corpus_entry,
@@ -35,9 +36,10 @@ def test_parse_good_description():
     ideal = parse_ideal(GOOD)
     assert ideal.num_vars == 3
     assert ideal.generator_degrees == (2, 2, 2, 2)
-    assert ideal.power_parts[1][0].coeffs == (0, Fraction(1, 2), 0)
-    assert ideal.power_parts[3] is None
+    form, power = ideal.generators[1]
+    assert (form.coeffs, power) == ((0, Fraction(1, 2), 0), 2)
     last = ideal.generators[3]
+    assert isinstance(last, GradedPoly)
     assert last.coefficient((0, 1, 1)) == Fraction(-2, 3)
 
 

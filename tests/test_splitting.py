@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,10 @@ from conftest import powers_ideal, seeded_forms, seeded_power_ideal
 from wlpcheck import (
     CheckConfig,
     GenericityError,
-    algebra,
     connecting_image_dim,
     generic_splitting_type,
     linear_form,
+    load_corpus_entry,
     predict_wlp,
     predicted_splitting_type,
     restriction_h0,
@@ -24,6 +26,7 @@ from wlpcheck import (
     wlp_check,
 )
 from wlpcheck.binary import binary_power_resolution
+from wlpcheck import poly
 from wlpcheck.poly import GradedPoly
 from wlpcheck.quotient import GradedIdeal
 
@@ -40,7 +43,6 @@ def mixed_quintics():
         3,
         base.generators
         + (GradedPoly.monomial(3, (2, 1, 1)), GradedPoly.monomial(3, (1, 2, 1))),
-        base.power_parts + (None, None),
     )
 
 
@@ -176,7 +178,7 @@ def test_prediction_flags_known_failure():
 
 def test_syzygy_module_dim_and_connecting_map():
     degrees = (2, 2, 2)
-    alg = algebra(SQUARES)
+    alg = SQUARES.algebra
     hilbert = alg.hilbert_function()
     shifts = (3, 3)
     # relation space dimensions: free covers minus the ideal piece; the
@@ -199,7 +201,7 @@ def test_syzygy_module_dim_and_connecting_map():
 )
 def test_splitting_formula_matches_exact_restriction(degrees, salt):
     ideal = seeded_power_ideal(degrees, seed=71, index=salt, num_vars=3)
-    alg = algebra(ideal)
+    alg = ideal.algebra
     if not alg.is_artinian():
         return
     ell = seeded_forms(3, 1, seed=72, index=salt, bound=40)[0]
@@ -220,7 +222,7 @@ def test_splitting_formula_matches_exact_restriction(degrees, salt):
 )
 def test_predicted_table_matches_direct_ranks(degrees, salt):
     ideal = seeded_power_ideal(degrees, seed=81, index=salt, num_vars=3)
-    alg = algebra(ideal)
+    alg = ideal.algebra
     if not alg.is_artinian():
         return
     config = CheckConfig(seed=82 + salt, bound=60, attempts=3)
@@ -239,3 +241,27 @@ def test_predicted_conservation_and_socle_consistency(degrees):
     assert sum(stype.shifts) == sum(degrees)
     resolution = binary_power_resolution(degrees)
     assert stype.restricted_socle == resolution.socle_degree
+
+
+def test_powers_are_never_expanded(monkeypatch):
+    # a power (form, k) is expanded only on the standard monomials of the
+    # normalized coordinates, and restriction cuts its form
+    calls = []
+    original = poly.expand_power
+
+    def counting(form, degree):
+        calls.append(degree)
+        return original(form, degree)
+
+    for name, module in list(sys.modules.items()):
+        if name == "wlpcheck" or name.startswith("wlpcheck."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert poly.expand_power is counting
+    ideal = load_corpus_entry("four-general-cubes").ideal
+    report = wlp_check(ideal)
+    assert report.holds
+    _, witness = generic_splitting_type(ideal)
+    assert predict_wlp(ideal, witness).holds
+    assert calls == []
