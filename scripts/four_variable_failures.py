@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 
-from wlpcheck import TrialConfig, wlp_check
+from wlpcheck import wlp_check
 from wlpcheck.rng import stream
-from wlpcheck.trials import random_power_ideal
+from wlpcheck.trials import TrialConfig, random_power_ideal
 
 
 def run(config: TrialConfig) -> dict:

@@ -19,16 +19,10 @@ import argparse
 import json
 from dataclasses import dataclass
 
-from wlpcheck import (
-    CheckConfig,
-    GradedIdeal,
-    generic_splitting_type,
-    linear_form,
-    load_corpus_entry,
-    wlp_check,
-)
+from wlpcheck import CheckConfig, GradedIdeal, generic_splitting_type, linear_form, wlp_check
 from wlpcheck.lefschetz import sample_linear_form
 from wlpcheck.rng import stream
+from wlpcheck.specfile import load_corpus_entry
 
 
 @dataclass(frozen=True)

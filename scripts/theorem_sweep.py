@@ -18,8 +18,8 @@ import argparse
 import json
 from collections import Counter
 
-from wlpcheck import TrialConfig, predicted_splitting_type, run_random_trials
-from wlpcheck.binary import minimal_power_degrees
+from wlpcheck import minimal_power_degrees, predicted_splitting_type, run_random_trials
+from wlpcheck.trials import TrialConfig
 
 
 def run_sweep(config: TrialConfig) -> dict:

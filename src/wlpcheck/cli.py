@@ -66,6 +66,10 @@ def _emit(args, payload: dict, human_lines) -> None:
             print(line)
 
 
+def _ideal_json(ideal: GradedIdeal) -> dict:
+    return {"variables": ideal.num_vars, "generator_degrees": list(ideal.generator_degrees)}
+
+
 def _ideal_summary(ideal: GradedIdeal) -> str:
     degrees = ", ".join(str(d) for d in ideal.generator_degrees)
     return f"{ideal.num_vars} variables, generator degrees ({degrees})"
@@ -96,10 +100,7 @@ def _report_lines(ideal: GradedIdeal, report: LefschetzReport, label: str):
 def _report_payload(ideal: GradedIdeal, report: LefschetzReport, config: CheckConfig) -> dict:
     return {
         "kind": report.kind,
-        "ideal": {
-            "variables": ideal.num_vars,
-            "generator_degrees": list(ideal.generator_degrees),
-        },
+        "ideal": _ideal_json(ideal),
         "holds": report.holds,
         "witness": _form_json(report.form),
         "attempts_used": report.attempts_used,
@@ -137,7 +138,7 @@ def cmd_hilbert(args) -> int:
     ideal = load_ideal_argument(args.ideal)
     hf = ideal.algebra.hilbert_function()
     payload = {
-        "ideal": {"variables": ideal.num_vars, "generator_degrees": list(ideal.generator_degrees)},
+        "ideal": _ideal_json(ideal),
         "hilbert": list(hf),
         "socle_degree": len(hf) - 1,
     }
@@ -173,7 +174,7 @@ def cmd_split(args) -> int:
     config = _check_config(args)
     stype, witness = generic_splitting_type(ideal, config)
     payload = {
-        "ideal": {"variables": ideal.num_vars, "generator_degrees": list(ideal.generator_degrees)},
+        "ideal": _ideal_json(ideal),
         "splitting": _splitting_json(stype),
         "witness": _form_json(witness),
         "config": _config_json(config),
@@ -196,7 +197,7 @@ def cmd_predict(args) -> int:
     stype, witness = generic_splitting_type(ideal, config)
     prediction = predict_wlp(ideal, witness)
     payload = {
-        "ideal": {"variables": ideal.num_vars, "generator_degrees": list(ideal.generator_degrees)},
+        "ideal": _ideal_json(ideal),
         "holds": prediction.holds,
         "witness": _form_json(witness),
         "hilbert": list(prediction.hilbert),
@@ -237,7 +238,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = CheckConfig(seed=args.seed, bound=args.bound, attempts=args.attempts)
+    config = _check_config(args)
     verifications = verify_all(config)
     payload = {
         "entries": [

@@ -128,17 +128,16 @@ def _rank_records(alg: QuotientAlgebra, form: LinearForm, powers: int) -> tuple[
     return tuple(records)
 
 
-def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str, powers_of: int) -> LefschetzReport:
+def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> LefschetzReport:
     """Try up to config.attempts distinct forms; keep the best showing.
 
-    powers_of = 1 checks only multiplication by the form itself; otherwise
-    every power up to the socle degree is checked for the same form, which
-    is the all-powers property.
+    "wlp" checks only multiplication by the form itself; "slp" checks every
+    power up to the socle degree for the same form, which is the all-powers
+    property.
     """
     alg = ideal.algebra
     hf = alg.hilbert_function()
-    top = len(hf) - 1
-    powers = 1 if powers_of == 1 else top
+    powers = len(hf) - 1 if kind == "slp" else 1
     rng = SplitMix64(config.seed)
     tried: list[LinearForm] = []
     best: tuple[MapRankRecord, ...] | None = None
@@ -152,7 +151,7 @@ def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str, powers
                 break  # the coefficient pool is exhausted; judge what we saw
             raise
         tried.append(form)
-        records = _rank_records(alg, form, max(powers, 1))
+        records = _rank_records(alg, form, powers)
         misses = sum(1 for r in records if not r.maximal)
         if misses == 0:
             return LefschetzReport(kind, True, form, len(tried), hf, records)
@@ -168,9 +167,9 @@ def wlp_check(ideal: GradedIdeal, config: CheckConfig | None = None) -> Lefschet
     False means every sampled candidate missed maximal rank somewhere; the
     report carries the best candidate's exact rank table.
     """
-    return _best_of_attempts(ideal, config or CheckConfig(), "wlp", powers_of=1)
+    return _best_of_attempts(ideal, config or CheckConfig(), "wlp")
 
 
 def slp_check(ideal: GradedIdeal, config: CheckConfig | None = None) -> LefschetzReport:
     """Same, but every power of one witness form must have maximal rank."""
-    return _best_of_attempts(ideal, config or CheckConfig(), "slp", powers_of=0)
+    return _best_of_attempts(ideal, config or CheckConfig(), "slp")

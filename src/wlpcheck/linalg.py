@@ -89,9 +89,6 @@ class IntRowBasis:
             v = _primitive(v)
         return v
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce(vec))
-
     def insert(self, vec: Sequence[int]) -> bool:
         """Add ``vec`` to the span.  Returns True when the rank grew."""
         v = self.reduce(vec)

@@ -6,10 +6,16 @@ or a power ``(form, k)`` of a linear form.  Its quotient is the
 by the ideal, so it lives exactly as long as the ideal does.  The algebra
 computes one graded piece at a time: the row space of the ideal in that
 degree, its exact rank, and therefore the dimension of the quotient piece.
-Ranks go through a modular fast path first; a rank modulo the working
-prime that reaches the number of rows or of columns is already a
-certificate, anything less is recomputed exactly, so every number that
-leaves this module is exact.
+A piece keeps three integers, its degree, the number of monomials of
+that degree and the rank; its rows and any echelon basis are dropped once
+the rank is read.  Ranks go through a modular fast path first; a rank
+modulo the working prime that reaches the number of rows or of columns is
+already a certificate, anything less is recomputed exactly, so every
+number that leaves this module is exact.
+
+Every question about the quotient is answered by dimensions of pieces.
+Membership is one: f of degree d lies in the ideal exactly when the
+quotient by I + (f) has the same degree-d dimension as the quotient by I.
 
 Pieces are computed in normalized coordinates.  When the algebra is built
 it picks a maximal linearly independent set of the power generators'
@@ -136,67 +142,38 @@ class GradedIdeal:
         return QuotientAlgebra(self)
 
 
+@dataclass(frozen=True)
 class DegreePiece:
-    """One graded piece: ideal row space and quotient dimension in one degree.
+    """One graded piece: the dimensions of the ideal and of the quotient in one degree.
 
-    The ideal's projection onto the standard monomials of the algebra's
-    normalized coordinates is spanned by ``ncols``-wide integer rows;
-    ``ambient_dim`` and ``ideal_rank`` count all monomials of the degree,
-    the monomial part included.  A piece whose rank was certified without
-    elimination keeps its spanning rows and echelonizes them only when
-    ``contains`` first needs a basis.
+    ``ambient_dim`` counts all monomials of the degree and ``ideal_rank``
+    the dimension of the ideal's piece, the monomial part of the
+    normalized coordinates included.  No basis of the piece is kept.
     """
 
-    __slots__ = ("degree", "ambient_dim", "ideal_rank", "_ncols", "_rows", "_basis")
-
-    def __init__(
-        self,
-        degree: int,
-        ambient_dim: int,
-        ideal_rank: int,
-        ncols: int,
-        rows: list[list[int]] | None = None,
-        basis: IntRowBasis | None = None,
-    ):
-        self.degree = degree
-        self.ambient_dim = ambient_dim
-        self.ideal_rank = ideal_rank
-        self._ncols = ncols
-        self._rows = rows  # spanning rows, until a basis is built from them
-        self._basis = basis
+    degree: int
+    ambient_dim: int
+    ideal_rank: int
 
     @property
     def dim(self) -> int:
         return self.ambient_dim - self.ideal_rank
 
-    @property
-    def full(self) -> bool:
-        return self.ideal_rank == self.ambient_dim
-
-    def contains(self, int_vector: Sequence[int]) -> bool:
-        if self.full:
-            return True
-        if self._basis is None:
-            self._basis = IntRowBasis(self._ncols)
-            self._basis.extend(self._rows)
-            self._rows = None
-        return self._basis.contains(int_vector)
-
 
 class QuotientAlgebra:
     """Quotient of the polynomial ring by a homogeneous ideal.
 
-    Reached as ``ideal.algebra``.  Pieces are computed on demand and
-    cached.  ``hilbert_function`` scans degrees upward and stops at the
+    Reached as ``ideal.algebra``.  It keeps the ideal's generators, not
+    the ideal, so the ideal alone owns it.  Pieces are computed on demand
+    and cached.  ``hilbert_function`` scans degrees upward and stops at the
     first zero piece; the scan is abandoned (NotArtinianError) past the
     socle bound of a complete intersection in the top generator degree,
     which no Artinian quotient can exceed.
     """
 
     def __init__(self, ideal: GradedIdeal):
-        self.ideal = ideal
         self.num_vars = n = ideal.num_vars
-        gens = ideal.generators
+        self.generators = gens = ideal.generators
         self._degrees = ideal.generator_degrees
         self._pieces: dict[int, DegreePiece] = {}
         self._hilbert: tuple[int, ...] | None = None
@@ -326,8 +303,8 @@ class QuotientAlgebra:
         """
         last = self._adjoined
         if last is None or last[0] != g:
-            bigger = GradedIdeal(self.num_vars, self.ideal.generators + (g,))
-            last = self._adjoined = (g, bigger.algebra)
+            bigger = GradedIdeal(self.num_vars, self.generators + (g,))
+            last = self._adjoined = (g, QuotientAlgebra(bigger))
         return last[1]
 
     def piece(self, m: int) -> DegreePiece:
@@ -342,16 +319,16 @@ class QuotientAlgebra:
     def _compute_piece(self, m: int) -> DegreePiece:
         ambient = basis_size(self.num_vars, m)
         ncols = len(self._standard(m))
-        counted = ambient - ncols  # nonstandard monomials lie in the ideal
         rows = self.spanning_rows(m)
         rank = rank_mod_prime(rows, ncols) if rows else 0
-        if rank == min(len(rows), ncols):
+        if rank < min(len(rows), ncols):
             # a rank mod p never exceeds the rational rank, which never
-            # exceeds either count: this is the exact rank
-            return DegreePiece(m, ambient, counted + rank, ncols, None if rank == ncols else rows)
-        basis = IntRowBasis(ncols)
-        basis.extend(rows)
-        return DegreePiece(m, ambient, counted + basis.rank, ncols, basis=basis)
+            # exceeds either count: only a smaller one needs elimination
+            basis = IntRowBasis(ncols)
+            basis.extend(rows)
+            rank = basis.rank
+        # the nonstandard monomials lie in the ideal
+        return DegreePiece(m, ambient, ambient - ncols + rank)
 
     def dimension(self, m: int) -> int:
         return self.piece(m).dim
@@ -365,7 +342,7 @@ class QuotientAlgebra:
         """Dimensions (h_0, ..., h_s) with h_s the last nonzero value."""
         if self._hilbert is not None:
             return self._hilbert
-        if None in self._bounds and all(isinstance(g, tuple) for g in self.ideal.generators):
+        if None in self._bounds and all(isinstance(g, tuple) for g in self.generators):
             raise NotArtinianError(
                 "the linear forms do not span, so the quotient has positive dimension"
             )
@@ -394,9 +371,17 @@ class QuotientAlgebra:
         return len(self.hilbert_function()) - 1
 
     def contains(self, f: GradedPoly) -> bool:
+        """Is f in the ideal?
+
+        For f of degree d, (I + (f))_d is I_d plus the span of f, so f lies
+        in I_d exactly when adjoining it leaves the quotient's degree-d
+        piece as it was: the same rule that gives every rank.
+        """
         if f.num_vars != self.num_vars:
             raise ValueError("variable count does not match")
         if f.is_zero:
             return True
-        rows = shifted_rows(self._rewrite(f), [(0,) * self.num_vars], self._standard(f.degree))
-        return not rows or self.piece(f.degree).contains(rows[0])
+        if f.degree == 0:
+            return False  # every generator has positive degree
+        dim = self.dimension(f.degree)
+        return dim == 0 or self.adjoined(f).dimension(f.degree) == dim

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from wlpcheck import GradedIdeal, linear_form, stream
+from wlpcheck import GradedIdeal, linear_form
 from wlpcheck.poly import expand_power
+from wlpcheck.rng import stream
 
 
 def powers_ideal(*pairs):

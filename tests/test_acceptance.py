@@ -15,15 +15,11 @@ from oracles import dict_from_graded, naive_hilbert
 from wlpcheck import (
     CheckConfig,
     GradedIdeal,
-    TrialConfig,
     linear_form,
-    multiplication_rank,
     predicted_splitting_type,
-    restriction_h1,
     run_random_trials,
     slp_check,
     splitting_type_at,
-    syzygy_h2,
     wlp_check,
 )
 from wlpcheck.binary import (
@@ -32,8 +28,11 @@ from wlpcheck.binary import (
     power_syzygy_shifts,
     syzygy_shifts_from_hilbert,
 )
+from wlpcheck.lefschetz import multiplication_rank
 from wlpcheck.poly import GradedPoly, expand_power
 from wlpcheck.quotient import QuotientAlgebra
+from wlpcheck.splitting import restriction_h1, syzygy_h2
+from wlpcheck.trials import TrialConfig
 
 GRID_SEED = 20100601
 

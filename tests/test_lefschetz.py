@@ -13,11 +13,10 @@ from wlpcheck import (
     GenericityError,
     GradedIdeal,
     linear_form,
-    multiplication_rank,
-    sample_linear_form,
     slp_check,
     wlp_check,
 )
+from wlpcheck.lefschetz import multiplication_rank, sample_linear_form
 from wlpcheck.poly import GradedPoly, expand_power
 from wlpcheck.rng import stream
 

@@ -12,10 +12,24 @@ import wlpcheck
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_example() -> str:
+def _library_section() -> str:
     text = README.read_text(encoding="utf-8")
-    start = text.index("```python\n", text.index("## Library use")) + len("```python\n")
+    start = text.index("## Library use")
+    return text[start:text.index("\n## ", start)]
+
+
+def _library_example() -> str:
+    text = _library_section()
+    start = text.index("```python\n") + len("```python\n")
     return text[start:text.index("\n```", start)]
+
+
+def _documented_names() -> set[str]:
+    """Names the example imports, and bare names in backticks in the prose."""
+    imported = re.search(r"from wlpcheck import \(([^)]*)\)", _library_example()).group(1)
+    names = set(re.findall(r"\w+", imported))
+    names |= set(re.findall(r"`([A-Za-z_]\w*)`", _library_section()))
+    return names - {"wlpcheck"}
 
 
 def test_library_example_prints_its_commented_outputs():
@@ -35,5 +49,6 @@ def test_library_example_prints_its_commented_outputs():
 def test_every_exported_name_resolves():
     for name in wlpcheck.__all__:
         assert hasattr(wlpcheck, name), name
+    assert set(wlpcheck.__all__) - {"__version__"} == _documented_names()
     assert "algebra" not in wlpcheck.__all__
     assert not hasattr(wlpcheck, "algebra")

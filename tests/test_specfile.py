@@ -7,17 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from wlpcheck import (
-    GradedPoly,
-    SpecFormatError,
+from wlpcheck import GradedPoly, SpecFormatError, load_ideal_file, parse_ideal, render_ideal
+from wlpcheck.specfile import (
     corpus_names,
     load_corpus_entry,
     load_ideal_argument,
-    load_ideal_file,
     load_ideal_text,
-    parse_ideal,
     parse_polynomial,
-    render_ideal,
     render_ideal_text,
 )
 

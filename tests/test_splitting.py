@@ -12,23 +12,25 @@ from conftest import powers_ideal, seeded_forms, seeded_power_ideal
 from wlpcheck import (
     CheckConfig,
     GenericityError,
-    connecting_image_dim,
     generic_splitting_type,
     linear_form,
-    load_corpus_entry,
     predict_wlp,
     predicted_splitting_type,
-    restriction_h0,
-    restriction_h1,
     splitting_type_at,
-    syzygy_h2,
-    syzygy_module_dim,
     wlp_check,
 )
 from wlpcheck.binary import binary_power_resolution
 from wlpcheck import poly
 from wlpcheck.poly import GradedPoly
 from wlpcheck.quotient import GradedIdeal
+from wlpcheck.specfile import load_corpus_entry
+from wlpcheck.splitting import (
+    connecting_image_dim,
+    restriction_h0,
+    restriction_h1,
+    syzygy_h2,
+    syzygy_module_dim,
+)
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 FOUR_CUBES = powers_ideal(

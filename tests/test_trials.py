@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from wlpcheck import TrialConfig, run_random_trials
+from wlpcheck import run_random_trials
+from wlpcheck.trials import TrialConfig
 
 
 def test_config_validation():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from wlpcheck import CheckConfig, load_corpus_entry, verify_all, verify_entry
+from wlpcheck import CheckConfig, verify_all
+from wlpcheck.specfile import load_corpus_entry
+from wlpcheck.verify import verify_entry
 
 
 def test_every_corpus_entry_passes():
