@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import GenericityError, NotArtinianError, SpecFormatError
@@ -50,12 +51,7 @@ def _form_json(form: LinearForm | None):
 
 
 def _config_json(config: CheckConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "bound": config.bound,
-        "attempts": config.attempts,
-        "generator": GENERATOR_NAME,
-    }
+    return {**asdict(config), "generator": GENERATOR_NAME}
 
 
 def _emit(args, payload: dict, human_lines) -> None:
@@ -106,17 +102,7 @@ def _report_payload(ideal: GradedIdeal, report: LefschetzReport, config: CheckCo
         "attempts_used": report.attempts_used,
         "hilbert": list(report.hilbert),
         "socle_degree": report.socle_degree,
-        "records": [
-            {
-                "power": r.power,
-                "degree": r.degree,
-                "source_dim": r.source_dim,
-                "target_dim": r.target_dim,
-                "rank": r.rank,
-                "maximal": r.maximal,
-            }
-            for r in report.records
-        ],
+        "records": [{**asdict(r), "maximal": r.maximal} for r in report.records],
         "failures": [[k, m] for k, m in report.failures],
         "config": _config_json(config),
     }
@@ -151,21 +137,11 @@ def cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
-def cmd_wlp(args) -> int:
+def cmd_lefschetz(args) -> int:
     ideal = load_ideal_argument(args.ideal)
     config = _check_config(args)
-    report = wlp_check(ideal, config)
-    _emit(args, _report_payload(ideal, report, config),
-          _report_lines(ideal, report, "weak Lefschetz property"))
-    return EXIT_OK if report.holds else EXIT_FALSE
-
-
-def cmd_slp(args) -> int:
-    ideal = load_ideal_argument(args.ideal)
-    config = _check_config(args)
-    report = slp_check(ideal, config)
-    _emit(args, _report_payload(ideal, report, config),
-          _report_lines(ideal, report, "strong Lefschetz property"))
+    report = args.check(ideal, config)
+    _emit(args, _report_payload(ideal, report, config), _report_lines(ideal, report, args.label))
     return EXIT_OK if report.holds else EXIT_FALSE
 
 
@@ -202,18 +178,7 @@ def cmd_predict(args) -> int:
         "witness": _form_json(witness),
         "hilbert": list(prediction.hilbert),
         "splitting": _splitting_json(prediction.splitting),
-        "records": [
-            {
-                "degree": r.degree,
-                "source_dim": r.source_dim,
-                "target_dim": r.target_dim,
-                "rank": r.rank,
-                "kernel_dim": r.kernel_dim,
-                "cokernel_dim": r.cokernel_dim,
-                "maximal": r.maximal,
-            }
-            for r in prediction.records
-        ],
+        "records": [{**asdict(r), "maximal": r.maximal} for r in prediction.records],
         "failures": list(prediction.failures),
         "config": _config_json(config),
     }
@@ -245,15 +210,7 @@ def cmd_verify(args) -> int:
             {
                 "name": v.entry_name,
                 "passed": v.passed,
-                "checks": [
-                    {
-                        "name": o.name,
-                        "passed": o.passed,
-                        "expected": o.expected,
-                        "actual": _jsonable(o.actual),
-                    }
-                    for o in v.outcomes
-                ],
+                "checks": [asdict(o) for o in v.outcomes],
             }
             for v in verifications
         ],
@@ -286,14 +243,7 @@ def cmd_random_trials(args) -> int:
     report = run_random_trials(config)
     payload = {
         "config": {
-            "count": config.count,
-            "seed": config.seed,
-            "bound": config.bound,
-            "attempts": config.attempts,
-            "min_degree": config.min_degree,
-            "max_degree": config.max_degree,
-            "min_generators": config.min_generators,
-            "max_generators": config.max_generators,
+            **{k: v for k, v in asdict(config).items() if k != "num_vars"},
             "generator": GENERATOR_NAME,
         },
         "summary": {
@@ -334,14 +284,6 @@ def cmd_random_trials(args) -> int:
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return _frac_json(value)
-    return value
-
-
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"sampling seed (default {DEFAULT_SEED})")
@@ -370,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal", help=ideal_help)
     p.add_argument("--json", action="store_true")
     _add_sampling_flags(p)
-    p.set_defaults(func=cmd_wlp)
+    p.set_defaults(func=cmd_lefschetz, check=wlp_check, label="weak Lefschetz property")
 
     p = sub.add_parser("slp", help="strong Lefschetz check: every power of one form")
     p.add_argument("ideal", help=ideal_help)
     p.add_argument("--json", action="store_true")
     _add_sampling_flags(p)
-    p.set_defaults(func=cmd_slp)
+    p.set_defaults(func=cmd_lefschetz, check=slp_check, label="strong Lefschetz property")
 
     p = sub.add_parser("split", help="splitting type of the relation module on a generic line")
     p.add_argument("ideal", help=ideal_help)

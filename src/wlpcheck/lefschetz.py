@@ -26,6 +26,7 @@ from .rng import SplitMix64
 DEFAULT_SEED = 20100601
 DEFAULT_BOUND = 100
 DEFAULT_ATTEMPTS = 5
+MAX_SAMPLE_TRIES = 256
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,9 @@ def sample_linear_form(
     num_vars: int,
     bound: int,
     avoid: tuple[LinearForm, ...] = (),
-    max_tries: int = 256,
 ) -> LinearForm:
     """Random integer linear form, nonzero and non-proportional to ``avoid``."""
-    for _ in range(max_tries):
+    for _ in range(MAX_SAMPLE_TRIES):
         form = LinearForm(tuple(rng.integer(-bound, bound) for _ in range(num_vars)))
         if form.is_zero:
             continue
@@ -59,7 +59,7 @@ def sample_linear_form(
             continue
         return form
     raise GenericityError(
-        f"could not sample a fresh linear form within {max_tries} tries "
+        f"could not sample a fresh linear form within {MAX_SAMPLE_TRIES} tries "
         f"(bound {bound}, {len(avoid)} forms excluded)"
     )
 

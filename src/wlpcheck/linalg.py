@@ -44,7 +44,8 @@ def _content(v: Sequence[int]) -> int:
     return g
 
 
-def _primitive(v: list[int]) -> list[int]:
+def primitive(v: list[int]) -> list[int]:
+    """``v`` with the gcd of its entries divided out."""
     g = _content(v)
     if g > 1:
         return [x // g for x in v]
@@ -86,7 +87,7 @@ class IntRowBasis:
                 v = [x - cb * y for x, y in zip(v, row)]
             else:
                 v = [ca * x - cb * y for x, y in zip(v, row)]
-            v = _primitive(v)
+            v = primitive(v)
         return v
 
     def insert(self, vec: Sequence[int]) -> bool:
@@ -110,8 +111,8 @@ class IntRowBasis:
         return sum(1 for row in rows if self.insert(row))
 
 
-def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int, prime: int = FAST_PRIME) -> int:
-    """Rank of an integer row span modulo ``prime``.
+def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of an integer row span modulo ``FAST_PRIME``.
 
     Always a lower bound for the rational rank (a nonzero minor can vanish mod
     p but not the other way around), so ``rank_mod_prime(...) == min(shape)``
@@ -119,7 +120,7 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int, prime: int = FAST_
     """
     if not rows or ncols == 0:
         return 0
-    a = np.array([[x % prime for x in row] for row in rows], dtype=np.int64)
+    a = np.array([[x % FAST_PRIME for x in row] for row in rows], dtype=np.int64)
     nrows = a.shape[0]
     r = 0
     for c in range(ncols):
@@ -131,13 +132,13 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int, prime: int = FAST_
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), prime - 2, prime)
-        a[r] = (a[r] * inv) % prime
+        inv = pow(int(a[r, c]), FAST_PRIME - 2, FAST_PRIME)
+        a[r] = (a[r] * inv) % FAST_PRIME
         below = a[r + 1:]
         if below.size:
             factors = below[:, c]
             mask = factors != 0
             if mask.any():
-                below[mask] = (below[mask] - factors[mask, None] * a[r]) % prime
+                below[mask] = (below[mask] - factors[mask, None] * a[r]) % FAST_PRIME
         r += 1
     return r

@@ -31,23 +31,26 @@ multiplication by g onto multiplication by the rewritten g, so Hilbert
 functions, ranks of multiplication maps and ideal membership are the same
 in both coordinate systems.  Callers only ever see original coordinates.
 
-Powers of linear forms are rewritten from their form: the form goes
-through the change of coordinates and its power is expanded on the
-standard monomials only, never in the original coordinates.  Other
-polynomials are rewritten monomial by monomial.
+Every other generator is rewritten by one rule, in integers.  It is read
+as a sum of products of linear forms, each pushed through the change of
+coordinates: a power (form, k) is k copies of its form, and a term c x^u
+is c times u_i copies of x_i for each i.  Each product is multiplied out
+one factor at a time and projected onto the standard monomials after
+every factor.  The nonstandard monomials span an ideal, so a monomial
+dropped early could only have yielded nonstandard monomials later.
+Nothing is ever expanded in the original coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable
 
 from .errors import NotArtinianError
-from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
-from .poly import GradedPoly, LinearForm, basis_size, monomial_basis, multinomial
+from .linalg import IntRowBasis, clear_row_to_int, primitive, rank_mod_prime
+from .poly import GradedPoly, LinearForm, basis_size, monomial_basis
 
 Exponents = tuple[int, ...]
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -77,20 +80,27 @@ def shifted_rows(terms: IntTerms, shifts: Iterable[Exponents], target: dict[Expo
     return out
 
 
-def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of an invertible square matrix, by Gauss-Jordan over the rationals."""
+def _inverse(rows: list[list[int]]) -> list[list[int]]:
+    """Integer B with C B = D I for some D > 0, C the invertible integer matrix ``rows``.
+
+    Gauss-Jordan on [C | I] in the integers: rows are combined by
+    cross-multiplication and stripped of content, so the left block ends
+    diagonal, diag(d_i), with d_i times row i of C^-1 beside it.  Scaling
+    row i by D / d_i, for D the lcm of the d_i, gives B = D C^-1.
+    """
     n = len(rows)
-    work = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for c in range(n):
         p = next(i for i in range(c, n) if work[i][c])
         work[c], work[p] = work[p], work[c]
-        head = work[c][c]
-        work[c] = [x / head for x in work[c]]
+        pivot = work[c]
         for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return [row[n:] for row in work]
+            a = work[i][c]
+            if i != c and a:
+                g = gcd(a, pivot[c])
+                work[i] = primitive([pivot[c] // g * x - a // g * y for x, y in zip(work[i], pivot)])
+    d = lcm(*(row[i] for i, row in enumerate(work)))
+    return [[d // row[i] * x for x in row[n:]] for i, row in enumerate(work)]
 
 
 @dataclass(frozen=True)
@@ -178,36 +188,35 @@ class QuotientAlgebra:
         self._pieces: dict[int, DegreePiece] = {}
         self._hilbert: tuple[int, ...] | None = None
         self._adjoined: tuple[Generator, QuotientAlgebra] | None = None
-        # normalized coordinates: y_i = coords[i]; bounds[i] is the exponent
-        # of the chosen power y_i^{a_i}, None for a completing unit vector
+        # normalized coordinates: y_i = coords[i] . x for an integer row
+        # coords[i] (a form cleared of denominators, or a unit vector);
+        # bounds[i] is the exponent of the chosen power y_i^{a_i}, None for a
+        # completing unit vector
         span = IntRowBasis(n)
-        coords: list[Sequence[Fraction]] = []
+        coords: list[list[int]] = []
         bounds: list[int | None] = []
         chosen: set[int] = set()
         for a, i in sorted((g[1], i) for i, g in enumerate(gens) if isinstance(g, tuple)):
-            form = gens[i][0]
-            if span.insert(clear_row_to_int(form.coeffs)):
-                coords.append(form.coeffs)
+            row = clear_row_to_int(gens[i][0].coeffs)
+            if span.insert(row):
+                coords.append(row)
                 bounds.append(a)
                 chosen.add(i)
         for j in range(n):
-            unit = [Fraction(i == j) for i in range(n)]
-            if span.insert(clear_row_to_int(unit)):
+            unit = [int(i == j) for i in range(n)]
+            if span.insert(unit):
                 coords.append(unit)
                 bounds.append(None)
         self._bounds = tuple(bounds)
-        # x = B y / D with B an integer matrix, row i of B listed as (j, B_ij);
-        # a degree-d polynomial only picks up the scalar D^-d, which changes no span
-        flat = clear_row_to_int([x for row in _inverse(coords) for x in row])
-        self._substitution = [
-            [(j, b) for j, b in enumerate(flat[i * n:(i + 1) * n]) if b] for i in range(n)
-        ]
+        # C B = D I for C the matrix of coords, so x = B y / D with B integral,
+        # row i of B listed as (j, B_ij); a degree-d polynomial only picks up
+        # the scalar D^-d, which changes no span
+        self._substitution = [[(j, b) for j, b in enumerate(row) if b] for row in _inverse(coords)]
         self._standard_cache: dict[int, dict[Exponents, int]] = {}
-        self._images: list[list[dict[Exponents, int]]] = [[{(0,) * n: 1}]]
         self._others: list[tuple[int, IntTerms]] = []
         for i, g in enumerate(gens):
             if i not in chosen:
-                terms = self._power_terms(*g) if isinstance(g, tuple) else self._rewrite(g)
+                terms = self._rewrite(g)
                 if terms:  # a generator inside the monomial part adds nothing
                     self._others.append((self._degrees[i], terms))
 
@@ -225,64 +234,49 @@ class QuotientAlgebra:
             self._standard_cache[m] = got
         return got
 
-    def _power_terms(self, form: LinearForm, k: int) -> IntTerms:
-        """Primitive integer multiple of form^k in normalized coordinates, projected.
+    def _rewrite(self, g: Generator) -> IntTerms:
+        """Primitive integer multiple of g in normalized coordinates, projected.
 
-        The form is pushed through B first (one dot product per coordinate),
-        then its power is expanded over the integers on the standard
-        monomials only.
+        g is read as a sum of products of linear forms in y: a power
+        (form, k) is k copies of its form pushed through B, and a term
+        c x^u is c times u_i copies of row i of B.
         """
-        w = [0] * self.num_vars
-        for c, row in zip(clear_row_to_int(form.coeffs), self._substitution):
-            if c:
+        sub = self._substitution
+        if isinstance(g, tuple):
+            form, k = g
+            pushed = [0] * self.num_vars
+            for c, row in zip(clear_row_to_int(form.coeffs), sub):
                 for j, b in row:
-                    w[j] += c * b
-        acc = []
-        for u in self._standard(k):
-            c = multinomial(k, u)
-            for w_j, e in zip(w, u):
-                c *= w_j**e
-            if c:
-                acc.append((u, c))
-        content = gcd(*(c for _, c in acc))
-        return tuple((u, c // content) for u, c in acc)
-
-    def _monomial_images(self, d: int) -> list[dict[Exponents, int]]:
-        """Projected images of the degree-d monomials of the original coordinates.
-
-        Built from degree d - 1: x^u = x^{u - e_i} * x_i with x_i = (B y)_i.
-        The nonstandard monomials span an ideal, so projecting the factor
-        first and the product afterwards loses nothing.
-        """
-        n = self.num_vars
-        while len(self._images) <= d:
-            k = len(self._images)
-            below = self._images[k - 1]
-            lower = monomial_basis(n, k - 1)
-            standard = self._standard(k)
-            level = []
-            for u in monomial_basis(n, k).exponents:
-                i = next(i for i, e in enumerate(u) if e)
-                parent = below[lower.index(u[:i] + (u[i] - 1,) + u[i + 1:])]
-                image: dict[Exponents, int] = {}
-                for v, c in parent.items():
-                    for j, b in self._substitution[i]:
-                        w = v[:j] + (v[j] + 1,) + v[j + 1:]
-                        if w in standard:
-                            image[w] = image.get(w, 0) + c * b
-                level.append({w: c for w, c in image.items() if c})
-            self._images.append(level)
-        return self._images[d]
-
-    def _rewrite(self, f: GradedPoly) -> IntTerms:
-        """Primitive integer multiple of f in normalized coordinates, projected."""
+                    pushed[j] += c * b
+            products = [(1, [[(j, b) for j, b in enumerate(pushed) if b]] * k)]
+        else:
+            exponents = monomial_basis(self.num_vars, g.degree).exponents
+            products = [
+                (c, [row for row, e in zip(sub, u) for _ in range(e)])
+                for u, c in zip(exponents, clear_row_to_int(g.coeffs))
+                if c
+            ]
         acc: dict[Exponents, int] = {}
-        for c, image in zip(clear_row_to_int(f.coeffs), self._monomial_images(f.degree)):
-            if c:
-                for w, b in image.items():
-                    acc[w] = acc.get(w, 0) + c * b
+        for c, forms in products:
+            for w, b in self._projected_product(forms).items():
+                acc[w] = acc.get(w, 0) + c * b
         content = gcd(*acc.values())
         return tuple((w, c // content) for w, c in acc.items() if c)
+
+    def _projected_product(self, forms: list[list[tuple[int, int]]]) -> dict[Exponents, int]:
+        """Product of linear forms in y, each listed as (j, coefficient) pairs,
+        projected onto the standard monomials after every factor."""
+        acc = {(0,) * self.num_vars: 1}
+        for k, form in enumerate(forms, 1):
+            standard = self._standard(k)
+            step: dict[Exponents, int] = {}
+            for v, c in acc.items():
+                for j, b in form:
+                    w = v[:j] + (v[j] + 1,) + v[j + 1:]
+                    if w in standard:
+                        step[w] = step.get(w, 0) + c * b
+            acc = step
+        return acc
 
     # -- graded pieces -------------------------------------------------
 

@@ -159,10 +159,6 @@ def render_ideal(ideal: GradedIdeal) -> dict:
     return data
 
 
-def render_ideal_text(ideal: GradedIdeal) -> str:
-    return json.dumps(render_ideal(ideal), indent=2)
-
-
 def load_ideal_text(text: str, where: str) -> GradedIdeal:
     try:
         data = json.loads(text)
@@ -186,7 +182,6 @@ class CorpusEntry:
     description: str
     ideal: GradedIdeal
     expect: dict
-    raw: dict
 
 
 def _corpus_dir():
@@ -222,7 +217,6 @@ def load_corpus_entry(name: str) -> CorpusEntry:
         description=str(data.get("description", "")),
         ideal=ideal,
         expect=expect,
-        raw=data,
     )
 
 

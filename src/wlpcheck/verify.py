@@ -27,7 +27,6 @@ class CheckOutcome:
 @dataclass(frozen=True)
 class EntryVerification:
     entry_name: str
-    description: str
     outcomes: tuple[CheckOutcome, ...]
 
     @property
@@ -99,7 +98,7 @@ def verify_entry(entry: CorpusEntry, config: CheckConfig | None = None) -> Entry
             multiplication_rank(alg, g, m),
         )
 
-    return EntryVerification(entry.name, entry.description, tuple(outcomes))
+    return EntryVerification(entry.name, tuple(outcomes))
 
 
 def verify_all(config: CheckConfig | None = None) -> tuple[EntryVerification, ...]:

@@ -103,28 +103,32 @@ def test_wlp_json_structure(capsys):
     assert code == 1
     assert payload["holds"] is False
     assert payload["failures"] == [[1, 4]]
-    assert payload["config"] == {
-        "seed": 9,
-        "bound": 100,
-        "attempts": 5,
-        "generator": "splitmix64",
-    }
-    bad = [r for r in payload["records"] if not r["maximal"]]
+    # items, not dicts, so the key order is pinned too
+    assert list(payload["config"].items()) == [
+        ("seed", 9),
+        ("bound", 100),
+        ("attempts", 5),
+        ("generator", "splitmix64"),
+    ]
+    bad = [list(r.items()) for r in payload["records"] if not r["maximal"]]
     assert bad == [
-        {
-            "power": 1,
-            "degree": 4,
-            "source_dim": 13,
-            "target_dim": 13,
-            "rank": 12,
-            "maximal": False,
-        }
+        [
+            ("power", 1),
+            ("degree", 4),
+            ("source_dim", 13),
+            ("target_dim", 13),
+            ("rank", 12),
+            ("maximal", False),
+        ]
     ]
 
 
 def test_split_json(capsys):
     code, payload, _ = run_json(capsys, "split", QUINTICS)
     assert code == 0
+    assert list(payload["splitting"]) == [
+        "shifts", "restricted_socle", "low_count", "high_count", "tail", "gap", "balanced"
+    ]
     assert payload["splitting"]["shifts"] == [5, 5, 6, 7]
     assert payload["splitting"]["restricted_socle"] == 5
     assert payload["splitting"]["gap"] == 2
@@ -140,12 +144,19 @@ def test_predict_json_agrees_with_wlp(capsys):
     predicted_ranks = {(r["degree"], r["rank"]) for r in predicted["records"]}
     assert predicted_ranks == direct_ranks
     assert predicted["failures"] == [4]
+    assert list(predicted["records"][0]) == [
+        "degree", "source_dim", "target_dim", "rank", "kernel_dim", "cokernel_dim", "maximal"
+    ]
 
 
 def test_slp_json(capsys):
     code, payload, _ = run_json(capsys, "slp", "corpus:four-general-cubes")
     assert code == 1
     assert payload["failures"] == [[3, 1]]
+    assert list(payload["records"][0]) == [
+        "power", "degree", "source_dim", "target_dim", "rank", "maximal"
+    ]
+    assert list(payload["config"]) == ["seed", "bound", "attempts", "generator"]
 
 
 def test_verify_paper_passes(capsys):
@@ -155,6 +166,7 @@ def test_verify_paper_passes(capsys):
     assert len(payload["entries"]) == 4
     for entry in payload["entries"]:
         assert entry["passed"] is True
+        assert list(entry["checks"][0]) == ["name", "passed", "expected", "actual"]
 
 
 def test_random_trials_small(capsys):
@@ -170,7 +182,17 @@ def test_random_trials_small(capsys):
     assert payload["summary"]["count"] == 3
     assert payload["summary"]["all_wlp"] is True
     assert payload["summary"]["all_consistent"] is True
-    assert payload["config"]["generator"] == "splitmix64"
+    assert list(payload["config"].items()) == [
+        ("count", 3),
+        ("seed", 5),
+        ("bound", 100),
+        ("attempts", 5),
+        ("min_degree", 2),
+        ("max_degree", 5),
+        ("min_generators", 3),
+        ("max_generators", 4),
+        ("generator", "splitmix64"),
+    ]
 
 
 def test_fraction_coefficients_serialize_exactly(capsys):

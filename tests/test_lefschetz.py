@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expanded, powers_ideal, seeded_forms, seeded_power_ideal
-from oracles import dict_from_graded, frac_rank, naive_ideal_dim, naive_multiplication_rank
+from oracles import (
+    dict_from_graded,
+    frac_rank,
+    naive_hilbert,
+    naive_ideal_dim,
+    naive_membership,
+    naive_multiplication_rank,
+)
 from wlpcheck import (
     CheckConfig,
     GenericityError,
@@ -271,6 +278,45 @@ def test_rank_of_a_non_power_multiplier():
     quadric = a.as_poly() * b.as_poly() + GradedPoly.monomial(3, (0, 0, 2))
     cubic = quadric * a.as_poly() - expand_power(b, 3)
     _assert_ranks_match_oracle(ideal, [(quadric, [quadric]), (cubic, [cubic])])
+
+
+def _fractional_ideals():
+    # Normalized coordinates take integer rows of the power forms, so a form
+    # with denominators rescales its coordinate y_i; every answer must still
+    # be the one of the original coordinates.
+    three = powers_ideal(
+        (("1/2", 0, "2/3"), 3), ((0, "3/4", 1), 2), ((1, 1, "-5/3"), 3), (("1/3", "1/5", "1/7"), 2)
+    )
+    four = powers_ideal(
+        (("1/2", 1, 0, 0), 2), ((0, "2/3", 1, 0), 2), ((0, 0, "3/5", 1), 2),
+        ((1, 0, 0, "-7/4"), 2), (("1/3", "1/2", 1, "1/5"), 2),
+    )
+    powers = powers_ideal((("1/2", 1, 0), 2), ((0, "2/3", 1), 3), ((1, 0, "1/5"), 2))
+    cubic = GradedPoly.from_terms(3, 3, [((2, 1, 0), "3/2"), ((0, 1, 2), "-1/3"), ((1, 1, 1), "2/7")])
+    polynomial = GradedIdeal(3, powers.generators + (cubic,))
+    plane = powers_ideal((("1/2", 0, 1), 2), ((0, "1/3", 1), 2))
+    expansion = GradedIdeal(3, plane.generators + (expand_power(linear_form([1, "-1/2", "1/4"]), 3),))
+    return [three, four, polynomial, expansion]
+
+
+@pytest.mark.parametrize(
+    "ideal", _fractional_ideals(), ids=["three-variables", "four-variables", "polynomial", "expansion"]
+)
+def test_fractional_coefficients_match_the_oracles(ideal):
+    n = ideal.num_vars
+    gen_dicts = [dict_from_graded(gen) for gen in expanded(ideal)]
+    gen_degrees = list(ideal.generator_degrees)
+    alg = ideal.algebra
+    hf = alg.hilbert_function()
+    assert hf == naive_hilbert(gen_dicts, gen_degrees, n, n * max(gen_degrees) + 1)
+    ell = linear_form(["2/3", "-1/4", "5/2", "1/6"][:n])
+    _assert_ranks_match_oracle(ideal, _every_power(ell, 2))
+    probes = [expand_power(ell, k) for k in range(1, len(hf) + 1)]
+    for g in expanded(ideal):
+        probes += [g, g * ell.as_poly(), g + expand_power(ell, g.degree)]
+    for f in probes:
+        expected = naive_membership(gen_dicts, gen_degrees, n, dict_from_graded(f), f.degree)
+        assert alg.contains(f) == expected, f
 
 
 def test_complete_intersections_of_general_powers_have_the_slp():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import frac_rank, frac_solveable
-from wlpcheck.linalg import FAST_PRIME, IntRowBasis, clear_row_to_int, rank_mod_prime
+from wlpcheck.linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -76,7 +76,7 @@ def test_rank_matches_naive_elimination(rows):
 @given(int_matrix())
 def test_modular_rank_never_exceeds_exact(rows):
     exact = frac_rank(rows)
-    modular = rank_mod_prime(rows, len(rows[0]), FAST_PRIME)
+    modular = rank_mod_prime(rows, len(rows[0]))
     assert modular <= exact
     # entries this small cannot hit a vanishing minor mod a 31-bit prime
     assert modular == exact

@@ -14,7 +14,6 @@ from wlpcheck.specfile import (
     load_ideal_argument,
     load_ideal_text,
     parse_polynomial,
-    render_ideal_text,
 )
 
 GOOD = {
@@ -42,7 +41,7 @@ def test_parse_good_description():
 def test_round_trip_parse_render():
     ideal = parse_ideal(GOOD)
     assert parse_ideal(render_ideal(ideal)) == ideal
-    assert load_ideal_text(render_ideal_text(ideal), "rt") == ideal
+    assert load_ideal_text(json.dumps(render_ideal(ideal), indent=2), "rt") == ideal
 
 
 def test_round_trip_for_the_whole_corpus():
