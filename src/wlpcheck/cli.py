@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
-from fractions import Fraction
+from dataclasses import asdict, fields
 
 from .errors import GenericityError, NotArtinianError, SpecFormatError
 from .lefschetz import (
@@ -28,7 +27,7 @@ from .lefschetz import (
 from .poly import LinearForm
 from .quotient import GradedIdeal
 from .rng import GENERATOR_NAME
-from .specfile import load_ideal_argument
+from .specfile import load_ideal_argument, render_coefficient
 from .splitting import SplittingType, generic_splitting_type, predict_wlp
 from .trials import TrialConfig, run_random_trials
 from .verify import verify_all
@@ -40,14 +39,10 @@ EXIT_NOT_ARTINIAN = 3
 EXIT_GENERICITY = 4
 
 
-def _frac_json(q: Fraction):
-    return int(q) if q.denominator == 1 else str(q)
-
-
 def _form_json(form: LinearForm | None):
     if form is None:
         return None
-    return [_frac_json(c) for c in form.coeffs]
+    return [render_coefficient(c) for c in form.coeffs]
 
 
 def _config_json(config: CheckConfig) -> dict:
@@ -230,16 +225,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random_trials(args) -> int:
-    config = TrialConfig(
-        count=args.count,
-        seed=args.seed,
-        bound=args.bound,
-        attempts=args.attempts,
-        min_degree=args.min_degree,
-        max_degree=args.max_degree,
-        min_generators=args.min_generators,
-        max_generators=args.max_generators,
-    )
+    config = TrialConfig(**{
+        f.name: getattr(args, f.name) for f in fields(TrialConfig) if f.name != "num_vars"
+    })
     report = run_random_trials(config)
     payload = {
         "config": {
@@ -293,6 +281,19 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"distinct forms to try (default {DEFAULT_ATTEMPTS})")
 
 
+# the subcommands that take an ideal: name, help, function, whether it takes
+# the sampling flags, and extra defaults
+_IDEAL_COMMANDS = (
+    ("hilbert", "Hilbert function and socle degree", cmd_hilbert, False, {}),
+    ("wlp", "weak Lefschetz check: multiplication by a linear form", cmd_lefschetz, True,
+     {"check": wlp_check, "label": "weak Lefschetz property"}),
+    ("slp", "strong Lefschetz check: every power of one form", cmd_lefschetz, True,
+     {"check": slp_check, "label": "strong Lefschetz property"}),
+    ("split", "splitting type of the relation module on a generic line", cmd_split, True, {}),
+    ("predict", "rank table predicted from splitting data alone", cmd_predict, True, {}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wlpcheck",
@@ -303,34 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ideal_help = "ideal description: a JSON file path, corpus:NAME, or an inline JSON object"
 
-    p = sub.add_parser("hilbert", help="Hilbert function and socle degree")
-    p.add_argument("ideal", help=ideal_help)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("wlp", help="weak Lefschetz check: multiplication by a linear form")
-    p.add_argument("ideal", help=ideal_help)
-    p.add_argument("--json", action="store_true")
-    _add_sampling_flags(p)
-    p.set_defaults(func=cmd_lefschetz, check=wlp_check, label="weak Lefschetz property")
-
-    p = sub.add_parser("slp", help="strong Lefschetz check: every power of one form")
-    p.add_argument("ideal", help=ideal_help)
-    p.add_argument("--json", action="store_true")
-    _add_sampling_flags(p)
-    p.set_defaults(func=cmd_lefschetz, check=slp_check, label="strong Lefschetz property")
-
-    p = sub.add_parser("split", help="splitting type of the relation module on a generic line")
-    p.add_argument("ideal", help=ideal_help)
-    p.add_argument("--json", action="store_true")
-    _add_sampling_flags(p)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("predict", help="rank table predicted from splitting data alone")
-    p.add_argument("ideal", help=ideal_help)
-    p.add_argument("--json", action="store_true")
-    _add_sampling_flags(p)
-    p.set_defaults(func=cmd_predict)
+    for name, text, func, sampling, extra in _IDEAL_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("ideal", help=ideal_help)
+        p.add_argument("--json", action="store_true")
+        if sampling:
+            _add_sampling_flags(p)
+        p.set_defaults(func=func, **extra)
 
     p = sub.add_parser("verify-paper", help="re-check the bundled reference examples")
     p.add_argument("--json", action="store_true")

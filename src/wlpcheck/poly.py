@@ -1,21 +1,24 @@
 """Homogeneous polynomials in a fixed number of variables, exact coefficients.
 
-A degree-d piece of the polynomial ring is represented by a coefficient
-vector over the monomial basis of that degree.  The basis order is graded
-lexicographic with the variable order fixed once and for all, i.e. within a
-degree the exponent vectors are listed in descending lexicographic order:
-x^2, x*y, x*z, y^2, y*z, z^2 for three variables in degree two.
+A polynomial of degree d is the tuple of its nonzero terms, each a pair of
+an exponent vector and a rational coefficient, listed in graded
+lexicographic order with the variable order fixed once and for all: within
+a degree the exponent vectors are in descending lexicographic order, so
+x^2, x*y, x*z, y^2, y*z, z^2 for three variables in degree two.  Every
+operation builds a list of terms and leaves merging, dropping zeros and
+sorting to the constructor, so storage and work follow the number of terms,
+never the number of monomials of the degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 Q = Fraction
+Exponents = tuple[int, ...]
 
 _SHORT_NAMES = ("x", "y", "z", "w")
 
@@ -26,44 +29,20 @@ def variable_names(num_vars: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, num_vars + 1))
 
 
-def _exponent_vectors(num_vars: int, degree: int) -> Iterator[tuple[int, ...]]:
+def exponent_vectors(
+    num_vars: int, degree: int, caps: Sequence[int | None] | None = None
+) -> Iterator[Exponents]:
+    """The exponent vectors of one degree in graded-lex order, with
+    u_i < caps[i] wherever a cap is given and not None."""
+    caps = caps or (None,) * num_vars
+    top = degree if caps[0] is None else min(degree, caps[0] - 1)
     if num_vars == 1:
-        yield (degree,)
+        if top == degree:
+            yield (degree,)
         return
-    for head in range(degree, -1, -1):
-        for tail in _exponent_vectors(num_vars - 1, degree - head):
+    for head in range(top, -1, -1):
+        for tail in exponent_vectors(num_vars - 1, degree - head, caps[1:]):
             yield (head,) + tail
-
-
-class MonomialBasis:
-    """The monomials of one degree, in graded-lex order, with index lookup."""
-
-    __slots__ = ("num_vars", "degree", "exponents", "_index")
-
-    def __init__(self, num_vars: int, degree: int):
-        if num_vars < 1 or degree < 0:
-            raise ValueError("need num_vars >= 1 and degree >= 0")
-        self.num_vars = num_vars
-        self.degree = degree
-        self.exponents = tuple(_exponent_vectors(num_vars, degree))
-        self._index = {e: i for i, e in enumerate(self.exponents)}
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.exponents)
-
-    def index(self, exponents: Sequence[int]) -> int:
-        return self._index[tuple(exponents)]
-
-    def __repr__(self) -> str:
-        return f"MonomialBasis(num_vars={self.num_vars}, degree={self.degree}, size={len(self)})"
-
-
-@lru_cache(maxsize=None)
-def monomial_basis(num_vars: int, degree: int) -> MonomialBasis:
-    return MonomialBasis(num_vars, degree)
 
 
 def basis_size(num_vars: int, degree: int) -> int:
@@ -100,8 +79,8 @@ class LinearForm:
         return all(c == 0 for c in self.coeffs)
 
     def as_poly(self) -> "GradedPoly":
-        # the degree-1 monomial basis lists the variables in order
-        return GradedPoly(self.num_vars, 1, tuple(self.coeffs))
+        # the degree-1 exponent vectors list the variables in order
+        return GradedPoly(self.num_vars, 1, zip(exponent_vectors(self.num_vars, 1), self.coeffs))
 
     def proportional_to(self, other: "LinearForm") -> bool:
         if self.num_vars != other.num_vars:
@@ -120,83 +99,71 @@ def linear_form(coeffs: Iterable) -> LinearForm:
 
 @dataclass(frozen=True)
 class GradedPoly:
-    """Homogeneous polynomial: coefficient vector over one monomial basis."""
+    """Homogeneous polynomial: its nonzero terms, in graded-lex order.
+
+    ``items`` may be given in any order, with repeated exponents and zero
+    coefficients; the constructor checks that every exponent vector is a
+    monomial of the degree, adds repeated ones, drops zeros and sorts.
+    With no items the polynomial is zero.
+    """
 
     num_vars: int
     degree: int
-    coeffs: tuple[Fraction, ...]
+    items: tuple[tuple[Exponents, Fraction], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_q(c) for c in self.coeffs))
-        expected = basis_size(self.num_vars, self.degree)
-        if len(self.coeffs) != expected:
-            raise ValueError(
-                f"degree-{self.degree} polynomial in {self.num_vars} variables "
-                f"needs {expected} coefficients, got {len(self.coeffs)}"
-            )
-
-    @classmethod
-    def zero(cls, num_vars: int, degree: int) -> "GradedPoly":
-        return cls(num_vars, degree, (Q(0),) * basis_size(num_vars, degree))
+        if self.num_vars < 1 or self.degree < 0:
+            raise ValueError("need num_vars >= 1 and degree >= 0")
+        merged: dict[Exponents, Fraction] = {}
+        for exponents, coeff in self.items:
+            exps = tuple(exponents)
+            if len(exps) != self.num_vars or min(exps) < 0 or sum(exps) != self.degree:
+                raise ValueError(
+                    f"exponents {exps} are not a degree-{self.degree} monomial "
+                    f"in {self.num_vars} variables"
+                )
+            merged[exps] = merged.get(exps, 0) + _as_q(coeff)
+        # exponent vectors are distinct, so the sort never compares coefficients
+        object.__setattr__(self, "items", tuple(sorted(
+            ((e, c) for e, c in merged.items() if c), reverse=True
+        )))
 
     @classmethod
     def monomial(cls, num_vars: int, exponents: Sequence[int], coeff=Q(1)) -> "GradedPoly":
-        exponents = tuple(exponents)
-        degree = sum(exponents)
-        basis = monomial_basis(num_vars, degree)
-        coeffs = [Q(0)] * len(basis)
-        coeffs[basis.index(exponents)] = _as_q(coeff)
-        return cls(num_vars, degree, tuple(coeffs))
-
-    @classmethod
-    def from_terms(cls, num_vars: int, degree: int, terms: Iterable[tuple[Sequence[int], object]]) -> "GradedPoly":
-        basis = monomial_basis(num_vars, degree)
-        coeffs = [Q(0)] * len(basis)
-        for exponents, coeff in terms:
-            coeffs[basis.index(tuple(exponents))] += _as_q(coeff)
-        return cls(num_vars, degree, tuple(coeffs))
+        return cls(num_vars, sum(exponents), ((exponents, coeff),))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.items
 
-    def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        basis = monomial_basis(self.num_vars, self.degree)
-        for exps, c in zip(basis.exponents, self.coeffs):
-            if c:
-                yield exps, c
+    def terms(self) -> tuple[tuple[Exponents, Fraction], ...]:
+        return self.items
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.coeffs[monomial_basis(self.num_vars, self.degree).index(exponents)]
+        return dict(self.items).get(tuple(exponents), Q(0))
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        self._check_compatible(other)
-        return GradedPoly(self.num_vars, self.degree,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.num_vars != other.num_vars or self.degree != other.degree:
+            raise ValueError("mixed degrees or variable counts")
+        return GradedPoly(self.num_vars, self.degree, self.items + other.items)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        self._check_compatible(other)
-        return GradedPoly(self.num_vars, self.degree,
-                          tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.num_vars, self.degree, tuple(-c for c in self.coeffs))
+        return self.scale(-1)
 
     def scale(self, factor) -> "GradedPoly":
         f = _as_q(factor)
-        return GradedPoly(self.num_vars, self.degree, tuple(f * c for c in self.coeffs))
+        return GradedPoly(self.num_vars, self.degree, [(e, f * c) for e, c in self.items])
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         return multiply(self, other)
 
-    def _check_compatible(self, other: "GradedPoly") -> None:
-        if self.num_vars != other.num_vars or self.degree != other.degree:
-            raise ValueError("mixed degrees or variable counts")
-
     def __str__(self) -> str:
         names = variable_names(self.num_vars)
         pieces = []
-        for exps, c in self.terms():
+        for exps, c in self.items:
             factors = []
             for name, e in zip(names, exps):
                 if e == 1:
@@ -235,30 +202,25 @@ def expand_power(form: LinearForm, degree: int) -> GradedPoly:
         raise ValueError("degree must be >= 1")
     if form.is_zero:
         raise ValueError("cannot expand a power of the zero form")
-    basis = monomial_basis(form.num_vars, degree)
-    coeffs = []
-    for exps in basis.exponents:
+    # a variable whose coefficient is zero appears in no term
+    caps = tuple(None if c else 1 for c in form.coeffs)
+    terms = []
+    for exps in exponent_vectors(form.num_vars, degree, caps):
         c = Q(multinomial(degree, exps))
         for base, e in zip(form.coeffs, exps):
-            if e:
-                if base == 0:
-                    c = Q(0)
-                    break
-                c *= base**e
-        coeffs.append(c)
-    return GradedPoly(form.num_vars, degree, tuple(coeffs))
+            c *= base**e
+        terms.append((exps, c))
+    return GradedPoly(form.num_vars, degree, terms)
 
 
 def multiply(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     if f.num_vars != g.num_vars:
         raise ValueError("mixed variable counts")
-    target = monomial_basis(f.num_vars, f.degree + g.degree)
-    coeffs = [Q(0)] * len(target)
-    for ef, cf in f.terms():
-        for eg, cg in g.terms():
-            key = tuple(a + b for a, b in zip(ef, eg))
-            coeffs[target.index(key)] += cf * cg
-    return GradedPoly(f.num_vars, f.degree + g.degree, tuple(coeffs))
+    return GradedPoly(f.num_vars, f.degree + g.degree, [
+        (tuple(a + b for a, b in zip(ef, eg)), cf * cg)
+        for ef, cf in f.items
+        for eg, cg in g.items
+    ])
 
 
 def _elimination_data(ell: LinearForm) -> tuple[int, LinearForm | None]:
@@ -303,21 +265,20 @@ def restrict_mod_linear(f: GradedPoly, ell: LinearForm) -> GradedPoly:
     if f.num_vars < 2:
         raise ValueError("need at least two variables to restrict")
     k, sub = _elimination_data(ell)
-    r2 = f.num_vars - 1
-    target = monomial_basis(r2, f.degree)
-    coeffs = [Q(0)] * len(target)
+    terms = []
     power_cache: dict[int, GradedPoly] = {}
-    for exps, c in f.terms():
+    for exps, c in f.items:
         rest = exps[:k] + exps[k + 1:]
         ek = exps[k]
         if ek == 0:
-            coeffs[target.index(rest)] += c
+            terms.append((rest, c))
             continue
         if sub is None:
             continue  # the eliminated variable maps to zero
         if ek not in power_cache:
             power_cache[ek] = expand_power(sub, ek)
-        for pexps, pc in power_cache[ek].terms():
-            key = tuple(a + b for a, b in zip(rest, pexps))
-            coeffs[target.index(key)] += c * pc
-    return GradedPoly(r2, f.degree, tuple(coeffs))
+        terms.extend(
+            (tuple(a + b for a, b in zip(rest, pexps)), c * pc)
+            for pexps, pc in power_cache[ek].items
+        )
+    return GradedPoly(f.num_vars - 1, f.degree, terms)

@@ -50,9 +50,8 @@ from typing import Iterable
 
 from .errors import NotArtinianError
 from .linalg import IntRowBasis, clear_row_to_int, primitive, rank_mod_prime
-from .poly import GradedPoly, LinearForm, basis_size, monomial_basis
+from .poly import Exponents, GradedPoly, LinearForm, basis_size, exponent_vectors
 
-Exponents = tuple[int, ...]
 IntTerms = tuple[tuple[Exponents, int], ...]
 # a generator given as a polynomial, or as a power (form, k) of a linear form
 Generator = GradedPoly | tuple[LinearForm, int]
@@ -226,11 +225,7 @@ class QuotientAlgebra:
         """Column index of each standard monomial of degree m, graded-lex order."""
         got = self._standard_cache.get(m)
         if got is None:
-            bounds = self._bounds
-            got = {}
-            for exps in monomial_basis(self.num_vars, m).exponents:
-                if all(a is None or u < a for u, a in zip(exps, bounds)):
-                    got[exps] = len(got)
+            got = {e: j for j, e in enumerate(exponent_vectors(self.num_vars, m, self._bounds))}
             self._standard_cache[m] = got
         return got
 
@@ -250,11 +245,10 @@ class QuotientAlgebra:
                     pushed[j] += c * b
             products = [(1, [[(j, b) for j, b in enumerate(pushed) if b]] * k)]
         else:
-            exponents = monomial_basis(self.num_vars, g.degree).exponents
+            terms = g.terms()
             products = [
                 (c, [row for row, e in zip(sub, u) for _ in range(e)])
-                for u, c in zip(exponents, clear_row_to_int(g.coeffs))
-                if c
+                for (u, _), c in zip(terms, clear_row_to_int([c for _, c in terms]))
             ]
         acc: dict[Exponents, int] = {}
         for c, forms in products:

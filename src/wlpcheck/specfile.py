@@ -118,13 +118,13 @@ def parse_polynomial(entry, num_vars: int, where: str) -> GradedPoly:
     for key, value in terms.items():
         exps = _parse_exponents(key, num_vars, degree, where)
         pairs.append((exps, parse_coefficient(value, where)))
-    poly = GradedPoly.from_terms(num_vars, degree, pairs)
+    poly = GradedPoly(num_vars, degree, pairs)
     if poly.is_zero:
         raise _fail(where, "the terms cancel to the zero polynomial")
     return poly
 
 
-def _render_coefficient(value: Fraction):
+def render_coefficient(value: Fraction):
     return int(value) if value.denominator == 1 else str(value)
 
 
@@ -140,14 +140,14 @@ def render_ideal(ideal: GradedIdeal) -> dict:
         if isinstance(gen, tuple):
             form, exponent = gen
             powers.append({
-                "form": [_render_coefficient(c) for c in form.coeffs],
+                "form": [render_coefficient(c) for c in form.coeffs],
                 "power": exponent,
             })
         else:
             polynomials.append({
                 "degree": gen.degree,
                 "terms": {
-                    " ".join(str(e) for e in exps): _render_coefficient(c)
+                    " ".join(str(e) for e in exps): render_coefficient(c)
                     for exps, c in gen.terms()
                 },
             })
@@ -164,6 +164,8 @@ def load_ideal_text(text: str, where: str) -> GradedIdeal:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(where, f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise _fail(where, "not valid JSON: nested too deeply") from None
     return parse_ideal(data, where)
 
 

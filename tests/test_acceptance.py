@@ -13,7 +13,6 @@ import time
 from conftest import expanded, powers_ideal, seeded_forms, seeded_power_ideal
 from oracles import dict_from_graded, naive_hilbert
 from wlpcheck import (
-    CheckConfig,
     GradedIdeal,
     linear_form,
     predicted_splitting_type,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from wlpcheck import GenericityError, cli
 
 SQUARES = "corpus:three-squares"
@@ -62,6 +60,16 @@ def test_unreadable_file_is_two(capsys, tmp_path):
     code, _, err = run(capsys, "hilbert", str(tmp_path / "gone.json"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_deeply_nested_json_is_two(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 3000, encoding="utf-8")
+    for command in ("hilbert", "wlp", "slp", "split", "predict"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
 
 
 def test_not_artinian_is_three(capsys):

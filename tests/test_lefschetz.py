@@ -292,7 +292,7 @@ def _fractional_ideals():
         ((1, 0, 0, "-7/4"), 2), (("1/3", "1/2", 1, "1/5"), 2),
     )
     powers = powers_ideal((("1/2", 1, 0), 2), ((0, "2/3", 1), 3), ((1, 0, "1/5"), 2))
-    cubic = GradedPoly.from_terms(3, 3, [((2, 1, 0), "3/2"), ((0, 1, 2), "-1/3"), ((1, 1, 1), "2/7")])
+    cubic = GradedPoly(3, 3, [((2, 1, 0), "3/2"), ((0, 1, 2), "-1/3"), ((1, 1, 1), "2/7")])
     polynomial = GradedIdeal(3, powers.generators + (cubic,))
     plane = powers_ideal((("1/2", 0, 1), 2), ((0, "1/3", 1), 2))
     expansion = GradedIdeal(3, plane.generators + (expand_power(linear_form([1, "-1/2", "1/4"]), 3),))

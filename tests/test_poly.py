@@ -15,8 +15,8 @@ from wlpcheck.poly import (
     LinearForm,
     basis_size,
     expand_power,
+    exponent_vectors,
     linear_form,
-    monomial_basis,
     multinomial,
     multiply,
     restrict_linear_form,
@@ -34,9 +34,9 @@ def linear_forms(num_vars):
 
 
 def graded_polys(num_vars, degree):
-    size = basis_size(num_vars, degree)
-    return st.lists(coeff, min_size=size, max_size=size).map(
-        lambda cs: GradedPoly(num_vars, degree, tuple(Fraction(c) for c in cs))
+    monomials = tuple(exponent_vectors(num_vars, degree))
+    return st.lists(coeff, min_size=len(monomials), max_size=len(monomials)).map(
+        lambda cs: GradedPoly(num_vars, degree, zip(monomials, cs))
     )
 
 
@@ -50,23 +50,36 @@ def test_variable_names():
 
 
 def test_monomial_order_is_graded_lex_descending():
-    assert monomial_basis(3, 2).exponents == (
+    assert tuple(exponent_vectors(3, 2)) == (
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
     )
-    assert monomial_basis(2, 3).exponents == ((3, 0), (2, 1), (1, 2), (0, 3))
+    assert tuple(exponent_vectors(2, 3)) == ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=7))
 def test_basis_size_is_stars_and_bars(n, d):
     assert basis_size(n, d) == comb(d + n - 1, n - 1)
-    assert len(monomial_basis(n, d)) == basis_size(n, d)
+    assert len(list(exponent_vectors(n, d))) == basis_size(n, d)
 
 
-def test_basis_index_round_trip():
-    basis = monomial_basis(3, 4)
-    for i, exps in enumerate(basis.exponents):
-        assert basis.index(exps) == i
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=0, max_value=9),
+            st.lists(st.none() | st.integers(min_value=1, max_value=5), min_size=n, max_size=n),
+        )
+    )
+)
+def test_capped_enumeration_filters_the_uncapped_one(args):
+    n, d, caps = args
+    expected = [
+        u for u in exponent_vectors(n, d)
+        if all(a is None or e < a for e, a in zip(u, caps))
+    ]
+    assert list(exponent_vectors(n, d, caps)) == expected
 
 
 # -- rendering ---------------------------------------------------------------
@@ -76,8 +89,8 @@ def test_rendering():
     assert str(expand_power(linear_form([1, 1]), 2)) == "x^2 + 2*x*y + y^2"
     assert str(linear_form([-91, -7, -46])) == "-91*x - 7*y - 46*z"
     assert str(GradedPoly.monomial(3, (1, 1, 1), Fraction(-3, 2))) == "-3/2*x*y*z"
-    assert str(GradedPoly.from_terms(4, 2, [((0, 1, 0, 1), 1)])) == "y*w"
-    assert str(GradedPoly.zero(2, 3)) == "0"
+    assert str(GradedPoly(4, 2, [((0, 1, 0, 1), 1)])) == "y*w"
+    assert str(GradedPoly(2, 3)) == "0"
 
 
 # -- linear forms -------------------------------------------------------------
@@ -132,7 +145,7 @@ def test_multiply_matches_dict_convolution(pair):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=3).flatmap(lambda n: graded_polys(n, 2)))
 def test_additive_group_laws(f):
-    zero = GradedPoly.zero(f.num_vars, f.degree)
+    zero = GradedPoly(f.num_vars, f.degree)
     assert f + zero == f
     assert f - f == zero
     assert (-f) + f == zero

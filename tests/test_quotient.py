@@ -36,7 +36,7 @@ def test_ideal_validation():
     with pytest.raises(ValueError):
         GradedIdeal.from_powers([])
     with pytest.raises(ValueError):
-        GradedIdeal.from_polys([GradedPoly.zero(2, 3)])
+        GradedIdeal.from_polys([GradedPoly(2, 3)])
     with pytest.raises(ValueError):
         GradedIdeal(2, (GradedPoly.monomial(3, (1, 0, 0)),))
     x = linear_form([1, 0, 0])
@@ -112,7 +112,7 @@ def test_squares_multiplication_matrices():
         degree = sum(target[0])
         for j, exps in enumerate(source):
             image = GradedPoly.monomial(3, exps) * ell
-            column = GradedPoly.from_terms(3, degree, zip(target, (row[j] for row in matrix)))
+            column = GradedPoly(3, degree, zip(target, (row[j] for row in matrix)))
             assert alg.contains(image - column)
             assert not alg.contains(image - column - GradedPoly.monomial(3, target[0]))
 
@@ -123,7 +123,7 @@ def test_squares_reduction():
     reduced = GradedPoly.monomial(3, (1, 1, 0), 2)
     assert alg.contains(f - reduced)
     assert not alg.contains(f)
-    assert alg.contains(GradedPoly.zero(3, 2))
+    assert alg.contains(GradedPoly(3, 2))
     assert not alg.contains(GradedPoly.monomial(3, (0, 0, 0), 5))
     with pytest.raises(ValueError):
         alg.contains(GradedPoly.monomial(2, (1, 1)))

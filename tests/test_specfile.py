@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,22 @@ def test_cancelling_terms_rejected():
     parse_ideal(bad)
     with pytest.raises(SpecFormatError):
         parse_polynomial({"degree": 2, "terms": {"1 1": "0/5"}}, 2, "here")
+
+
+def test_sparse_high_degree_polynomial_stays_small():
+    # 2 of the C(35, 5) = 324632 monomials of degree 30 in six variables
+    data = {
+        "variables": 6,
+        "polynomials": [{"degree": 30, "terms": {"30 0 0 0 0 0": 1, "0 0 0 0 0 30": "-1/2"}}],
+    }
+    tracemalloc.start()
+    try:
+        ideal = parse_ideal(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(ideal.generators[0].terms()) == 2
 
 
 def test_not_an_object():
