@@ -17,21 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass
+from itertools import islice
 
 from wlpcheck import CheckConfig, GradedIdeal, generic_splitting_type, linear_form, wlp_check
-from wlpcheck.lefschetz import sample_linear_form
+from wlpcheck.lefschetz import distinct_forms
 from wlpcheck.rng import stream
 from wlpcheck.specfile import load_corpus_entry
-
-
-@dataclass(frozen=True)
-class GapConfig:
-    random: int = 8
-    seed: int = 20100601
-    bound: int = 100
-    attempts: int = 5
-    max_degree: int = 7
 
 
 def named_cases() -> list[tuple[str, GradedIdeal]]:
@@ -57,18 +48,14 @@ def named_cases() -> list[tuple[str, GradedIdeal]]:
     return cases
 
 
-def random_cases(config: GapConfig) -> list[tuple[str, GradedIdeal]]:
+def random_cases(count: int, max_degree: int, config: CheckConfig) -> list[tuple[str, GradedIdeal]]:
     cases = []
-    for index in range(config.random):
+    for index in range(count):
         rng = stream(config.seed, 1000 + index)
-        count = 3 + rng.integer(0, 2)
-        degrees = [rng.integer(2, config.max_degree) for _ in range(count)]
+        size = 3 + rng.integer(0, 2)
+        degrees = [rng.integer(2, max_degree) for _ in range(size)]
         for _ in range(64):
-            forms = []
-            while len(forms) < count:
-                forms.append(
-                    sample_linear_form(rng, 3, config.bound, avoid=tuple(forms))
-                )
+            forms = list(islice(distinct_forms(rng, 3, config.bound), size))
             ideal = GradedIdeal.from_powers(zip(forms, degrees))
             if ideal.algebra.is_artinian():
                 cases.append((f"random-{index}", ideal))
@@ -76,12 +63,11 @@ def random_cases(config: GapConfig) -> list[tuple[str, GradedIdeal]]:
     return cases
 
 
-def run(config: GapConfig) -> list[dict]:
-    check = CheckConfig(seed=config.seed, bound=config.bound, attempts=config.attempts)
+def run(count: int, max_degree: int, config: CheckConfig) -> list[dict]:
     rows = []
-    for name, ideal in named_cases() + random_cases(config):
-        stype, _ = generic_splitting_type(ideal, check)
-        report = wlp_check(ideal, check)
+    for name, ideal in named_cases() + random_cases(count, max_degree, config):
+        stype, _ = generic_splitting_type(ideal, config)
+        report = wlp_check(ideal, config)
         rows.append(
             {
                 "name": name,
@@ -98,22 +84,19 @@ def run(config: GapConfig) -> list[dict]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--random", type=int, default=GapConfig.random)
-    parser.add_argument("--seed", type=int, default=GapConfig.seed)
-    parser.add_argument("--bound", type=int, default=GapConfig.bound)
-    parser.add_argument("--attempts", type=int, default=GapConfig.attempts)
-    parser.add_argument("--max-degree", type=int, default=GapConfig.max_degree)
+    parser.add_argument("--random", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=CheckConfig.seed)
+    parser.add_argument("--bound", type=int, default=CheckConfig.bound)
+    parser.add_argument("--attempts", type=int, default=CheckConfig.attempts)
+    parser.add_argument("--max-degree", type=int, default=7)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    config = GapConfig(
-        random=args.random,
-        seed=args.seed,
-        bound=args.bound,
-        attempts=args.attempts,
-        max_degree=args.max_degree,
-    )
-    rows = run(config)
+    try:
+        config = CheckConfig(seed=args.seed, bound=args.bound, attempts=args.attempts)
+    except ValueError as exc:
+        parser.error(str(exc))
+    rows = run(args.random, args.max_degree, config)
 
     if args.json:
         print(json.dumps(rows, indent=2))

@@ -81,16 +81,19 @@ def main() -> None:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    config = TrialConfig(
-        count=args.trials,
-        seed=args.seed,
-        bound=args.bound,
-        attempts=args.attempts,
-        min_degree=args.min_degree,
-        max_degree=args.max_degree,
-        min_generators=args.min_generators,
-        max_generators=args.max_generators,
-    )
+    try:
+        config = TrialConfig(
+            count=args.trials,
+            seed=args.seed,
+            bound=args.bound,
+            attempts=args.attempts,
+            min_degree=args.min_degree,
+            max_degree=args.max_degree,
+            min_generators=args.min_generators,
+            max_generators=args.max_generators,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     outcome = run_sweep(config)
 
     if args.json:

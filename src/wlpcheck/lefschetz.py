@@ -17,6 +17,8 @@ variable fewer, and l^k is never expanded in the original coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .errors import GenericityError
 from .poly import LinearForm
@@ -44,24 +46,23 @@ class CheckConfig:
             raise ValueError("need at least one attempt")
 
 
-def sample_linear_form(
-    rng: SplitMix64,
-    num_vars: int,
-    bound: int,
-    avoid: tuple[LinearForm, ...] = (),
-) -> LinearForm:
-    """Random integer linear form, nonzero and non-proportional to ``avoid``."""
-    for _ in range(MAX_SAMPLE_TRIES):
+def distinct_forms(rng: SplitMix64, num_vars: int, bound: int) -> Iterator[LinearForm]:
+    """Random integer linear forms with coefficients in [-bound, bound].
+
+    Each form is nonzero and not proportional to any earlier one.  The
+    stream ends once MAX_SAMPLE_TRIES draws in a row are rejected, which
+    is how a small coefficient pool runs out.
+    """
+    seen: list[LinearForm] = []
+    rejected = 0
+    while rejected < MAX_SAMPLE_TRIES:
         form = LinearForm(tuple(rng.integer(-bound, bound) for _ in range(num_vars)))
-        if form.is_zero:
+        if form.is_zero or any(form.proportional_to(f) for f in seen):
+            rejected += 1
             continue
-        if any(form.proportional_to(seen) for seen in avoid):
-            continue
-        return form
-    raise GenericityError(
-        f"could not sample a fresh linear form within {MAX_SAMPLE_TRIES} tries "
-        f"(bound {bound}, {len(avoid)} forms excluded)"
-    )
+        rejected = 0
+        seen.append(form)
+        yield form
 
 
 @dataclass(frozen=True)
@@ -138,26 +139,21 @@ def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> Lef
     alg = ideal.algebra
     hf = alg.hilbert_function()
     powers = len(hf) - 1 if kind == "slp" else 1
-    rng = SplitMix64(config.seed)
-    tried: list[LinearForm] = []
-    best: tuple[MapRankRecord, ...] | None = None
-    best_form: LinearForm | None = None
-    best_misses = -1
-    for _ in range(config.attempts):
-        try:
-            form = sample_linear_form(rng, ideal.num_vars, config.bound, avoid=tuple(tried))
-        except GenericityError:
-            if tried:
-                break  # the coefficient pool is exhausted; judge what we saw
-            raise
-        tried.append(form)
+    forms = distinct_forms(SplitMix64(config.seed), ideal.num_vars, config.bound)
+    best: tuple[int, LinearForm, tuple[MapRankRecord, ...]] | None = None  # misses, form, records
+    # a stream that ends early has exhausted the coefficient pool: judge what we saw
+    for tried, form in enumerate(islice(forms, config.attempts), 1):
         records = _rank_records(alg, form, powers)
         misses = sum(1 for r in records if not r.maximal)
         if misses == 0:
-            return LefschetzReport(kind, True, form, len(tried), hf, records)
-        if best is None or misses < best_misses:
-            best, best_form, best_misses = records, form, misses
-    return LefschetzReport(kind, False, best_form, len(tried), hf, best)
+            return LefschetzReport(kind, True, form, tried, hf, records)
+        if best is None or misses < best[0]:
+            best = (misses, form, records)
+    if best is None:
+        raise GenericityError(
+            f"could not sample a linear form within {MAX_SAMPLE_TRIES} tries (bound {config.bound})"
+        )
+    return LefschetzReport(kind, False, best[1], tried, hf, best[2])
 
 
 def wlp_check(ideal: GradedIdeal, config: CheckConfig | None = None) -> LefschetzReport:

@@ -5,6 +5,9 @@ shift recovery) reduces to ranks and row spans of matrices with rational
 entries.  The engine is fraction-free: rows are cleared to primitive
 integer vectors and eliminated by cross-multiplication with content removal,
 so no division ever leaves the integers and every answer is exact.
+``IntRowBasis`` is the only exact elimination routine: it computes the
+exact ranks of graded pieces, and it also picks the normalized coordinates
+of a quotient and inverts their change of basis (see :mod:`wlpcheck.quotient`).
 
 ``rank_mod_prime`` is a single-prime modular fast path with a one-sided
 guarantee: the modular rank never exceeds the rational rank, and no rank
@@ -32,24 +35,6 @@ def clear_row_to_int(row: Sequence[Fraction]) -> list[int]:
     for x in row:
         mult = lcm(mult, x.denominator)
     return [x.numerator * (mult // x.denominator) for x in row]
-
-
-def _content(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
-    return g
-
-
-def primitive(v: list[int]) -> list[int]:
-    """``v`` with the gcd of its entries divided out."""
-    g = _content(v)
-    if g > 1:
-        return [x // g for x in v]
-    return v
 
 
 class IntRowBasis:
@@ -87,7 +72,9 @@ class IntRowBasis:
                 v = [x - cb * y for x, y in zip(v, row)]
             else:
                 v = [ca * x - cb * y for x, y in zip(v, row)]
-            v = primitive(v)
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
         return v
 
     def insert(self, vec: Sequence[int]) -> bool:

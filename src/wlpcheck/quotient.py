@@ -31,13 +31,14 @@ multiplication by g onto multiplication by the rewritten g, so Hilbert
 functions, ranks of multiplication maps and ideal membership are the same
 in both coordinate systems.  Callers only ever see original coordinates.
 
-Every other generator is rewritten by one rule, in integers.  It is read
-as a sum of products of linear forms, each pushed through the change of
+Every generator is rewritten by one rule, in integers.  It is read as a
+sum of products of linear forms, each pushed through the change of
 coordinates: a power (form, k) is k copies of its form, and a term c x^u
 is c times u_i copies of x_i for each i.  Each product is multiplied out
 one factor at a time and projected onto the standard monomials after
 every factor.  The nonstandard monomials span an ideal, so a monomial
-dropped early could only have yielded nonstandard monomials later.
+dropped early could only have yielded nonstandard monomials later.  A
+chosen power becomes y_i^{a_i}, which is not standard, so it drops out.
 Nothing is ever expanded in the original coordinates.
 """
 
@@ -49,7 +50,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .errors import NotArtinianError
-from .linalg import IntRowBasis, clear_row_to_int, primitive, rank_mod_prime
+from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
 from .poly import Exponents, GradedPoly, LinearForm, basis_size, exponent_vectors
 
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -77,29 +78,6 @@ def shifted_rows(terms: IntTerms, shifts: Iterable[Exponents], target: dict[Expo
         if any(row):
             out.append(row)
     return out
-
-
-def _inverse(rows: list[list[int]]) -> list[list[int]]:
-    """Integer B with C B = D I for some D > 0, C the invertible integer matrix ``rows``.
-
-    Gauss-Jordan on [C | I] in the integers: rows are combined by
-    cross-multiplication and stripped of content, so the left block ends
-    diagonal, diag(d_i), with d_i times row i of C^-1 beside it.  Scaling
-    row i by D / d_i, for D the lcm of the d_i, gives B = D C^-1.
-    """
-    n = len(rows)
-    work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if work[i][c])
-        work[c], work[p] = work[p], work[c]
-        pivot = work[c]
-        for i in range(n):
-            a = work[i][c]
-            if i != c and a:
-                g = gcd(a, pivot[c])
-                work[i] = primitive([pivot[c] // g * x - a // g * y for x, y in zip(work[i], pivot)])
-    d = lcm(*(row[i] for i, row in enumerate(work)))
-    return [[d // row[i] * x for x in row[n:]] for i, row in enumerate(work)]
 
 
 @dataclass(frozen=True)
@@ -187,37 +165,39 @@ class QuotientAlgebra:
         self._pieces: dict[int, DegreePiece] = {}
         self._hilbert: tuple[int, ...] | None = None
         self._adjoined: tuple[Generator, QuotientAlgebra] | None = None
-        # normalized coordinates: y_i = coords[i] . x for an integer row
-        # coords[i] (a form cleared of denominators, or a unit vector);
-        # bounds[i] is the exponent of the chosen power y_i^{a_i}, None for a
-        # completing unit vector
-        span = IntRowBasis(n)
-        coords: list[list[int]] = []
+        # normalized coordinates: y_k = c_k . x for integer rows c_k (power
+        # forms cleared of denominators, then unit vectors); bounds[k] is the
+        # exponent of the chosen power y_k^{a_k}, None for a unit vector.  One
+        # basis of the rows [c_k | e_k | 0] both picks the c_k and inverts them.
+        powers = sorted((g[1], i) for i, g in enumerate(gens) if isinstance(g, tuple))
+        candidates = [(a, clear_row_to_int(gens[i][0].coeffs)) for a, i in powers]
+        candidates += [(None, [int(i == j) for i in range(n)]) for j in range(n)]
+        span = IntRowBasis(2 * n + 1)
         bounds: list[int | None] = []
-        chosen: set[int] = set()
-        for a, i in sorted((g[1], i) for i, g in enumerate(gens) if isinstance(g, tuple)):
-            row = clear_row_to_int(gens[i][0].coeffs)
-            if span.insert(row):
-                coords.append(row)
+        for a, c in candidates:
+            v = span.reduce(c + [int(k == len(bounds)) for k in range(n)] + [0])
+            if any(v[:n]):  # c is independent of the accepted rows
+                span.insert(v)
                 bounds.append(a)
-                chosen.add(i)
-        for j in range(n):
-            unit = [int(i == j) for i in range(n)]
-            if span.insert(unit):
-                coords.append(unit)
-                bounds.append(None)
         self._bounds = tuple(bounds)
-        # C B = D I for C the matrix of coords, so x = B y / D with B integral,
-        # row i of B listed as (j, B_ij); a degree-d polynomial only picks up
-        # the scalar D^-d, which changes no span
-        self._substitution = [[(j, b) for j, b in enumerate(row) if b] for row in _inverse(coords)]
+        # Reducing [e_j | 0 | 1] subtracts sum_k b_k [c_k | e_k | 0] from a
+        # positive multiple s of it until the first block, of rank n, is zero.
+        # That leaves [0 | r | s] with r = -b and s e_j = sum_k b_k c_k, that
+        # is s x_j = -r . y.  So x = B y / D for row j of B equal to -r D / s
+        # and D the lcm of the s: B is a positive multiple of C^-1, C the
+        # matrix of the c_k, and a degree-d polynomial only picks up the
+        # scalar D^-d, which changes no span.  Rows of B are (k, B_jk) pairs.
+        tails = [span.reduce([int(i == j) for i in range(2 * n)] + [1])[n:] for j in range(n)]
+        scale = lcm(*(t[-1] for t in tails))
+        self._substitution = [
+            [(k, -r * (scale // t[-1])) for k, r in enumerate(t[:-1]) if r] for t in tails
+        ]
         self._standard_cache: dict[int, dict[Exponents, int]] = {}
         self._others: list[tuple[int, IntTerms]] = []
-        for i, g in enumerate(gens):
-            if i not in chosen:
-                terms = self._rewrite(g)
-                if terms:  # a generator inside the monomial part adds nothing
-                    self._others.append((self._degrees[i], terms))
+        for degree, g in zip(self._degrees, gens):
+            terms = self._rewrite(g)
+            if terms:  # a chosen power, or any generator inside the monomial part, adds nothing
+                self._others.append((degree, terms))
 
     # -- normalized coordinates ------------------------------------------
 

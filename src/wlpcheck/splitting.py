@@ -32,12 +32,13 @@ function, which computes the same cokernel as a plain dimension count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Sequence
 
 from .binary import binary_power_resolution, syzygy_shifts_from_hilbert
 from .errors import GenericityError, HilbertDataError
-from .lefschetz import CheckConfig, sample_linear_form
+from .lefschetz import CheckConfig, distinct_forms
 from .poly import LinearForm, basis_size, restrict_linear_form, restrict_mod_linear
 from .quotient import Generator, GradedIdeal
 from .rng import SplitMix64
@@ -152,22 +153,19 @@ def generic_splitting_type(
     """Sample forms until two independent ones agree on the splitting type.
 
     Agreement of two samples is the acceptance rule; running out of
-    attempts without agreement raises GenericityError.
+    attempts, or of distinct forms, without agreement raises GenericityError.
     """
     config = config or CheckConfig()
-    rng = SplitMix64(config.seed)
-    tried: list[LinearForm] = []
+    forms = distinct_forms(SplitMix64(config.seed), ideal.num_vars, config.bound)
     seen: list[tuple[SplittingType, LinearForm]] = []
-    for _ in range(max(config.attempts, 2)):
-        form = sample_linear_form(rng, ideal.num_vars, config.bound, avoid=tuple(tried))
-        tried.append(form)
+    for form in islice(forms, max(config.attempts, 2)):
         stype = splitting_type_at(ideal, form)
         for earlier, witness in seen:
             if earlier == stype:
                 return stype, witness
         seen.append((stype, form))
     raise GenericityError(
-        f"no two of {len(tried)} sampled forms agreed on a splitting type"
+        f"no two of {len(seen)} sampled forms agreed on a splitting type"
     )
 
 

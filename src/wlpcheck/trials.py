@@ -8,10 +8,10 @@ depend on how many trials run or in what order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import GenericityError
-from .lefschetz import CheckConfig, LefschetzReport, sample_linear_form, wlp_check
-from .poly import LinearForm
+from .lefschetz import MAX_SAMPLE_TRIES, CheckConfig, LefschetzReport, distinct_forms, wlp_check
 from .quotient import GradedIdeal
 from .rng import SplitMix64, stream
 from .splitting import WlpPrediction, predict_wlp
@@ -44,6 +44,7 @@ class TrialConfig:
             raise ValueError("bad degree range")
         if not (self.num_vars <= self.min_generators <= self.max_generators):
             raise ValueError("generator range must allow a spanning set")
+        self.check_config(self.seed)  # rejects a bad bound or attempt count
 
     def check_config(self, seed: int) -> CheckConfig:
         return CheckConfig(seed=seed, bound=self.bound, attempts=self.attempts)
@@ -53,10 +54,11 @@ def random_power_ideal(rng: SplitMix64, config: TrialConfig) -> GradedIdeal:
     """Powers of pairwise non-proportional spanning forms, degrees in range."""
     n = rng.integer(config.min_generators, config.max_generators)
     for _ in range(64):
-        forms: list[LinearForm] = []
-        for _ in range(n):
-            forms.append(
-                sample_linear_form(rng, config.num_vars, config.bound, avoid=tuple(forms))
+        forms = list(islice(distinct_forms(rng, config.num_vars, config.bound), n))
+        if len(forms) < n:
+            raise GenericityError(
+                f"could not sample a fresh linear form within {MAX_SAMPLE_TRIES} tries "
+                f"(bound {config.bound}, {len(forms)} forms excluded)"
             )
         powers = [rng.integer(config.min_degree, config.max_degree) for _ in range(n)]
         ideal = GradedIdeal.from_powers(zip(forms, powers))

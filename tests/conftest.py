@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 from wlpcheck import GradedIdeal, linear_form
+from wlpcheck.lefschetz import distinct_forms
 from wlpcheck.poly import expand_power
 from wlpcheck.rng import stream
 
@@ -21,21 +24,7 @@ def expanded(ideal):
 
 def seeded_forms(num_vars: int, count: int, seed: int, index: int = 0, bound: int = 50):
     """Deterministic pairwise non-proportional integer forms."""
-    rng = stream(seed, index)
-    forms = []
-    tries = 0
-    while len(forms) < count:
-        tries += 1
-        if tries > 10000:
-            raise RuntimeError("could not sample enough distinct forms")
-        coeffs = tuple(rng.integer(-bound, bound) for _ in range(num_vars))
-        candidate = linear_form(coeffs)
-        if candidate.is_zero:
-            continue
-        if any(candidate.proportional_to(f) for f in forms):
-            continue
-        forms.append(candidate)
-    return forms
+    return list(islice(distinct_forms(stream(seed, index), num_vars, bound), count))
 
 
 def seeded_power_ideal(degrees, seed: int, index: int = 0, num_vars: int = 3):

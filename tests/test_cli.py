@@ -88,6 +88,12 @@ def test_genericity_failure_is_four(capsys, monkeypatch):
     assert "genericity failure" in err
 
 
+def test_bad_bound_for_random_trials_is_two(capsys):
+    code, _, err = run(capsys, "random-trials", "--bound", "0", "--count", "1")
+    assert code == 2
+    assert err == "input error: bound must be positive\n"
+
+
 def test_wrong_variable_count_for_split_is_two(capsys):
     binary = '{"variables": 2, "powers": [{"form": [1, 0], "power": 2}, {"form": [0, 1], "power": 2}, {"form": [1, 1], "power": 2}]}'
     code, _, err = run(capsys, "split", binary)

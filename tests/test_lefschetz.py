@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,13 +19,12 @@ from oracles import (
 )
 from wlpcheck import (
     CheckConfig,
-    GenericityError,
     GradedIdeal,
     linear_form,
     slp_check,
     wlp_check,
 )
-from wlpcheck.lefschetz import multiplication_rank, sample_linear_form
+from wlpcheck.lefschetz import distinct_forms, multiplication_rank
 from wlpcheck.poly import GradedPoly, expand_power
 from wlpcheck.rng import stream
 
@@ -48,18 +49,14 @@ def test_config_validation():
 
 
 def test_sampler_avoids_and_exhausts():
-    rng = stream(3, 0)
-    first = sample_linear_form(rng, 3, bound=5)
-    second = sample_linear_form(rng, 3, bound=5, avoid=(first,))
+    first, second = islice(distinct_forms(stream(3, 0), 3, bound=5), 2)
     assert not first.proportional_to(second)
 
     # in two variables with bound 1 there are only four directions
-    rng = stream(3, 1)
-    taken = []
-    for _ in range(4):
-        taken.append(sample_linear_form(rng, 2, bound=1, avoid=tuple(taken)))
-    with pytest.raises(GenericityError):
-        sample_linear_form(rng, 2, bound=1, avoid=tuple(taken))
+    taken = list(distinct_forms(stream(3, 1), 2, bound=1))
+    assert len(taken) == 4
+    assert not any(f.is_zero for f in taken)
+    assert not any(f.proportional_to(g) for i, f in enumerate(taken) for g in taken[:i])
 
 
 # -- frozen examples ----------------------------------------------------------
@@ -296,11 +293,15 @@ def _fractional_ideals():
     polynomial = GradedIdeal(3, powers.generators + (cubic,))
     plane = powers_ideal((("1/2", 0, 1), 2), ((0, "1/3", 1), 2))
     expansion = GradedIdeal(3, plane.generators + (expand_power(linear_form([1, "-1/2", "1/4"]), 3),))
-    return [three, four, polynomial, expansion]
+    # the squares' forms are dependent, so the fractional one is rewritten, not chosen
+    dependent = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), (("1/2", 1, 0), 2), ((0, 0, 1), 3))
+    return [three, four, polynomial, expansion, dependent]
 
 
 @pytest.mark.parametrize(
-    "ideal", _fractional_ideals(), ids=["three-variables", "four-variables", "polynomial", "expansion"]
+    "ideal",
+    _fractional_ideals(),
+    ids=["three-variables", "four-variables", "polynomial", "expansion", "dependent"],
 )
 def test_fractional_coefficients_match_the_oracles(ideal):
     n = ideal.num_vars

@@ -15,16 +15,20 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(argv):
+def spawn(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:], "--json"],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_script(argv):
+    done = spawn(argv)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -39,6 +43,20 @@ def run_script(argv):
 )
 def test_script_prints_json(argv):
     assert run_script(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["theorem_sweep.py", "--trials", "0"], "need at least one trial"),
+        (["gap_report.py", "--bound", "0"], "bound must be positive"),
+    ],
+)
+def test_bad_config_is_a_usage_error(argv, message):
+    done = spawn(argv)
+    assert done.returncode == 2
+    assert done.stderr.endswith(f"{argv[0]}: error: {message}\n")
+    assert "Traceback" not in done.stderr
 
 
 def test_five_general_quintics_in_four_variables():

@@ -66,8 +66,14 @@ def test_round_trip_for_the_whole_corpus():
         ({"powers": [{"form": [1, 0, True], "power": 2}]}, "coefficient"),
         ({"powers": [], "polynomials": []}, "no generators"),
         ({"polynomials": [{"degree": 2, "terms": {}}]}, "'terms'"),
-        ({"polynomials": [{"degree": 2, "terms": {"1 1": 1}}]}, "needs 3 entries"),
-        ({"polynomials": [{"degree": 2, "terms": {"1 0 0": 1}}]}, "degree 2"),
+        (
+            {"polynomials": [{"degree": 2, "terms": {"1 1": 1}}]},
+            "(1, 1) are not a degree-2 monomial in 3 variables",
+        ),
+        (
+            {"polynomials": [{"degree": 2, "terms": {"1 0 0": 1}}]},
+            "(1, 0, 0) are not a degree-2 monomial",
+        ),
         ({"polynomials": [{"degree": 2, "terms": {"1 x 0": 1}}]}, "bad exponent"),
         (
             {"polynomials": [{"degree": 2, "terms": {"1 1 0": 1, "0 1 1": 0}}]},

@@ -17,6 +17,10 @@ def test_config_validation():
         TrialConfig(count=5, min_generators=6, max_generators=5)
     with pytest.raises(ValueError):
         TrialConfig(count=5, min_generators=2)  # three variables need three powers
+    with pytest.raises(ValueError):
+        TrialConfig(count=5, bound=0)
+    with pytest.raises(ValueError):
+        TrialConfig(count=5, attempts=0)
 
 
 def test_small_sweep_is_consistent_and_reproducible():
