@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
-from wlpcheck import wlp_check
+from wlpcheck import GenericityError, wlp_check
+from wlpcheck.cli import EXIT_GENERICITY
 from wlpcheck.rng import stream
 from wlpcheck.trials import TrialConfig, random_power_ideal
 
@@ -91,7 +93,11 @@ def main() -> None:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    outcome = run(config)
+    try:
+        outcome = run(config)
+    except GenericityError as exc:
+        print(f"genericity failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_GENERICITY)
 
     if args.json:
         print(json.dumps(outcome, indent=2))

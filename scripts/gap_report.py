@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from itertools import islice
 
-from wlpcheck import CheckConfig, GradedIdeal, generic_splitting_type, linear_form, wlp_check
+from wlpcheck import CheckConfig, GenericityError, GradedIdeal, generic_splitting_type, linear_form, wlp_check
+from wlpcheck.cli import EXIT_GENERICITY
 from wlpcheck.lefschetz import distinct_forms
 from wlpcheck.rng import stream
 from wlpcheck.specfile import load_corpus_entry
@@ -96,7 +98,11 @@ def main() -> None:
         config = CheckConfig(seed=args.seed, bound=args.bound, attempts=args.attempts)
     except ValueError as exc:
         parser.error(str(exc))
-    rows = run(args.random, args.max_degree, config)
+    try:
+        rows = run(args.random, args.max_degree, config)
+    except GenericityError as exc:
+        print(f"genericity failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_GENERICITY)
 
     if args.json:
         print(json.dumps(rows, indent=2))

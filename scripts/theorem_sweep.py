@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from collections import Counter
 
-from wlpcheck import minimal_power_degrees, predicted_splitting_type, run_random_trials
+from wlpcheck import GenericityError, minimal_power_degrees, predicted_splitting_type, run_random_trials
+from wlpcheck.cli import EXIT_GENERICITY
 from wlpcheck.trials import TrialConfig
 
 
@@ -94,7 +96,11 @@ def main() -> None:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    outcome = run_sweep(config)
+    try:
+        outcome = run_sweep(config)
+    except GenericityError as exc:
+        print(f"genericity failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_GENERICITY)
 
     if args.json:
         print(json.dumps(outcome, indent=2))

@@ -14,7 +14,11 @@ guarantee: the modular rank never exceeds the rational rank, and no rank
 exceeds the number of rows or of columns, so a modular rank that reaches
 min(#rows, #cols) is the exact rank.  Callers in this package only use it
 that way; any smaller modular answer is recomputed exactly before it can
-influence a reported value.
+influence a reported value.  It has two paths, picked by the size of the
+matrix: below ``NUMPY_CELLS`` entries an incremental echelon form in plain
+Python, which stops as soon as the rank is full, and from there on a
+column-by-column reduction over a numpy array.  Each is the faster one on
+its side of the cutoff, and numpy is imported only when a matrix reaches it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
 FAST_PRIME = 2**31 - 1
+# Matrices with at least this many entries are ranked mod p with numpy, the
+# smaller ones in pure Python: the measured crossover (CHANGES.md has the table).
+NUMPY_CELLS = 512
 
 
 def clear_row_to_int(row: Sequence[Fraction]) -> list[int]:
@@ -87,8 +92,9 @@ class IntRowBasis:
                 break
         if pivot < 0:
             return False
-        if v[pivot] < 0:
-            v = [-x for x in v]
+        g = gcd(*v) if v[pivot] > 0 else -gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
         at = bisect_left(self.pivots, pivot)
         self.pivots.insert(at, pivot)
         self.rows.insert(at, v)
@@ -107,6 +113,37 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
     """
     if not rows or ncols == 0:
         return 0
+    if len(rows) * ncols < NUMPY_CELLS:
+        return _echelon_rank(rows, ncols)
+    return _numpy_rank(rows, ncols)
+
+
+def _echelon_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Incremental echelon form mod p; stops once the rank is full."""
+    p = FAST_PRIME
+    full = min(len(rows), ncols)
+    pivots: dict[int, list[int]] = {}  # pivot column -> row scaled to 1 there, zero before it
+    for row in rows:
+        v = [x % p for x in row]
+        for c in range(ncols):
+            a = v[c]
+            if not a:
+                continue
+            echelon = pivots.get(c)
+            if echelon is None:
+                inv = pow(a, -1, p)
+                pivots[c] = [x * inv % p for x in v]
+                if len(pivots) == full:
+                    return full
+                break
+            v = [(x - a * y) % p for x, y in zip(v, echelon)]
+    return len(pivots)
+
+
+def _numpy_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Row reduction mod p over an int64 array, one column at a time."""
+    import numpy as np  # only pieces above NUMPY_CELLS pay for the import
+
     a = np.array([[x % FAST_PRIME for x in row] for row in rows], dtype=np.int64)
     nrows = a.shape[0]
     r = 0

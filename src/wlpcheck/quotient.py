@@ -11,7 +11,12 @@ that degree and the rank; its rows and any echelon basis are dropped once
 the rank is read.  Ranks go through a modular fast path first; a rank
 modulo the working prime that reaches the number of rows or of columns is
 already a certificate, anything less is recomputed exactly, so every
-number that leaves this module is exact.
+number that leaves this module is exact.  The fast path reads rows of
+residues, taken once per generator when the algebra is built; the rows of
+integers are built only for a piece that falls back to exact elimination.
+Rows are built from monomial codes: in degree m an exponent vector u is
+the integer sum_i u_i (m + 1)^i, and a monomial multiple adds one code to
+another, with no carry since no exponent exceeds m.
 
 Every question about the quotient is answered by dimensions of pieces.
 Membership is one: f of degree d lies in the ideal exactly when the
@@ -47,10 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import NotArtinianError
-from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
+from .linalg import FAST_PRIME, IntRowBasis, clear_row_to_int, rank_mod_prime
 from .poly import Exponents, GradedPoly, LinearForm, basis_size, exponent_vectors
 
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -58,24 +64,36 @@ IntTerms = tuple[tuple[Exponents, int], ...]
 Generator = GradedPoly | tuple[LinearForm, int]
 
 
-def shifted_rows(terms: IntTerms, shifts: Iterable[Exponents], target: dict[Exponents, int]) -> list[list[int]]:
-    """Rows for monomial multiples: one row per shift monomial, zero rows dropped.
+def _codes(monomials: Iterable[Exponents], weights: Sequence[int]) -> list[int]:
+    """The integer code sum_i u_i w_i of each exponent vector u, for w_i = radix^i."""
+    return [sum(map(mul, u, weights)) for u in monomials]
 
-    ``terms`` lists the (exponents, coefficient) pairs of a polynomial; the
-    row for shift u is the coefficient vector of u * poly over the monomials
-    indexed by ``target``.  Products missing from ``target`` are dropped,
-    which projects onto the standard monomials.  Monomial multiplication
-    only shifts exponents, so no coefficient arithmetic happens here.
+
+def shifted_rows(terms: Sequence[tuple[int, int]], shifts: Iterable[int], target: dict[int, int]) -> list[list[int]]:
+    """Rows for monomial multiples: one row per shift monomial.
+
+    Monomials are integer codes in one radix above every exponent, so the
+    code of a product of monomials is the sum of their codes.  ``terms``
+    lists the (code, coefficient) pairs of a polynomial; the row for shift
+    s is the coefficient vector of s * poly over the monomials indexed by
+    ``target``.  Products missing from ``target`` are dropped, which
+    projects onto the standard monomials, and a row is dropped when all of
+    its products are.  The coefficients may be integers or their residues
+    mod p: a row is kept or dropped by where its products land, not by its
+    values, so both give the same rows.
     """
     width = len(target)
+    get = target.get
     out = []
-    for mono in shifts:
-        row = [0] * width
-        for exps, c in terms:
-            j = target.get(tuple(a + b for a, b in zip(exps, mono)))
+    for s in shifts:
+        row = None
+        for code, c in terms:
+            j = get(code + s)
             if j is not None:
+                if row is None:
+                    row = [0] * width
                 row[j] = c
-        if any(row):
+        if row is not None:
             out.append(row)
     return out
 
@@ -193,11 +211,14 @@ class QuotientAlgebra:
             [(k, -r * (scale // t[-1])) for k, r in enumerate(t[:-1]) if r] for t in tails
         ]
         self._standard_cache: dict[int, dict[Exponents, int]] = {}
-        self._others: list[tuple[int, IntTerms]] = []
+        # (degree, exponent vectors, coefficients, their residues mod p)
+        self._others: list[tuple[int, list[Exponents], list[int], list[int]]] = []
         for degree, g in zip(self._degrees, gens):
             terms = self._rewrite(g)
             if terms:  # a chosen power, or any generator inside the monomial part, adds nothing
-                self._others.append((degree, terms))
+                exps = [w for w, _ in terms]
+                coeffs = [c for _, c in terms]
+                self._others.append((degree, exps, coeffs, [c % FAST_PRIME for c in coeffs]))
 
     # -- normalized coordinates ------------------------------------------
 
@@ -254,13 +275,20 @@ class QuotientAlgebra:
 
     # -- graded pieces -------------------------------------------------
 
-    def spanning_rows(self, m: int) -> list[list[int]]:
-        """Rows spanning the degree-m ideal piece modulo its monomial part."""
-        target = self._standard(m)
+    def spanning_rows(self, m: int, residues: bool = False) -> list[list[int]]:
+        """Rows spanning the degree-m ideal piece modulo its monomial part.
+
+        Integer rows, or with ``residues`` their entries mod ``FAST_PRIME``.
+        Monomials are coded in radix m + 1; no exponent of degree m exceeds
+        m, so the codes add without carries.
+        """
+        weights = [(m + 1) ** i for i in range(self.num_vars)]
+        target = {code: j for j, code in enumerate(_codes(self._standard(m), weights))}
         rows: list[list[int]] = []
-        for degree, terms in self._others:
+        for degree, exps, coeffs, mod_p in self._others:
             if degree <= m:
-                rows.extend(shifted_rows(terms, self._standard(m - degree), target))
+                terms = list(zip(_codes(exps, weights), mod_p if residues else coeffs))
+                rows.extend(shifted_rows(terms, _codes(self._standard(m - degree), weights), target))
         return rows
 
     def adjoined(self, g: Generator) -> "QuotientAlgebra":
@@ -287,13 +315,14 @@ class QuotientAlgebra:
     def _compute_piece(self, m: int) -> DegreePiece:
         ambient = basis_size(self.num_vars, m)
         ncols = len(self._standard(m))
-        rows = self.spanning_rows(m)
+        rows = self.spanning_rows(m, residues=True)
         rank = rank_mod_prime(rows, ncols) if rows else 0
         if rank < min(len(rows), ncols):
             # a rank mod p never exceeds the rational rank, which never
-            # exceeds either count: only a smaller one needs elimination
+            # exceeds either count: only a smaller one needs the integer
+            # rows, and their elimination
             basis = IntRowBasis(ncols)
-            basis.extend(rows)
+            basis.extend(self.spanning_rows(m))
             rank = basis.rank
         # the nonstandard monomials lie in the ideal
         return DegreePiece(m, ambient, ambient - ncols + rank)

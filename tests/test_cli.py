@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from wlpcheck import GenericityError, cli
 
@@ -233,3 +237,20 @@ def test_human_table_headers(capsys):
     assert "power  degree  source  target  rank  maximal" in out
     _, out, _ = run(capsys, "predict", SQUARES)
     assert "degree  source  target  rank  kernel  cokernel  maximal" in out
+
+
+def test_small_pieces_never_import_numpy():
+    # every piece of a corpus ideal is below linalg.NUMPY_CELLS, so a CLI
+    # call on one never pays for importing numpy
+    code = (
+        "import contextlib, io, sys\n"
+        "from wlpcheck import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['wlp', 'corpus:four-general-cubes', '--json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import frac_rank, frac_solveable
-from wlpcheck.linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
+from wlpcheck.linalg import FAST_PRIME, NUMPY_CELLS, IntRowBasis, clear_row_to_int, rank_mod_prime
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -53,6 +53,16 @@ def test_row_basis_membership():
     assert any(basis.reduce([0, 0, 1]))
 
 
+def test_insert_stores_primitive_rows():
+    basis = IntRowBasis(2)
+    assert basis.insert([2, 4])
+    assert basis.rows == [[1, 2]]
+    basis = IntRowBasis(3)
+    assert basis.insert([0, -6, 9])
+    assert basis.insert([4, 0, 2])
+    assert basis.rows == [[2, 0, 1], [0, 2, -3]]
+
+
 def test_extend_reports_rank_gain():
     basis = IntRowBasis(4)
     assert basis.extend([[1, 1, 0, 0]]) == 1
@@ -92,3 +102,49 @@ def test_basis_contains_agrees_with_solveability(rows):
     basis = IntRowBasis(len(target))
     basis.extend(span)
     assert (not any(basis.reduce(target))) == frac_solveable(span, target)
+
+
+# -- both mod-p paths ---------------------------------------------------------
+
+
+@st.composite
+def sized_matrix(draw, min_cells, max_cells):
+    """An integer matrix with min_cells <= rows * cols <= max_cells.
+
+    Half of the draws are products A B through an inner dimension k below
+    both sides, so their rank is at most k: rank-deficient on purpose.
+    """
+    nrows = draw(st.integers(min_value=1, max_value=40))
+    ncols = draw(st.integers(min_value=max(1, -(-min_cells // nrows)), max_value=max_cells // nrows))
+    entries = st.integers(min_value=-9, max_value=9)
+    if not draw(st.booleans()):
+        return [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    k = draw(st.integers(min_value=0, max_value=min(nrows, ncols) - 1))
+    a = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(nrows)]
+    b = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(k)]
+    cols = list(zip(*b)) if k else [()] * ncols
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sized_matrix(1, NUMPY_CELLS - 1))
+def test_modular_rank_below_the_cutoff(rows):
+    assert len(rows) * len(rows[0]) < NUMPY_CELLS
+    assert rank_mod_prime(rows, len(rows[0])) == frac_rank(rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sized_matrix(NUMPY_CELLS, 2 * NUMPY_CELLS))
+def test_modular_rank_above_the_cutoff(rows):
+    assert len(rows) * len(rows[0]) >= NUMPY_CELLS
+    assert rank_mod_prime(rows, len(rows[0])) == frac_rank(rows)
+
+
+def test_a_multiple_of_the_prime_is_lost_on_both_paths():
+    # a pivot divisible by p vanishes mod p: the modular rank falls short of
+    # the rational one, never above it
+    assert 3 * 3 < NUMPY_CELLS <= 32 * 32
+    for size in (3, 32):
+        rows = [[int(i == j) * (FAST_PRIME if i == 0 else 1) for j in range(size)] for i in range(size)]
+        assert frac_rank(rows) == size
+        assert rank_mod_prime(rows, size) == size - 1

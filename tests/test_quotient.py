@@ -20,7 +20,7 @@ from oracles import (
 )
 from wlpcheck import GenericityError, GradedIdeal, NotArtinianError, linear_form
 from wlpcheck.binary import power_quotient_dim
-from wlpcheck.linalg import IntRowBasis
+from wlpcheck.linalg import FAST_PRIME, IntRowBasis
 from wlpcheck.poly import GradedPoly, basis_size, expand_power
 from wlpcheck import quotient
 from wlpcheck.quotient import QuotientAlgebra
@@ -342,3 +342,22 @@ def test_a_low_modular_rank_is_never_trusted(monkeypatch):
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
     assert expected is not None
     assert QuotientAlgebra(ideal).hilbert_function() == expected
+
+
+def test_residue_rows_keep_rows_that_vanish_mod_p():
+    # x*f = p x^2yz + x^3y projects to p x^2yz, as x^3 is not standard: a row
+    # that is nonzero over the integers and zero mod p.  It must still be
+    # counted, or a rank mod p of 2 would pass as full on two rows while
+    # the degree-4 piece has rank 3.
+    powers = powers_ideal(((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3))
+    f = GradedPoly.monomial(3, (1, 1, 1)).scale(FAST_PRIME) + GradedPoly.monomial(3, (2, 1, 0))
+    ideal = GradedIdeal(3, powers.generators + (f,))
+    alg = ideal.algebra
+    rows = alg.spanning_rows(4)
+    residues = alg.spanning_rows(4, residues=True)
+    assert residues == [[x % FAST_PRIME for x in row] for row in rows]
+    assert [0] * len(rows[0]) in residues
+    gen_dicts, gen_degrees = _ideal_dicts(ideal)
+    expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
+    assert expected is not None
+    assert alg.hilbert_function() == expected

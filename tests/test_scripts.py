@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import count, takewhile
@@ -57,6 +58,45 @@ def test_bad_config_is_a_usage_error(argv, message):
     assert done.returncode == 2
     assert done.stderr.endswith(f"{argv[0]}: error: {message}\n")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem_sweep.py", "--trials", "1", "--bound", "1", "--min-generators", "14", "--max-generators", "14"],
+        ["four_variable_failures.py", "--trials", "1", "--bound", "1", "--generators", "41", "--power", "2"],
+        ["gap_report.py", "--attempts", "1", "--bound", "1"],
+    ],
+)
+def test_genericity_failure_exits_four(argv):
+    # bound 1 leaves 13 directions in three variables and 40 in four
+    done = spawn(argv)
+    assert done.returncode == 4
+    assert done.stderr.startswith("genericity failure: ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+def _readme_four_variable_table() -> dict[int, list[dict]]:
+    """d -> the failures the README lists for five general d-th powers."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^  \| (\d+) \| (.+?) \| [\d.]+ \|$", text, flags=re.MULTILINE)
+    failure = r"(\d+) \((\d+) → (\d+), rank (\d+)\)"
+    keys = ("degree", "source", "target", "rank")
+    return {
+        int(d): [dict(zip(keys, map(int, f))) for f in re.findall(failure, cells)] for d, cells in rows
+    }
+
+
+@pytest.mark.parametrize("power", range(3, 9))
+def test_readme_four_variable_table(power):
+    expected = _readme_four_variable_table()[power]
+    assert expected
+    out = run_script(
+        ["four_variable_failures.py", "--trials", "1", "--generators", "5", "--power", str(power)]
+    )
+    (trial,) = out["trials"]
+    assert trial["failures"] == expected
 
 
 def test_five_general_quintics_in_four_variables():
