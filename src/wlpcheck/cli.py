@@ -39,9 +39,7 @@ EXIT_NOT_ARTINIAN = 3
 EXIT_GENERICITY = 4
 
 
-def _form_json(form: LinearForm | None):
-    if form is None:
-        return None
+def _form_json(form: LinearForm):
     return [render_coefficient(c) for c in form.coeffs]
 
 

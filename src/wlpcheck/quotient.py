@@ -11,12 +11,11 @@ that degree and the rank; its rows and any echelon basis are dropped once
 the rank is read.  Ranks go through a modular fast path first; a rank
 modulo the working prime that reaches the number of rows or of columns is
 already a certificate, anything less is recomputed exactly, so every
-number that leaves this module is exact.  The fast path reads rows of
-residues, taken once per generator when the algebra is built; the rows of
-integers are built only for a piece that falls back to exact elimination.
-Rows are built from monomial codes: in degree m an exponent vector u is
-the integer sum_i u_i (m + 1)^i, and a monomial multiple adds one code to
-another, with no carry since no exponent exceeds m.
+number that leaves this module is exact.  Both read the same integer rows,
+built once per piece.  Rows are built from monomial codes: in degree m an
+exponent vector u is the integer sum_i u_i (m + 1)^i, and a monomial
+multiple adds one code to another, with no carry since no exponent
+exceeds m.
 
 Every question about the quotient is answered by dimensions of pieces.
 Membership is one: f of degree d lies in the ideal exactly when the
@@ -41,10 +40,11 @@ sum of products of linear forms, each pushed through the change of
 coordinates: a power (form, k) is k copies of its form, and a term c x^u
 is c times u_i copies of x_i for each i.  Each product is multiplied out
 one factor at a time and projected onto the standard monomials after
-every factor.  The nonstandard monomials span an ideal, so a monomial
-dropped early could only have yielded nonstandard monomials later.  A
-chosen power becomes y_i^{a_i}, which is not standard, so it drops out.
-Nothing is ever expanded in the original coordinates.
+every factor, by the exponent bounds alone.  The nonstandard monomials
+span an ideal, so a monomial dropped early could only have yielded
+nonstandard monomials later.  A chosen power becomes y_i^{a_i}, which is
+not standard, so it drops out.  Nothing is ever expanded in the original
+coordinates.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NotArtinianError
-from .linalg import FAST_PRIME, IntRowBasis, clear_row_to_int, rank_mod_prime
+from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
 from .poly import Exponents, GradedPoly, LinearForm, basis_size, exponent_vectors
 
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -78,9 +78,7 @@ def shifted_rows(terms: Sequence[tuple[int, int]], shifts: Iterable[int], target
     s is the coefficient vector of s * poly over the monomials indexed by
     ``target``.  Products missing from ``target`` are dropped, which
     projects onto the standard monomials, and a row is dropped when all of
-    its products are.  The coefficients may be integers or their residues
-    mod p: a row is kept or dropped by where its products land, not by its
-    values, so both give the same rows.
+    its products are.
     """
     width = len(target)
     get = target.get
@@ -210,24 +208,21 @@ class QuotientAlgebra:
         self._substitution = [
             [(k, -r * (scale // t[-1])) for k, r in enumerate(t[:-1]) if r] for t in tails
         ]
-        self._standard_cache: dict[int, dict[Exponents, int]] = {}
-        # (degree, exponent vectors, coefficients, their residues mod p)
-        self._others: list[tuple[int, list[Exponents], list[int], list[int]]] = []
+        self._standard_cache: dict[int, list[Exponents]] = {}
+        # (degree, exponent vectors, integer coefficients)
+        self._others: list[tuple[int, list[Exponents], list[int]]] = []
         for degree, g in zip(self._degrees, gens):
             terms = self._rewrite(g)
             if terms:  # a chosen power, or any generator inside the monomial part, adds nothing
-                exps = [w for w, _ in terms]
-                coeffs = [c for _, c in terms]
-                self._others.append((degree, exps, coeffs, [c % FAST_PRIME for c in coeffs]))
+                self._others.append((degree, [w for w, _ in terms], [c for _, c in terms]))
 
     # -- normalized coordinates ------------------------------------------
 
-    def _standard(self, m: int) -> dict[Exponents, int]:
-        """Column index of each standard monomial of degree m, graded-lex order."""
+    def _standard(self, m: int) -> list[Exponents]:
+        """The standard monomials of degree m, in graded-lex (column) order."""
         got = self._standard_cache.get(m)
         if got is None:
-            got = {e: j for j, e in enumerate(exponent_vectors(self.num_vars, m, self._bounds))}
-            self._standard_cache[m] = got
+            got = self._standard_cache[m] = list(exponent_vectors(self.num_vars, m, self._bounds))
         return got
 
     def _rewrite(self, g: Generator) -> IntTerms:
@@ -260,34 +255,35 @@ class QuotientAlgebra:
 
     def _projected_product(self, forms: list[list[tuple[int, int]]]) -> dict[Exponents, int]:
         """Product of linear forms in y, each listed as (j, coefficient) pairs,
-        projected onto the standard monomials after every factor."""
+        projected onto the standard monomials after every factor: raising
+        u_j is dropped once it reaches the bound a_j of a bounded coordinate."""
+        bounds = self._bounds
         acc = {(0,) * self.num_vars: 1}
-        for k, form in enumerate(forms, 1):
-            standard = self._standard(k)
+        for form in forms:
             step: dict[Exponents, int] = {}
             for v, c in acc.items():
                 for j, b in form:
-                    w = v[:j] + (v[j] + 1,) + v[j + 1:]
-                    if w in standard:
+                    a = bounds[j]
+                    if a is None or v[j] + 1 < a:
+                        w = v[:j] + (v[j] + 1,) + v[j + 1:]
                         step[w] = step.get(w, 0) + c * b
             acc = step
         return acc
 
     # -- graded pieces -------------------------------------------------
 
-    def spanning_rows(self, m: int, residues: bool = False) -> list[list[int]]:
-        """Rows spanning the degree-m ideal piece modulo its monomial part.
+    def spanning_rows(self, m: int) -> list[list[int]]:
+        """Integer rows spanning the degree-m ideal piece modulo its monomial part.
 
-        Integer rows, or with ``residues`` their entries mod ``FAST_PRIME``.
         Monomials are coded in radix m + 1; no exponent of degree m exceeds
         m, so the codes add without carries.
         """
         weights = [(m + 1) ** i for i in range(self.num_vars)]
         target = {code: j for j, code in enumerate(_codes(self._standard(m), weights))}
         rows: list[list[int]] = []
-        for degree, exps, coeffs, mod_p in self._others:
+        for degree, exps, coeffs in self._others:
             if degree <= m:
-                terms = list(zip(_codes(exps, weights), mod_p if residues else coeffs))
+                terms = list(zip(_codes(exps, weights), coeffs))
                 rows.extend(shifted_rows(terms, _codes(self._standard(m - degree), weights), target))
         return rows
 
@@ -315,14 +311,13 @@ class QuotientAlgebra:
     def _compute_piece(self, m: int) -> DegreePiece:
         ambient = basis_size(self.num_vars, m)
         ncols = len(self._standard(m))
-        rows = self.spanning_rows(m, residues=True)
+        rows = self.spanning_rows(m)
         rank = rank_mod_prime(rows, ncols) if rows else 0
         if rank < min(len(rows), ncols):
             # a rank mod p never exceeds the rational rank, which never
-            # exceeds either count: only a smaller one needs the integer
-            # rows, and their elimination
+            # exceeds either count: only a smaller one needs exact elimination
             basis = IntRowBasis(ncols)
-            basis.extend(self.spanning_rows(m))
+            basis.extend(rows)
             rank = basis.rank
         # the nonstandard monomials lie in the ideal
         return DegreePiece(m, ambient, ambient - ncols + rank)

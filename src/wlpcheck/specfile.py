@@ -151,14 +151,17 @@ def render_ideal(ideal: GradedIdeal) -> dict:
     return data
 
 
-def load_ideal_text(text: str, where: str) -> GradedIdeal:
+def _decode_json(text: str, where: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(where, f"not valid JSON: {exc}") from None
     except RecursionError:
         raise _fail(where, "not valid JSON: nested too deeply") from None
-    return parse_ideal(data, where)
+
+
+def load_ideal_text(text: str, where: str) -> GradedIdeal:
+    return parse_ideal(_decode_json(text, where), where)
 
 
 def load_ideal_file(path: str) -> GradedIdeal:
@@ -191,17 +194,12 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def load_corpus_entry(name: str) -> CorpusEntry:
+    """A bundled entry by name; a name outside ``corpus_names()`` is rejected."""
     where = f"corpus:{name}"
-    candidate = _corpus_dir() / f"{name}.json"
-    try:
-        text = candidate.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
-        known = ", ".join(corpus_names())
-        raise _fail(where, f"no such corpus entry (have: {known})") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(where, f"not valid JSON: {exc}") from None
+    known = corpus_names()
+    if name not in known:
+        raise _fail(where, f"no such corpus entry (have: {', '.join(known)})")
+    data = _decode_json((_corpus_dir() / f"{name}.json").read_text(encoding="utf-8"), where)
     ideal = parse_ideal(data, where)
     expect = data.get("expect", {})
     if not isinstance(expect, dict):

@@ -97,42 +97,41 @@ def predicted_splitting_type(exponents: Sequence[int]) -> SplittingType:
     return SplittingType(shifts, resolution.socle_degree)
 
 
-def _restrict_generators(
-    ideal: GradedIdeal, ell: LinearForm
-) -> tuple[GradedIdeal, tuple[int, ...]]:
-    """Split the generators at ell into a surviving ideal and dead degrees.
+def _restrict_generators(ideal: GradedIdeal, ell: LinearForm) -> GradedIdeal:
+    """The ideal of the generators that survive on the line ell = 0.
 
     A power (form, k) is cut through its form and stays a power.
     """
     survivors: list[Generator] = []
-    dead: list[int] = []
-    for g, degree in zip(ideal.generators, ideal.generator_degrees):
+    for g in ideal.generators:
         if isinstance(g, tuple):
             cut = restrict_linear_form(g[0], ell)
             survivor = (cut, g[1])
         else:
             cut = survivor = restrict_mod_linear(g, ell)
-        if cut.is_zero:
-            dead.append(degree)
-        else:
+        if not cut.is_zero:
             survivors.append(survivor)
     if len(survivors) < 2:
         # an Artinian ideal always keeps two generators alive on any line
         raise GenericityError("fewer than two generators survive the restriction")
-    return GradedIdeal(ideal.num_vars - 1, tuple(survivors)), tuple(dead)
+    return GradedIdeal(ideal.num_vars - 1, tuple(survivors))
 
 
 def _splitting_at(ideal: GradedIdeal, ell: LinearForm) -> tuple[SplittingType, tuple[int, ...]]:
-    """Splitting type on the line ell = 0 and the restricted Hilbert function."""
-    restricted, dead = _restrict_generators(ideal, ell)
-    rhf = restricted.algebra.hilbert_function()
+    """Splitting type on the line ell = 0 and the restricted Hilbert function.
+
+    The shifts are read off every generator degree: a generator that
+    vanishes on the line is a zero entry of the generating tuple, which
+    adds one free relation in exactly its own degree.
+    """
+    rhf = _restrict_generators(ideal, ell).algebra.hilbert_function()
 
     def ideal_dim(m: int) -> int:
         quotient = rhf[m] if 0 <= m < len(rhf) else 0
         return (m + 1) - quotient
 
-    alive = syzygy_shifts_from_hilbert(restricted.generator_degrees, ideal_dim)
-    return SplittingType(tuple(sorted(alive + dead)), len(rhf) - 1), rhf
+    shifts = syzygy_shifts_from_hilbert(ideal.generator_degrees, ideal_dim)
+    return SplittingType(shifts, len(rhf) - 1), rhf
 
 
 def splitting_type_at(ideal: GradedIdeal, ell: LinearForm) -> SplittingType:

@@ -75,8 +75,6 @@ class TrialResult:
     wlp_holds: bool
     predicted_holds: bool
     ranks_agree: bool
-    direct_failures: tuple[tuple[int, int], ...]
-    predicted_failures: tuple[int, ...]
 
     @property
     def consistent(self) -> bool:
@@ -121,8 +119,6 @@ def run_trial(index: int, config: TrialConfig) -> TrialResult:
         wlp_holds=direct.holds,
         predicted_holds=predicted.holds,
         ranks_agree=direct_ranks == predicted_ranks,
-        direct_failures=direct.failures,
-        predicted_failures=predicted.failures,
     )
 
 

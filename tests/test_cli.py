@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -58,6 +59,26 @@ def test_unknown_corpus_is_two(capsys):
     code, _, err = run(capsys, "hilbert", "corpus:nope")
     assert code == 2
     assert "no such corpus entry" in err
+
+
+def test_corpus_names_outside_the_corpus_are_two(tmp_path):
+    # a corpus name is never joined onto the corpus directory as a path: a
+    # bundled file reached through "..", or a deeply nested file elsewhere,
+    # is an unknown entry, not a file to read or a traceback
+    corpus = Path(cli.__file__).resolve().parent / "corpus"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name in ("../corpus/three-squares", os.path.relpath(tmp_path / "deep", corpus)):
+        done = subprocess.run(
+            [sys.executable, "-m", "wlpcheck.cli", "hilbert", f"corpus:{name}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "no such corpus entry" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_unreadable_file_is_two(capsys, tmp_path):
@@ -254,3 +275,23 @@ def test_small_pieces_never_import_numpy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# The fixed point: stdout of the seeded sweep and of verify-paper, byte for
+# byte.  Regenerate a digest with
+#   PYTHONPATH=src python -m wlpcheck.cli random-trials --json --count 100 | sha256sum
+#   PYTHONPATH=src python -m wlpcheck.cli verify-paper --json | sha256sum
+# A change that moves a digest changes reported behaviour and must say why.
+FIXED_POINT = {
+    ("random-trials", "--json", "--count", "100"):
+        "be592461cdc0d412ed166cfd2f7b33c641d18024dffd8cd19e70a06bcd372062",
+    ("verify-paper", "--json"):
+        "dfa9e59d33e2b14e574fd3549bf64ab9b352da8fb5ab5ec8c968b6defc3ae80b",
+}
+
+
+def test_fixed_point_outputs_are_unchanged(capsys):
+    for argv, digest in FIXED_POINT.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -20,7 +20,7 @@ from oracles import (
 )
 from wlpcheck import GenericityError, GradedIdeal, NotArtinianError, linear_form
 from wlpcheck.binary import power_quotient_dim
-from wlpcheck.linalg import FAST_PRIME, IntRowBasis
+from wlpcheck.linalg import FAST_PRIME, IntRowBasis, rank_mod_prime
 from wlpcheck.poly import GradedPoly, basis_size, expand_power
 from wlpcheck import quotient
 from wlpcheck.quotient import QuotientAlgebra
@@ -66,9 +66,8 @@ def test_degrees_and_power_flags():
 
 def test_restricted_drops_dead_generators():
     ell = linear_form([1, 0, 0])
-    restricted, dead = _restrict_generators(SQUARES, ell)
+    restricted = _restrict_generators(SQUARES, ell)
     # x^2 dies on the line x = 0; y^2 and z^2 survive as binary powers
-    assert dead == (2,)
     assert restricted.num_vars == 2
     assert restricted.generators == ((linear_form([1, 0]), 2), (linear_form([0, 1]), 2))
 
@@ -344,20 +343,40 @@ def test_a_low_modular_rank_is_never_trusted(monkeypatch):
     assert QuotientAlgebra(ideal).hilbert_function() == expected
 
 
-def test_residue_rows_keep_rows_that_vanish_mod_p():
+def test_integer_rows_that_vanish_mod_p_fall_back_to_exact_rank():
     # x*f = p x^2yz + x^3y projects to p x^2yz, as x^3 is not standard: a row
-    # that is nonzero over the integers and zero mod p.  It must still be
-    # counted, or a rank mod p of 2 would pass as full on two rows while
-    # the degree-4 piece has rank 3.
+    # that is nonzero over the integers and zero mod p.  It lowers the rank
+    # mod p below the row count, so the degree-4 piece is ranked exactly.
     powers = powers_ideal(((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3))
     f = GradedPoly.monomial(3, (1, 1, 1)).scale(FAST_PRIME) + GradedPoly.monomial(3, (2, 1, 0))
     ideal = GradedIdeal(3, powers.generators + (f,))
     alg = ideal.algebra
     rows = alg.spanning_rows(4)
-    residues = alg.spanning_rows(4, residues=True)
-    assert residues == [[x % FAST_PRIME for x in row] for row in rows]
-    assert [0] * len(rows[0]) in residues
+    ncols = len(rows[0])
+    assert all(any(row) for row in rows)
+    assert [0] * ncols in [[x % FAST_PRIME for x in row] for row in rows]
+    assert rank_mod_prime(rows, ncols) < len(rows)
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
     assert expected is not None
     assert alg.hilbert_function() == expected
+
+
+def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
+    built = []
+    original = QuotientAlgebra.spanning_rows
+
+    def counting(self, m):
+        built.append(m)
+        return original(self, m)
+
+    monkeypatch.setattr(QuotientAlgebra, "spanning_rows", counting)
+    # a rank mod p one short of full sends every piece with rows to exact
+    # elimination, which must reuse the rows already built
+    real = quotient.rank_mod_prime
+    monkeypatch.setattr(quotient, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
+    ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
+    gen_dicts, gen_degrees = _ideal_dicts(ideal)
+    expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
+    assert QuotientAlgebra(ideal).hilbert_function() == expected
+    assert built == list(range(len(expected) + 1))
