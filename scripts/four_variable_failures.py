@@ -69,11 +69,12 @@ def run(config: TrialConfig) -> dict:
 
 
 def main() -> None:
+    defaults = TrialConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=TrialConfig.seed)
-    parser.add_argument("--bound", type=int, default=TrialConfig.bound)
-    parser.add_argument("--attempts", type=int, default=TrialConfig.attempts)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--bound", type=int, default=defaults.bound)
+    parser.add_argument("--attempts", type=int, default=defaults.attempts)
     parser.add_argument("--power", type=int, default=3)
     parser.add_argument("--generators", type=int, default=5)
     parser.add_argument("--json", action="store_true")

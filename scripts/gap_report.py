@@ -85,11 +85,12 @@ def run(count: int, max_degree: int, config: CheckConfig) -> list[dict]:
 
 
 def main() -> None:
+    defaults = CheckConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--random", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=CheckConfig.seed)
-    parser.add_argument("--bound", type=int, default=CheckConfig.bound)
-    parser.add_argument("--attempts", type=int, default=CheckConfig.attempts)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--bound", type=int, default=defaults.bound)
+    parser.add_argument("--attempts", type=int, default=defaults.attempts)
     parser.add_argument("--max-degree", type=int, default=7)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()

@@ -71,15 +71,16 @@ def run_sweep(config: TrialConfig) -> dict:
 
 
 def main() -> None:
+    defaults = TrialConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=TrialConfig.count)
-    parser.add_argument("--seed", type=int, default=TrialConfig.seed)
-    parser.add_argument("--bound", type=int, default=TrialConfig.bound)
-    parser.add_argument("--attempts", type=int, default=TrialConfig.attempts)
-    parser.add_argument("--min-degree", type=int, default=TrialConfig.min_degree)
-    parser.add_argument("--max-degree", type=int, default=TrialConfig.max_degree)
-    parser.add_argument("--min-generators", type=int, default=TrialConfig.min_generators)
-    parser.add_argument("--max-generators", type=int, default=TrialConfig.max_generators)
+    parser.add_argument("--trials", type=int, default=defaults.count)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--bound", type=int, default=defaults.bound)
+    parser.add_argument("--attempts", type=int, default=defaults.attempts)
+    parser.add_argument("--min-degree", type=int, default=defaults.min_degree)
+    parser.add_argument("--max-degree", type=int, default=defaults.max_degree)
+    parser.add_argument("--min-generators", type=int, default=defaults.min_generators)
+    parser.add_argument("--max-generators", type=int, default=defaults.max_generators)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 

@@ -14,8 +14,7 @@ two-variable polynomial ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import HilbertDataError, NotArtinianError
 
@@ -60,8 +59,7 @@ def power_quotient_dim(exponents: Sequence[int], m: int) -> int:
     return (m + 1) - power_ideal_dim(exponents, m)
 
 
-@dataclass(frozen=True)
-class BinaryResolution:
+class BinaryResolution(NamedTuple):
     """Resolution data of a two-variable quotient by powers of linear forms.
 
     ``shifts`` are the generator degrees of the relation module, ascending:

@@ -4,33 +4,32 @@ Subcommands map one-to-one onto the library: hilbert, wlp, slp, split,
 predict, verify-paper, random-trials.  Exit codes: 0 success (and verdict
 true where there is one), 1 verdict false or a failed comparison, 2 bad
 input, 3 quotient not Artinian, 4 sampling could not reach a generic
-configuration.
+configuration.  If the reader of standard output goes away, the output
+is dropped and the exit code is still the command's own.
+
+Each subcommand imports the modules it needs when it runs, so a process
+loads only those: ``hilbert`` never loads the Lefschetz checks, and no
+check loads the splitting, sweep or verification code it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict, fields
+from typing import TYPE_CHECKING
 
+from .config import CheckConfig, TrialConfig
 from .errors import GenericityError, NotArtinianError, SpecFormatError
-from .lefschetz import (
-    DEFAULT_ATTEMPTS,
-    DEFAULT_BOUND,
-    DEFAULT_SEED,
-    CheckConfig,
-    LefschetzReport,
-    slp_check,
-    wlp_check,
-)
-from .poly import LinearForm
-from .quotient import GradedIdeal
 from .rng import GENERATOR_NAME
 from .specfile import load_ideal_argument, render_coefficient
-from .splitting import SplittingType, generic_splitting_type, predict_wlp
-from .trials import TrialConfig, run_random_trials
-from .verify import verify_all
+
+if TYPE_CHECKING:
+    from .lefschetz import LefschetzReport
+    from .poly import LinearForm
+    from .quotient import GradedIdeal
+    from .splitting import SplittingType
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -44,15 +43,23 @@ def _form_json(form: LinearForm):
 
 
 def _config_json(config: CheckConfig) -> dict:
-    return {**asdict(config), "generator": GENERATOR_NAME}
+    return {**config._asdict(), "generator": GENERATOR_NAME}
 
 
 def _emit(args, payload: dict, human_lines) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in human_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: drop the output, keep the exit code, and point
+        # stdout at the null device so the interpreter's last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _ideal_json(ideal: GradedIdeal) -> dict:
@@ -95,7 +102,7 @@ def _report_payload(ideal: GradedIdeal, report: LefschetzReport, config: CheckCo
         "attempts_used": report.attempts_used,
         "hilbert": list(report.hilbert),
         "socle_degree": report.socle_degree,
-        "records": [{**asdict(r), "maximal": r.maximal} for r in report.records],
+        "records": [{**r._asdict(), "maximal": r.maximal} for r in report.records],
         "failures": [[k, m] for k, m in report.failures],
         "config": _config_json(config),
     }
@@ -131,14 +138,18 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_lefschetz(args) -> int:
+    from .lefschetz import slp_check, wlp_check
+
     ideal = load_ideal_argument(args.ideal)
     config = _check_config(args)
-    report = args.check(ideal, config)
+    report = (slp_check if args.command == "slp" else wlp_check)(ideal, config)
     _emit(args, _report_payload(ideal, report, config), _report_lines(ideal, report, args.label))
     return EXIT_OK if report.holds else EXIT_FALSE
 
 
 def cmd_split(args) -> int:
+    from .splitting import generic_splitting_type
+
     ideal = load_ideal_argument(args.ideal)
     config = _check_config(args)
     stype, witness = generic_splitting_type(ideal, config)
@@ -161,6 +172,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .splitting import generic_splitting_type, predict_wlp
+
     ideal = load_ideal_argument(args.ideal)
     config = _check_config(args)
     stype, witness = generic_splitting_type(ideal, config)
@@ -171,7 +184,7 @@ def cmd_predict(args) -> int:
         "witness": _form_json(witness),
         "hilbert": list(prediction.hilbert),
         "splitting": _splitting_json(prediction.splitting),
-        "records": [{**asdict(r), "maximal": r.maximal} for r in prediction.records],
+        "records": [{**r._asdict(), "maximal": r.maximal} for r in prediction.records],
         "failures": list(prediction.failures),
         "config": _config_json(config),
     }
@@ -196,6 +209,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_all
+
     config = _check_config(args)
     verifications = verify_all(config)
     payload = {
@@ -203,7 +218,7 @@ def cmd_verify(args) -> int:
             {
                 "name": v.entry_name,
                 "passed": v.passed,
-                "checks": [asdict(o) for o in v.outcomes],
+                "checks": [o._asdict() for o in v.outcomes],
             }
             for v in verifications
         ],
@@ -223,13 +238,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random_trials(args) -> int:
+    from .trials import run_random_trials
+
     config = TrialConfig(**{
-        f.name: getattr(args, f.name) for f in fields(TrialConfig) if f.name != "num_vars"
+        name: getattr(args, name) for name in TrialConfig._fields if name != "num_vars"
     })
     report = run_random_trials(config)
     payload = {
         "config": {
-            **{k: v for k, v in asdict(config).items() if k != "num_vars"},
+            **{k: v for k, v in config._asdict().items() if k != "num_vars"},
             "generator": GENERATOR_NAME,
         },
         "summary": {
@@ -271,12 +288,13 @@ def cmd_random_trials(args) -> int:
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"sampling seed (default {DEFAULT_SEED})")
-    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                        help=f"coefficients are drawn from [-B, B] (default {DEFAULT_BOUND})")
-    parser.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS,
-                        help=f"distinct forms to try (default {DEFAULT_ATTEMPTS})")
+    defaults = CheckConfig()
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        help=f"sampling seed (default {defaults.seed})")
+    parser.add_argument("--bound", type=int, default=defaults.bound,
+                        help=f"coefficients are drawn from [-B, B] (default {defaults.bound})")
+    parser.add_argument("--attempts", type=int, default=defaults.attempts,
+                        help=f"distinct forms to try (default {defaults.attempts})")
 
 
 # the subcommands that take an ideal: name, help, function, whether it takes
@@ -284,9 +302,9 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 _IDEAL_COMMANDS = (
     ("hilbert", "Hilbert function and socle degree", cmd_hilbert, False, {}),
     ("wlp", "weak Lefschetz check: multiplication by a linear form", cmd_lefschetz, True,
-     {"check": wlp_check, "label": "weak Lefschetz property"}),
+     {"label": "weak Lefschetz property"}),
     ("slp", "strong Lefschetz check: every power of one form", cmd_lefschetz, True,
-     {"check": slp_check, "label": "strong Lefschetz property"}),
+     {"label": "strong Lefschetz property"}),
     ("split", "splitting type of the relation module on a generic line", cmd_split, True, {}),
     ("predict", "rank table predicted from splitting data alone", cmd_predict, True, {}),
 )
@@ -316,18 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random-trials", help="random ideals of powers; compare both rank routes")
+    trials = TrialConfig()  # the defaults
     p.add_argument("--json", action="store_true")
-    p.add_argument("--count", type=int, default=TrialConfig.count,
-                   help=f"number of ideals (default {TrialConfig.count})")
+    p.add_argument("--count", type=int, default=trials.count,
+                   help=f"number of ideals (default {trials.count})")
     _add_sampling_flags(p)
-    p.add_argument("--min-degree", type=int, default=TrialConfig.min_degree,
-                   help=f"smallest power (default {TrialConfig.min_degree})")
-    p.add_argument("--max-degree", type=int, default=TrialConfig.max_degree,
-                   help=f"largest power (default {TrialConfig.max_degree})")
-    p.add_argument("--min-generators", type=int, default=TrialConfig.min_generators,
-                   help=f"fewest generators (default {TrialConfig.min_generators})")
-    p.add_argument("--max-generators", type=int, default=TrialConfig.max_generators,
-                   help=f"most generators (default {TrialConfig.max_generators})")
+    p.add_argument("--min-degree", type=int, default=trials.min_degree,
+                   help=f"smallest power (default {trials.min_degree})")
+    p.add_argument("--max-degree", type=int, default=trials.max_degree,
+                   help=f"largest power (default {trials.max_degree})")
+    p.add_argument("--min-generators", type=int, default=trials.min_generators,
+                   help=f"fewest generators (default {trials.min_generators})")
+    p.add_argument("--max-generators", type=int, default=trials.max_generators,
+                   help=f"most generators (default {trials.max_generators})")
     p.set_defaults(func=cmd_random_trials)
 
     return parser

@@ -16,34 +16,16 @@ variable fewer, and l^k is never expanded in the original coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
+from .config import CheckConfig
 from .errors import GenericityError
 from .poly import LinearForm
 from .quotient import Generator, GradedIdeal, QuotientAlgebra
 from .rng import SplitMix64
 
-DEFAULT_SEED = 20100601
-DEFAULT_BOUND = 100
-DEFAULT_ATTEMPTS = 5
 MAX_SAMPLE_TRIES = 256
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    """Sampling knobs shared by every randomized check."""
-
-    seed: int = DEFAULT_SEED
-    bound: int = DEFAULT_BOUND
-    attempts: int = DEFAULT_ATTEMPTS
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError("bound must be positive")
-        if self.attempts < 1:
-            raise ValueError("need at least one attempt")
 
 
 def distinct_forms(rng: SplitMix64, num_vars: int, bound: int) -> Iterator[LinearForm]:
@@ -65,8 +47,7 @@ def distinct_forms(rng: SplitMix64, num_vars: int, bound: int) -> Iterator[Linea
         yield form
 
 
-@dataclass(frozen=True)
-class MapRankRecord:
+class MapRankRecord(NamedTuple):
     """Rank of multiplication by the power-th power, one source degree."""
 
     power: int
@@ -80,8 +61,7 @@ class MapRankRecord:
         return self.rank == min(self.source_dim, self.target_dim)
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
+class LefschetzReport(NamedTuple):
     kind: str  # "wlp" or "slp"
     holds: bool
     form: LinearForm

@@ -12,10 +12,11 @@ never the number of monomials of the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
+
+from .frozen import Frozen
 
 Q = Fraction
 Exponents = tuple[int, ...]
@@ -59,16 +60,17 @@ def _as_q(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Frozen):
     """A linear form given by its coefficient vector."""
 
+    _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_q(c) for c in self.coeffs))
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: Iterable):
+        coeffs = tuple(_as_q(c) for c in coeffs)
+        if len(coeffs) < 1:
             raise ValueError("a linear form needs at least one variable")
+        super().__init__(coeffs)
 
     @property
     def num_vars(self) -> int:
@@ -97,8 +99,7 @@ def linear_form(coeffs: Iterable) -> LinearForm:
     return LinearForm(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class GradedPoly:
+class GradedPoly(Frozen):
     """Homogeneous polynomial: its nonzero terms, in graded-lex order.
 
     ``items`` may be given in any order, with repeated exponents and zero
@@ -107,24 +108,25 @@ class GradedPoly:
     With no items the polynomial is zero.
     """
 
+    _fields = ("num_vars", "degree", "items")
     num_vars: int
     degree: int
-    items: tuple[tuple[Exponents, Fraction], ...] = ()
+    items: tuple[tuple[Exponents, Fraction], ...]
 
-    def __post_init__(self):
-        if self.num_vars < 1 or self.degree < 0:
+    def __init__(self, num_vars: int, degree: int, items: Iterable = ()):
+        if num_vars < 1 or degree < 0:
             raise ValueError("need num_vars >= 1 and degree >= 0")
         merged: dict[Exponents, Fraction] = {}
-        for exponents, coeff in self.items:
+        for exponents, coeff in items:
             exps = tuple(exponents)
-            if len(exps) != self.num_vars or min(exps) < 0 or sum(exps) != self.degree:
+            if len(exps) != num_vars or min(exps) < 0 or sum(exps) != degree:
                 raise ValueError(
-                    f"exponents {exps} are not a degree-{self.degree} monomial "
-                    f"in {self.num_vars} variables"
+                    f"exponents {exps} are not a degree-{degree} monomial "
+                    f"in {num_vars} variables"
                 )
             merged[exps] = merged.get(exps, 0) + _as_q(coeff)
         # exponent vectors are distinct, so the sort never compares coefficients
-        object.__setattr__(self, "items", tuple(sorted(
+        super().__init__(num_vars, degree, tuple(sorted(
             ((e, c) for e, c in merged.items() if c), reverse=True
         )))
 

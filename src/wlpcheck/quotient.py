@@ -49,13 +49,13 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotArtinianError
+from .frozen import Frozen
 from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
 from .poly import Exponents, GradedPoly, LinearForm, basis_size, exponent_vectors
 
@@ -96,8 +96,7 @@ def shifted_rows(terms: Sequence[tuple[int, int]], shifts: Iterable[int], target
     return out
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
+class GradedIdeal(Frozen):
     """Homogeneous ideal given by generators, each a polynomial or a power.
 
     A power of a linear form stays the pair ``(form, k)``: it is never
@@ -107,20 +106,22 @@ class GradedIdeal:
     the ideal's lifetime, so every caller holding the ideal shares its pieces.
     """
 
+    _fields = ("num_vars", "generators")
     num_vars: int
     generators: tuple[Generator, ...]
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, generators: tuple[Generator, ...]):
+        if num_vars < 1:
             raise ValueError("need at least one variable")
-        for g in self.generators:
+        for g in generators:
             base, degree = g if isinstance(g, tuple) else (g, g.degree)
-            if base.num_vars != self.num_vars:
+            if base.num_vars != num_vars:
                 raise ValueError("generator variable count does not match the ideal")
             if base.is_zero:
                 raise ValueError("zero generator")
             if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
                 raise ValueError("generators must have a positive integer degree")
+        super().__init__(num_vars, generators)
 
     @classmethod
     def from_powers(cls, pairs: Iterable[tuple[LinearForm, int]]) -> "GradedIdeal":
@@ -145,8 +146,7 @@ class GradedIdeal:
         return QuotientAlgebra(self)
 
 
-@dataclass(frozen=True)
-class DegreePiece:
+class DegreePiece(NamedTuple):
     """One graded piece: the dimensions of the ideal and of the quotient in one degree.
 
     ``ambient_dim`` counts all monomials of the degree and ``ideal_rank``

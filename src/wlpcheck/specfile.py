@@ -21,9 +21,9 @@ Corpus files use the same schema plus "name", "description" and an
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import SpecFormatError
 from .poly import GradedPoly, LinearForm
@@ -173,8 +173,7 @@ def load_ideal_file(path: str) -> GradedIdeal:
     return load_ideal_text(text, path)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     description: str
     ideal: GradedIdeal

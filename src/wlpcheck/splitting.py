@@ -31,21 +31,20 @@ function, which computes the same cokernel as a plain dimension count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .binary import binary_power_resolution, syzygy_shifts_from_hilbert
+from .config import CheckConfig
 from .errors import GenericityError, HilbertDataError
-from .lefschetz import CheckConfig, distinct_forms
+from .lefschetz import distinct_forms
 from .poly import LinearForm, basis_size, restrict_linear_form, restrict_mod_linear
 from .quotient import Generator, GradedIdeal
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(NamedTuple):
     """Twist degrees of the restricted relation module, plus the restricted socle."""
 
     shifts: tuple[int, ...]  # ascending
@@ -168,8 +167,7 @@ def generic_splitting_type(
     )
 
 
-@dataclass(frozen=True)
-class PredictedMapRecord:
+class PredictedMapRecord(NamedTuple):
     """Predicted rank data for multiplication by the form, one source degree."""
 
     degree: int
@@ -184,8 +182,7 @@ class PredictedMapRecord:
         return self.rank == min(self.source_dim, self.target_dim)
 
 
-@dataclass(frozen=True)
-class WlpPrediction:
+class WlpPrediction(NamedTuple):
     holds: bool
     form: LinearForm
     splitting: SplittingType

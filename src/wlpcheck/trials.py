@@ -7,47 +7,15 @@ depend on how many trials run or in what order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
+from .config import TrialConfig
 from .errors import GenericityError
-from .lefschetz import MAX_SAMPLE_TRIES, CheckConfig, LefschetzReport, distinct_forms, wlp_check
+from .lefschetz import MAX_SAMPLE_TRIES, LefschetzReport, distinct_forms, wlp_check
 from .quotient import GradedIdeal
 from .rng import SplitMix64, stream
 from .splitting import WlpPrediction, predict_wlp
-
-DEFAULT_TRIALS = 100
-DEFAULT_MIN_DEGREE = 2
-DEFAULT_MAX_DEGREE = 8
-DEFAULT_MIN_GENERATORS = 3
-DEFAULT_MAX_GENERATORS = 6
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Shape of the random sweep; degree and generator counts are inclusive."""
-
-    count: int = DEFAULT_TRIALS
-    seed: int = CheckConfig.seed
-    bound: int = CheckConfig.bound
-    attempts: int = CheckConfig.attempts
-    num_vars: int = 3
-    min_degree: int = DEFAULT_MIN_DEGREE
-    max_degree: int = DEFAULT_MAX_DEGREE
-    min_generators: int = DEFAULT_MIN_GENERATORS
-    max_generators: int = DEFAULT_MAX_GENERATORS
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("need at least one trial")
-        if not (1 <= self.min_degree <= self.max_degree):
-            raise ValueError("bad degree range")
-        if not (self.num_vars <= self.min_generators <= self.max_generators):
-            raise ValueError("generator range must allow a spanning set")
-        self.check_config(self.seed)  # rejects a bad bound or attempt count
-
-    def check_config(self, seed: int) -> CheckConfig:
-        return CheckConfig(seed=seed, bound=self.bound, attempts=self.attempts)
 
 
 def random_power_ideal(rng: SplitMix64, config: TrialConfig) -> GradedIdeal:
@@ -67,8 +35,7 @@ def random_power_ideal(rng: SplitMix64, config: TrialConfig) -> GradedIdeal:
     raise GenericityError("could not sample a spanning set of linear forms")
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     index: int
     degrees: tuple[int, ...]
     hilbert: tuple[int, ...]
@@ -82,8 +49,7 @@ class TrialResult:
         return self.wlp_holds == self.predicted_holds and self.ranks_agree
 
 
-@dataclass(frozen=True)
-class TrialsReport:
+class TrialsReport(NamedTuple):
     config: TrialConfig
     results: tuple[TrialResult, ...]
 

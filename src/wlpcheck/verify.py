@@ -9,23 +9,22 @@ mismatch rather than a silent drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lefschetz import CheckConfig, multiplication_rank, slp_check, wlp_check
+from .config import CheckConfig
+from .lefschetz import multiplication_rank, slp_check, wlp_check
 from .specfile import CorpusEntry, corpus_names, load_corpus_entry, parse_polynomial
 from .splitting import generic_splitting_type, predict_wlp
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     passed: bool
     expected: object
     actual: object
 
 
-@dataclass(frozen=True)
-class EntryVerification:
+class EntryVerification(NamedTuple):
     entry_name: str
     outcomes: tuple[CheckOutcome, ...]
 

@@ -9,11 +9,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-from wlpcheck import GenericityError, cli
+from wlpcheck import GenericityError, cli, splitting
 
 SQUARES = "corpus:three-squares"
 QUINTICS = "corpus:mixed-quintics-and-monomials"
 NOT_ARTINIAN = '{"variables": 3, "powers": [{"form": [1, 0, 0], "power": 2}]}'
+
+
+def _python(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this checkout's package; ``env`` overrides
+    variables, and a None value unsets one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    for key, value in (env or {}).items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    return subprocess.run([sys.executable, *args], env=full, timeout=60, **kwargs)
 
 
 def run(capsys, *argv):
@@ -68,14 +82,8 @@ def test_corpus_names_outside_the_corpus_are_two(tmp_path):
     corpus = Path(cli.__file__).resolve().parent / "corpus"
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for name in ("../corpus/three-squares", os.path.relpath(tmp_path / "deep", corpus)):
-        done = subprocess.run(
-            [sys.executable, "-m", "wlpcheck.cli", "hilbert", f"corpus:{name}"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = _python("-m", "wlpcheck.cli", "hilbert", f"corpus:{name}", capture_output=True, text=True)
         assert done.returncode == 2
         assert "no such corpus entry" in done.stderr
         assert "Traceback" not in done.stderr
@@ -107,7 +115,7 @@ def test_genericity_failure_is_four(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise GenericityError("no usable form found")
 
-    monkeypatch.setattr(cli, "generic_splitting_type", explode)
+    monkeypatch.setattr(splitting, "generic_splitting_type", explode)
     code, _, err = run(capsys, "split", SQUARES)
     assert code == 4
     assert "genericity failure" in err
@@ -260,21 +268,52 @@ def test_human_table_headers(capsys):
     assert "degree  source  target  rank  kernel  cokernel  maximal" in out
 
 
-def test_small_pieces_never_import_numpy():
-    # every piece of a corpus ideal is below linalg.NUMPY_CELLS, so a CLI
-    # call on one never pays for importing numpy
-    code = (
-        "import contextlib, io, sys\n"
+def _modules_after(code: str) -> set[str]:
+    done = _python("-c", code + "\nimport sys; print(' '.join(sys.modules))", capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def _modules_after_cli(*argv: str) -> set[str]:
+    return _modules_after(
+        "import contextlib, io\n"
         "from wlpcheck import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['wlp', 'corpus:four-general-cubes', '--json']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
+
+
+def test_each_command_loads_only_what_it_uses():
+    # importing the package loads no submodule: exports resolve on first use
+    assert not {m for m in _modules_after("import wlpcheck") if m.startswith("wlpcheck.")}
+    # every piece of a corpus ideal is below linalg.NUMPY_CELLS, so a call on
+    # one never pays for numpy; no record pays for dataclasses
+    never = {"numpy", "dataclasses", "wlpcheck.splitting", "wlpcheck.binary",
+             "wlpcheck.trials", "wlpcheck.verify"}
+    loaded = _modules_after_cli("hilbert", "corpus:four-general-cubes", "--json")
+    assert not loaded & (never | {"wlpcheck.lefschetz"})
+    loaded = _modules_after_cli("wlp", "corpus:four-general-cubes", "--json")
+    assert "wlpcheck.lefschetz" in loaded
+    assert not loaded & never
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE every time
+    for argv, code, buffered in (
+        (["hilbert", SQUARES], 0, True),
+        (["wlp", "corpus:four-variable-cubes", "--json"], 1, False),
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _python(
+                "-m", "wlpcheck.cli", *argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={"PYTHONUNBUFFERED": None if buffered else "1"},
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (code, ""), argv
 
 
 # The fixed point: stdout of the seeded sweep and of verify-paper, byte for

@@ -7,6 +7,8 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import wlpcheck
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,6 +51,12 @@ def test_library_example_prints_its_commented_outputs():
 def test_every_exported_name_resolves():
     for name in wlpcheck.__all__:
         assert hasattr(wlpcheck, name), name
+    assert set(wlpcheck.__all__) <= set(dir(wlpcheck))
+    namespace: dict = {}
+    exec("from wlpcheck import *", namespace)
+    assert set(wlpcheck.__all__) <= set(namespace)
     assert set(wlpcheck.__all__) - {"__version__"} == _documented_names()
     assert "algebra" not in wlpcheck.__all__
     assert not hasattr(wlpcheck, "algebra")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wlpcheck.no_such_name
