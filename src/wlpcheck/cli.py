@@ -47,12 +47,16 @@ def _config_json(config: CheckConfig) -> dict:
 
 
 def _emit(args, payload: dict, human_lines) -> None:
+    if args.json:
+        _print_and_flush(json.dumps(payload, indent=2))
+    else:
+        _print_and_flush(*human_lines)
+
+
+def _print_and_flush(*lines: str) -> None:
     try:
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            for line in human_lines:
-                print(line)
+        for line in lines:
+            print(line)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: drop the output, keep the exit code, and point
@@ -354,7 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:
+        # help and usage text may still sit in stdout's buffer
+        _print_and_flush()
+        raise
     try:
         return args.func(args)
     except SpecFormatError as exc:

@@ -15,10 +15,19 @@ exceeds the number of rows or of columns, so a modular rank that reaches
 min(#rows, #cols) is the exact rank.  Callers in this package only use it
 that way; any smaller modular answer is recomputed exactly before it can
 influence a reported value.  It has two paths, picked by the size of the
-matrix: below ``NUMPY_CELLS`` entries an incremental echelon form in plain
-Python, which stops as soon as the rank is full, and from there on a
-column-by-column reduction over a numpy array.  Each is the faster one on
-its side of the cutoff, and numpy is imported only when a matrix reaches it.
+matrix, each the faster one on its side of the cutoff:
+
+* below ``NUMPY_CELLS`` entries, an incremental echelon form in plain
+  Python that stops as soon as the rank is full.  It reduces mod p only
+  the entry it reads as a pivot and the pivot rows it stores; a row under
+  reduction keeps its other entries unreduced, where they grow by less
+  than p^2 a step.
+* from there on, a column-by-column reduction over an int64 array.  Each
+  step scales a copy of the pivot row, lets the first unused row take its
+  place, and updates only the rows below it with a nonzero entry in the
+  pivot column, and only from that column on.
+
+numpy is imported only when a matrix reaches the cutoff.
 """
 
 from __future__ import annotations
@@ -119,14 +128,19 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:
 
 
 def _echelon_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Incremental echelon form mod p; stops once the rank is full."""
+    """Incremental echelon form mod p; stops once the rank is full.
+
+    Only the entry read as a pivot and the row stored as a pivot row are
+    reduced mod p.  The other entries of a row under reduction change by
+    a * y with 0 <= a, y < p at each of at most r steps, so they stay below
+    |x_0| + r p^2 and every test of an entry reads it mod p.
+    """
     p = FAST_PRIME
     full = min(len(rows), ncols)
     pivots: dict[int, list[int]] = {}  # pivot column -> row scaled to 1 there, zero before it
-    for row in rows:
-        v = [x % p for x in row]
+    for v in rows:
         for c in range(ncols):
-            a = v[c]
+            a = v[c] % p
             if not a:
                 continue
             echelon = pivots.get(c)
@@ -136,15 +150,22 @@ def _echelon_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
                 if len(pivots) == full:
                     return full
                 break
-            v = [(x - a * y) % p for x, y in zip(v, echelon)]
+            v = [x - a * y for x, y in zip(v, echelon)]
     return len(pivots)
 
 
 def _numpy_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Row reduction mod p over an int64 array, one column at a time."""
+    """Row reduction mod p over an int64 array, one column at a time.
+
+    Each step updates only the rows below the pivot with a nonzero entry
+    in its column, and only the columns from the pivot on.  Only the rank
+    is wanted, so the pivot row is scaled into a copy and then dropped:
+    the first row not yet used takes its place.
+    """
     import numpy as np  # only pieces above NUMPY_CELLS pay for the import
 
-    a = np.array([[x % FAST_PRIME for x in row] for row in rows], dtype=np.int64)
+    p = FAST_PRIME
+    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     nrows = a.shape[0]
     r = 0
     for c in range(ncols):
@@ -154,15 +175,12 @@ def _numpy_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
         if nz.size == 0:
             continue
         i = r + int(nz[0])
+        pivot = a[i, c:] * pow(int(a[i, c]), -1, p) % p
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), FAST_PRIME - 2, FAST_PRIME)
-        a[r] = (a[r] * inv) % FAST_PRIME
-        below = a[r + 1:]
-        if below.size:
-            factors = below[:, c]
-            mask = factors != 0
-            if mask.any():
-                below[mask] = (below[mask] - factors[mask, None] * a[r]) % FAST_PRIME
+            # rows from r on are zero before column c, and row r is zero in it
+            a[i, c:] = a[r, c:]
+        if nz.size > 1:
+            below = r + nz[1:]
+            a[below, c:] = (a[below, c:] - a[below, c, None] * pivot) % p
         r += 1
     return r

@@ -12,10 +12,10 @@ the rank is read.  Ranks go through a modular fast path first; a rank
 modulo the working prime that reaches the number of rows or of columns is
 already a certificate, anything less is recomputed exactly, so every
 number that leaves this module is exact.  Both read the same integer rows,
-built once per piece.  Rows are built from monomial codes: in degree m an
-exponent vector u is the integer sum_i u_i (m + 1)^i, and a monomial
-multiple adds one code to another, with no carry since no exponent
-exceeds m.
+built once per piece.  Rows are built from monomial codes: an exponent
+vector u is the integer sum_i u_i w_i for mixed-radix weights w, and a
+monomial multiple adds one code to another, with no carry since each radix
+is above every exponent a product of two standard monomials can reach.
 
 Every question about the quotient is answered by dimensions of pieces.
 Membership is one: f of degree d lies in the ideal exactly when the
@@ -35,22 +35,30 @@ multiplication by g onto multiplication by the rewritten g, so Hilbert
 functions, ranks of multiplication maps and ideal membership are the same
 in both coordinate systems.  Callers only ever see original coordinates.
 
-Every generator is rewritten by one rule, in integers.  It is read as a
-sum of products of linear forms, each pushed through the change of
-coordinates: a power (form, k) is k copies of its form, and a term c x^u
-is c times u_i copies of x_i for each i.  Each product is multiplied out
-one factor at a time and projected onto the standard monomials after
-every factor, by the exponent bounds alone.  The nonstandard monomials
-span an ideal, so a monomial dropped early could only have yielded
-nonstandard monomials later.  A chosen power becomes y_i^{a_i}, which is
-not standard, so it drops out.  Nothing is ever expanded in the original
-coordinates.
+Every generator is rewritten in integers and projected onto the standard
+monomials.  A power (form, k) pushes its form through the change of
+coordinates and expands the k-th power by the multinomial theorem, over
+the degree-k standard monomials supported on the pushed form alone.  A
+chosen power becomes y_i^{a_i}: no standard monomial is supported on y_i
+in degree a_i, so it drops out without a product.  A polynomial is read
+as a sum of products of linear forms, a term c x^u as c times u_i copies
+of x_i for each i, each pushed through the change of coordinates.  Each
+product is multiplied out one factor at a time and projected after every
+factor, by the exponent bounds alone.  The nonstandard monomials span an
+ideal, so a monomial dropped early could only have yielded nonstandard
+monomials later.  Nothing is ever expanded in the original coordinates.
+
+The standard monomials of a degree, their codes and their column indices
+form a table that depends on the number of variables, the exponent bounds
+and the degree alone.  One table serves every algebra with those bounds
+(an ideal's algebra and each I + (l) it adjoins share most of them), and
+at most ``STANDARD_TABLES`` are kept, least recently used dropped first.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -62,23 +70,66 @@ from .poly import Exponents, GradedPoly, LinearForm, basis_size, exponent_vector
 IntTerms = tuple[tuple[Exponents, int], ...]
 # a generator given as a polynomial, or as a power (form, k) of a linear form
 Generator = GradedPoly | tuple[LinearForm, int]
+# the exponent bound a_i of each normalized coordinate, None where there is none
+Bounds = tuple[int | None, ...]
+
+# How many standard-monomial tables are kept, least recently used dropped
+# first.  One key serves every algebra with the same exponent bounds.
+STANDARD_TABLES = 128
 
 
 def _codes(monomials: Iterable[Exponents], weights: Sequence[int]) -> list[int]:
-    """The integer code sum_i u_i w_i of each exponent vector u, for w_i = radix^i."""
+    """The integer code sum_i u_i w_i of each exponent vector u."""
     return [sum(map(mul, u, weights)) for u in monomials]
+
+
+def _weights(bounds: Bounds, degree: int) -> tuple[int, ...]:
+    """Mixed-radix weights for products landing in ``degree``.
+
+    A product of two standard monomials has u_i <= 2 a_i - 2 in a bounded
+    coordinate and u_i <= degree in any other, so digit i in radix 2 a_i - 1,
+    or degree + 1, never carries.  The top digit needs no radix, so when
+    only the last coordinate is unbounded the weights do not depend on the
+    degree.
+    """
+    weights = []
+    w = 1
+    for a in bounds:
+        weights.append(w)
+        w *= degree + 1 if a is None else 2 * a - 1
+    return tuple(weights)
+
+
+class StandardTable(NamedTuple):
+    """The standard monomials of one degree: exponent vectors in graded-lex
+    (column) order, their codes under ``weights`` and each code's column.
+    Tables are shared, so ``columns`` is only ever read."""
+
+    exponents: tuple[Exponents, ...]
+    weights: tuple[int, ...]
+    codes: tuple[int, ...]
+    columns: dict[int, int]
+
+
+@lru_cache(maxsize=STANDARD_TABLES)
+def standard_table(num_vars: int, bounds: Bounds, degree: int) -> StandardTable:
+    """The degree-``degree`` monomials with u_i < bounds[i] wherever a bound is set."""
+    exponents = tuple(exponent_vectors(num_vars, degree, bounds))
+    weights = _weights(bounds, degree)
+    codes = tuple(_codes(exponents, weights))
+    return StandardTable(exponents, weights, codes, {code: j for j, code in enumerate(codes)})
 
 
 def shifted_rows(terms: Sequence[tuple[int, int]], shifts: Iterable[int], target: dict[int, int]) -> list[list[int]]:
     """Rows for monomial multiples: one row per shift monomial.
 
-    Monomials are integer codes in one radix above every exponent, so the
-    code of a product of monomials is the sum of their codes.  ``terms``
-    lists the (code, coefficient) pairs of a polynomial; the row for shift
-    s is the coefficient vector of s * poly over the monomials indexed by
-    ``target``.  Products missing from ``target`` are dropped, which
-    projects onto the standard monomials, and a row is dropped when all of
-    its products are.
+    Monomials are integer codes in a mixed radix above every exponent a
+    product can reach, so the code of a product is the sum of the codes.
+    ``terms`` lists the (code, coefficient) pairs of a polynomial; the row
+    for shift s is the coefficient vector of s * poly over the monomials
+    indexed by ``target``.  Products missing from ``target`` are dropped,
+    which projects onto the standard monomials, and a row is dropped when
+    all of its products are.
     """
     width = len(target)
     get = target.get
@@ -208,7 +259,6 @@ class QuotientAlgebra:
         self._substitution = [
             [(k, -r * (scale // t[-1])) for k, r in enumerate(t[:-1]) if r] for t in tails
         ]
-        self._standard_cache: dict[int, list[Exponents]] = {}
         # (degree, exponent vectors, integer coefficients)
         self._others: list[tuple[int, list[Exponents], list[int]]] = []
         for degree, g in zip(self._degrees, gens):
@@ -218,38 +268,49 @@ class QuotientAlgebra:
 
     # -- normalized coordinates ------------------------------------------
 
-    def _standard(self, m: int) -> list[Exponents]:
-        """The standard monomials of degree m, in graded-lex (column) order."""
-        got = self._standard_cache.get(m)
-        if got is None:
-            got = self._standard_cache[m] = list(exponent_vectors(self.num_vars, m, self._bounds))
-        return got
+    def _standard(self, m: int) -> StandardTable:
+        """The standard monomials of degree m, from the shared table."""
+        return standard_table(self.num_vars, self._bounds, m)
 
     def _rewrite(self, g: Generator) -> IntTerms:
         """Primitive integer multiple of g in normalized coordinates, projected.
 
-        g is read as a sum of products of linear forms in y: a power
-        (form, k) is k copies of its form pushed through B, and a term
-        c x^u is c times u_i copies of row i of B.
+        A power (form, k) pushes its form through B and expands the k-th
+        power by the multinomial theorem over the degree-k standard
+        monomials supported on the pushed form.  A polynomial is read as a
+        sum of products of linear forms in y: a term c x^u is c times u_i
+        copies of row i of B.
         """
         sub = self._substitution
+        acc: dict[Exponents, int] = {}
         if isinstance(g, tuple):
             form, k = g
             pushed = [0] * self.num_vars
             for c, row in zip(clear_row_to_int(form.coeffs), sub):
                 for j, b in row:
                     pushed[j] += c * b
-            products = [(1, [[(j, b) for j, b in enumerate(pushed) if b]] * k)]
+            # the standard monomials in the pushed form's support, as a table
+            # in those coordinates alone; a chosen power finds it empty
+            support = [j for j, b in enumerate(pushed) if b]
+            table = standard_table(len(support), tuple(self._bounds[j] for j in support), k)
+            if table.exponents:
+                top = factorial(k)
+                factorials = [factorial(e) for e in range(k + 1)]
+                powers = [[pushed[j] ** e for e in range(k + 1)] for j in support]
+                for v in table.exponents:
+                    c = top // prod(map(factorials.__getitem__, v)) * prod(map(list.__getitem__, powers, v))
+                    if len(v) < self.num_vars:
+                        u = [0] * self.num_vars
+                        for j, e in zip(support, v):
+                            u[j] = e
+                        v = tuple(u)
+                    acc[v] = c
         else:
             terms = g.terms()
-            products = [
-                (c, [row for row, e in zip(sub, u) for _ in range(e)])
-                for (u, _), c in zip(terms, clear_row_to_int([c for _, c in terms]))
-            ]
-        acc: dict[Exponents, int] = {}
-        for c, forms in products:
-            for w, b in self._projected_product(forms).items():
-                acc[w] = acc.get(w, 0) + c * b
+            for (u, _), c in zip(terms, clear_row_to_int([c for _, c in terms])):
+                forms = [row for row, e in zip(sub, u) for _ in range(e)]
+                for w, b in self._projected_product(forms).items():
+                    acc[w] = acc.get(w, 0) + c * b
         content = gcd(*acc.values())
         return tuple((w, c // content) for w, c in acc.items() if c)
 
@@ -275,16 +336,19 @@ class QuotientAlgebra:
     def spanning_rows(self, m: int) -> list[list[int]]:
         """Integer rows spanning the degree-m ideal piece modulo its monomial part.
 
-        Monomials are coded in radix m + 1; no exponent of degree m exceeds
-        m, so the codes add without carries.
+        The target columns, their codes and the shift monomials come from
+        the shared tables; shifts are recoded only when an unbounded
+        coordinate that is not the last makes the weights depend on the degree.
         """
-        weights = [(m + 1) ** i for i in range(self.num_vars)]
-        target = {code: j for j, code in enumerate(_codes(self._standard(m), weights))}
+        table = self._standard(m)
+        weights = table.weights
         rows: list[list[int]] = []
         for degree, exps, coeffs in self._others:
             if degree <= m:
                 terms = list(zip(_codes(exps, weights), coeffs))
-                rows.extend(shifted_rows(terms, _codes(self._standard(m - degree), weights), target))
+                shifts = self._standard(m - degree)
+                codes = shifts.codes if shifts.weights == weights else _codes(shifts.exponents, weights)
+                rows.extend(shifted_rows(terms, codes, table.columns))
         return rows
 
     def adjoined(self, g: Generator) -> "QuotientAlgebra":
@@ -310,7 +374,7 @@ class QuotientAlgebra:
 
     def _compute_piece(self, m: int) -> DegreePiece:
         ambient = basis_size(self.num_vars, m)
-        ncols = len(self._standard(m))
+        ncols = len(self._standard(m).exponents)
         rows = self.spanning_rows(m)
         rank = rank_mod_prime(rows, ncols) if rows else 0
         if rank < min(len(rows), ncols):

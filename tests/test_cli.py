@@ -303,6 +303,7 @@ def test_closed_stdout_keeps_the_exit_code():
     for argv, code, buffered in (
         (["hilbert", SQUARES], 0, True),
         (["wlp", "corpus:four-variable-cubes", "--json"], 1, False),
+        (["--help"], 0, True),
     ):
         read_end, write_end = os.pipe()
         os.close(read_end)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import islice
 
 import pytest
@@ -27,6 +28,7 @@ from wlpcheck import (
 from wlpcheck.lefschetz import distinct_forms, multiplication_rank
 from wlpcheck.poly import GradedPoly, expand_power
 from wlpcheck.rng import stream
+from wlpcheck.trials import TrialConfig, random_power_ideal
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 FOUR_CUBES = powers_ideal(
@@ -328,3 +330,27 @@ def test_complete_intersections_of_general_powers_have_the_slp():
         report = slp_check(ideal)
         assert report.holds, report.failures
         assert {r.power for r in report.records} == set(range(1, sum(exponents) - num_vars + 1))
+
+
+# The four-variable fixed point: the rank tables of wlp_check on the first
+# 20 ideals of five general quartics, drawn as the ``fourvar`` benchmark
+# draws them, and of slp_check on the first one.  Its powers l^k with k > 4
+# are adjoined as powers that pick no coordinate, so they are rewritten,
+# not counted.  A change that moves the digest changes reported ranks and
+# must say why.
+FOUR_VARIABLE_TABLES = "3c51b34b7f3d3ddf085c580f6169f0be65adb9020f4b170bca13ee1400413a64"
+
+
+def test_four_variable_rank_tables_are_unchanged():
+    config = TrialConfig(num_vars=4, min_degree=4, max_degree=4, min_generators=5, max_generators=5)
+    reports = []
+    for i in range(20):
+        draws = stream(1, i)
+        ideal = random_power_ideal(draws, config)
+        check = config.check_config(seed=draws.next_uint64())
+        reports.append(wlp_check(ideal, check))
+        if i == 0:
+            reports.append(slp_check(ideal, check))
+    assert max(r.power for r in reports[1].records) > 4
+    tables = [[(r.power, r.degree, r.source_dim, r.target_dim, r.rank) for r in rep.records] for rep in reports]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == FOUR_VARIABLE_TABLES

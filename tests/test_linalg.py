@@ -113,12 +113,20 @@ def sized_matrix(draw, min_cells, max_cells):
 
     Half of the draws are products A B through an inner dimension k below
     both sides, so their rank is at most k: rank-deficient on purpose.
+    Entries are small or reach about 2^200, far above the prime, as the
+    rewritten generators' coefficients do, so the lazy reduction mod p is
+    exercised.
     """
     nrows = draw(st.integers(min_value=1, max_value=40))
     ncols = draw(st.integers(min_value=max(1, -(-min_cells // nrows)), max_value=max_cells // nrows))
-    entries = st.integers(min_value=-9, max_value=9)
+    big = draw(st.booleans())
     if not draw(st.booleans()):
+        bound = 2**200 if big else 9
+        entries = st.integers(min_value=-bound, max_value=bound)
         return [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    # an entry of the product is a sum of products of two factors
+    bound = 2**100 if big else 9
+    entries = st.integers(min_value=-bound, max_value=bound)
     k = draw(st.integers(min_value=0, max_value=min(nrows, ncols) - 1))
     a = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(nrows)]
     b = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(k)]

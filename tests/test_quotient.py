@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expanded, powers_ideal, seeded_power_ideal
+from conftest import expanded, powers_ideal, seeded_forms, seeded_power_ideal
 from oracles import (
     dict_from_graded,
     monomials,
@@ -21,10 +21,11 @@ from oracles import (
 from wlpcheck import GenericityError, GradedIdeal, NotArtinianError, linear_form
 from wlpcheck.binary import power_quotient_dim
 from wlpcheck.linalg import FAST_PRIME, IntRowBasis, rank_mod_prime
-from wlpcheck.poly import GradedPoly, basis_size, expand_power
+from wlpcheck.poly import GradedPoly, basis_size, expand_power, exponent_vectors
 from wlpcheck import quotient
 from wlpcheck.quotient import QuotientAlgebra
 from wlpcheck.splitting import _restrict_generators
+from wlpcheck.trials import TrialConfig, run_random_trials
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 
@@ -380,3 +381,68 @@ def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
     assert QuotientAlgebra(ideal).hilbert_function() == expected
     assert built == list(range(len(expected) + 1))
+
+
+# -- rewriting and the shared standard-monomial tables ----------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=5),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=5, max_size=7),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=6),
+)
+def test_a_power_rewrites_as_its_expansion(num_vars, degrees, salt, k):
+    # the multinomial expansion of (form, k) against the product rule on the
+    # expanded polynomial: the chosen powers (which drop out), the others,
+    # new exponents, a form supported on two coordinates, a fractional form
+    # and forms outside the ideal
+    ideal = seeded_power_ideal(degrees, salt, num_vars=num_vars)
+    alg = ideal.algebra
+    forms = [form for form, _ in ideal.generators]
+    first, second = forms[0].coeffs, forms[1].coeffs
+    probes = list(ideal.generators) + [(form, k) for form in forms]
+    probes += [
+        (linear_form([a - 2 * b for a, b in zip(first, second)]), k),
+        (linear_form([a / 3 for a in first]), k),
+    ]
+    probes += [(form, k) for form in seeded_forms(num_vars, 2, salt, 1)]
+    for g in probes:
+        assert dict(alg._rewrite(g)) == dict(alg._rewrite(expand_power(*g))), g
+
+
+@pytest.mark.parametrize("num_vars, bounds", [
+    (4, (4, 4, 4, 4)),
+    (4, (1, 4, 4, 4)),
+    (3, (2, 3, None)),
+    (3, (2, None, None)),
+    (2, (None, None)),
+])
+def test_the_shared_tables_list_the_standard_monomials_in_column_order(num_vars, bounds):
+    def code(u, weights):
+        return sum(a * w for a, w in zip(u, weights))
+
+    tables = [quotient.standard_table(num_vars, bounds, m) for m in range(9)]
+    for m, table in enumerate(tables):
+        assert table.exponents == tuple(exponent_vectors(num_vars, m, bounds))
+        assert table.codes == tuple(code(u, table.weights) for u in table.exponents)
+        assert table.columns == {c: j for j, c in enumerate(table.codes)}
+        assert len(table.columns) == len(table.exponents)
+        # under the weights of degree m, a product of standard monomials
+        # lands on a column exactly when it is standard, and on its own
+        for d in range(m + 1):
+            for s in tables[m - d].exponents:
+                for u in tables[d].exponents:
+                    product = tuple(a + b for a, b in zip(s, u))
+                    j = table.columns.get(code(s, table.weights) + code(u, table.weights))
+                    assert j == (table.exponents.index(product) if product in table.exponents else None)
+
+
+def test_the_shared_tables_stay_within_their_bound():
+    quotient.standard_table.cache_clear()
+    run_random_trials(TrialConfig(count=10, seed=5))
+    info = quotient.standard_table.cache_info()
+    assert info.maxsize == quotient.STANDARD_TABLES
+    assert info.misses > info.maxsize  # the sweep asked for more tables than are kept
+    assert info.currsize == info.maxsize
