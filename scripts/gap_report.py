@@ -99,6 +99,8 @@ def main() -> None:
         config = CheckConfig(seed=args.seed, bound=args.bound, attempts=args.attempts)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.max_degree < 2:
+        parser.error("max degree must be at least 2")
     try:
         rows = run(args.random, args.max_degree, config)
     except GenericityError as exc:

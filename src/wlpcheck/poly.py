@@ -8,12 +8,17 @@ x^2, x*y, x*z, y^2, y*z, z^2 for three variables in degree two.  Every
 operation builds a list of terms and leaves merging, dropping zeros and
 sorting to the constructor, so storage and work follow the number of terms,
 never the number of monomials of the degree.
+
+Nothing here changes coordinates or expands a power of a linear form.
+Rewriting into normalized coordinates and restriction to a hyperplane are
+both integer substitutions, done by :func:`wlpcheck.quotient.push_form`
+and :func:`wlpcheck.quotient.push_poly`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .frozen import Frozen
@@ -191,30 +196,6 @@ class GradedPoly(Frozen):
         return out
 
 
-def multinomial(degree: int, exponents: Sequence[int]) -> int:
-    out = factorial(degree)
-    for e in exponents:
-        out //= factorial(e)
-    return out
-
-
-def expand_power(form: LinearForm, degree: int) -> GradedPoly:
-    """Expand form**degree by the multinomial theorem."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if form.is_zero:
-        raise ValueError("cannot expand a power of the zero form")
-    # a variable whose coefficient is zero appears in no term
-    caps = tuple(None if c else 1 for c in form.coeffs)
-    terms = []
-    for exps in exponent_vectors(form.num_vars, degree, caps):
-        c = Q(multinomial(degree, exps))
-        for base, e in zip(form.coeffs, exps):
-            c *= base**e
-        terms.append((exps, c))
-    return GradedPoly(form.num_vars, degree, terms)
-
-
 def multiply(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     if f.num_vars != g.num_vars:
         raise ValueError("mixed variable counts")
@@ -224,63 +205,3 @@ def multiply(f: GradedPoly, g: GradedPoly) -> GradedPoly:
         for eg, cg in g.items
     ])
 
-
-def _elimination_data(ell: LinearForm) -> tuple[int, LinearForm | None]:
-    """Pick the variable to eliminate and the substituted form in the rest.
-
-    Solves ell = 0 for the variable with the largest-magnitude coefficient
-    (lowest index on ties).  Returns (index, substitution), where substitution
-    is a linear form in the remaining variables or None when it is zero.
-    """
-    if ell.is_zero:
-        raise ValueError("cannot restrict modulo the zero form")
-    k = max(range(ell.num_vars), key=lambda i: (abs(ell.coeffs[i]), -i))
-    pivot = ell.coeffs[k]
-    rest = tuple(-c / pivot for i, c in enumerate(ell.coeffs) if i != k)
-    if all(c == 0 for c in rest):
-        return k, None
-    return k, LinearForm(rest)
-
-
-def restrict_linear_form(form: LinearForm, ell: LinearForm) -> LinearForm:
-    """Image of a linear form in the quotient by ell, as a form in one fewer variable."""
-    if form.num_vars != ell.num_vars:
-        raise ValueError("mixed variable counts")
-    if form.num_vars < 2:
-        raise ValueError("need at least two variables to restrict")
-    k, sub = _elimination_data(ell)
-    reduced = tuple(c for i, c in enumerate(form.coeffs) if i != k)
-    if sub is None:
-        return LinearForm(reduced)
-    lead = form.coeffs[k]
-    return LinearForm(tuple(c + lead * s for c, s in zip(reduced, sub.coeffs)))
-
-
-def restrict_mod_linear(f: GradedPoly, ell: LinearForm) -> GradedPoly:
-    """Substitute away one variable along ell = 0; degree is preserved.
-
-    The result lives in num_vars - 1 variables (remaining variables keep
-    their relative order) and may be zero.
-    """
-    if f.num_vars != ell.num_vars:
-        raise ValueError("mixed variable counts")
-    if f.num_vars < 2:
-        raise ValueError("need at least two variables to restrict")
-    k, sub = _elimination_data(ell)
-    terms = []
-    power_cache: dict[int, GradedPoly] = {}
-    for exps, c in f.items:
-        rest = exps[:k] + exps[k + 1:]
-        ek = exps[k]
-        if ek == 0:
-            terms.append((rest, c))
-            continue
-        if sub is None:
-            continue  # the eliminated variable maps to zero
-        if ek not in power_cache:
-            power_cache[ek] = expand_power(sub, ek)
-        terms.extend(
-            (tuple(a + b for a, b in zip(rest, pexps)), c * pc)
-            for pexps, pc in power_cache[ek].items
-        )
-    return GradedPoly(f.num_vars - 1, f.degree, terms)

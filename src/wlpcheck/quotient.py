@@ -47,6 +47,9 @@ product is multiplied out one factor at a time and projected after every
 factor, by the exponent bounds alone.  The nonstandard monomials span an
 ideal, so a monomial dropped early could only have yielded nonstandard
 monomials later.  Nothing is ever expanded in the original coordinates.
+The two pushes, :func:`push_form` and :func:`push_poly`, take any integer
+substitution: with no bounds, they also cut an ideal to a hyperplane
+(:mod:`wlpcheck.splitting`).
 
 The standard monomials of a degree, their codes and their column indices
 form a table that depends on the number of variables, the exponent bounds
@@ -72,6 +75,8 @@ IntTerms = tuple[tuple[Exponents, int], ...]
 Generator = GradedPoly | tuple[LinearForm, int]
 # the exponent bound a_i of each normalized coordinate, None where there is none
 Bounds = tuple[int | None, ...]
+# a linear substitution x_i -> sum_j b_ij y_j, row i listing its (j, b_ij) pairs
+Substitution = list[list[tuple[int, int]]]
 
 # How many standard-monomial tables are kept, least recently used dropped
 # first.  One key serves every algebra with the same exponent bounds.
@@ -145,6 +150,43 @@ def shifted_rows(terms: Sequence[tuple[int, int]], shifts: Iterable[int], target
         if row is not None:
             out.append(row)
     return out
+
+
+def push_form(coeffs: Sequence[int], substitution: Substitution, num_vars: int) -> list[int]:
+    """The coefficients in y of the linear form sum_i coeffs[i] x_i."""
+    pushed = [0] * num_vars
+    for c, row in zip(coeffs, substitution):
+        for j, b in row:
+            pushed[j] += c * b
+    return pushed
+
+
+def push_poly(g: GradedPoly, substitution: Substitution, bounds: Bounds) -> dict[Exponents, int]:
+    """An integer multiple of g in y, projected onto the monomials with
+    u_j < bounds[j] wherever a bound is set.
+
+    g is read as a sum of products of linear forms in y: a term c x^u is c
+    times u_i copies of row i of the substitution.  Each product is
+    multiplied out one factor at a time and projected after every factor,
+    so raising u_j is dropped once it reaches bounds[j]; with every bound
+    None it is the plain product.
+    """
+    terms = g.terms()
+    acc: dict[Exponents, int] = {}
+    for (u, _), c in zip(terms, clear_row_to_int([c for _, c in terms])):
+        product = {(0,) * len(bounds): 1}
+        for row in (row for row, e in zip(substitution, u) for _ in range(e)):
+            step: dict[Exponents, int] = {}
+            for v, a in product.items():
+                for j, b in row:
+                    top = bounds[j]
+                    if top is None or v[j] + 1 < top:
+                        w = v[:j] + (v[j] + 1,) + v[j + 1:]
+                        step[w] = step.get(w, 0) + a * b
+            product = step
+        for w, a in product.items():
+            acc[w] = acc.get(w, 0) + c * a
+    return acc
 
 
 class GradedIdeal(Frozen):
@@ -277,22 +319,17 @@ class QuotientAlgebra:
 
         A power (form, k) pushes its form through B and expands the k-th
         power by the multinomial theorem over the degree-k standard
-        monomials supported on the pushed form.  A polynomial is read as a
-        sum of products of linear forms in y: a term c x^u is c times u_i
-        copies of row i of B.
+        monomials supported on the pushed form.  A polynomial goes through
+        :func:`push_poly`.
         """
-        sub = self._substitution
-        acc: dict[Exponents, int] = {}
         if isinstance(g, tuple):
             form, k = g
-            pushed = [0] * self.num_vars
-            for c, row in zip(clear_row_to_int(form.coeffs), sub):
-                for j, b in row:
-                    pushed[j] += c * b
+            pushed = push_form(clear_row_to_int(form.coeffs), self._substitution, self.num_vars)
             # the standard monomials in the pushed form's support, as a table
             # in those coordinates alone; a chosen power finds it empty
             support = [j for j, b in enumerate(pushed) if b]
             table = standard_table(len(support), tuple(self._bounds[j] for j in support), k)
+            acc: dict[Exponents, int] = {}
             if table.exponents:
                 top = factorial(k)
                 factorials = [factorial(e) for e in range(k + 1)]
@@ -306,30 +343,9 @@ class QuotientAlgebra:
                         v = tuple(u)
                     acc[v] = c
         else:
-            terms = g.terms()
-            for (u, _), c in zip(terms, clear_row_to_int([c for _, c in terms])):
-                forms = [row for row, e in zip(sub, u) for _ in range(e)]
-                for w, b in self._projected_product(forms).items():
-                    acc[w] = acc.get(w, 0) + c * b
+            acc = push_poly(g, self._substitution, self._bounds)
         content = gcd(*acc.values())
         return tuple((w, c // content) for w, c in acc.items() if c)
-
-    def _projected_product(self, forms: list[list[tuple[int, int]]]) -> dict[Exponents, int]:
-        """Product of linear forms in y, each listed as (j, coefficient) pairs,
-        projected onto the standard monomials after every factor: raising
-        u_j is dropped once it reaches the bound a_j of a bounded coordinate."""
-        bounds = self._bounds
-        acc = {(0,) * self.num_vars: 1}
-        for form in forms:
-            step: dict[Exponents, int] = {}
-            for v, c in acc.items():
-                for j, b in form:
-                    a = bounds[j]
-                    if a is None or v[j] + 1 < a:
-                        w = v[:j] + (v[j] + 1,) + v[j + 1:]
-                        step[w] = step.get(w, 0) + c * b
-            acc = step
-        return acc
 
     # -- graded pieces -------------------------------------------------
 

@@ -39,8 +39,9 @@ from .binary import binary_power_resolution, syzygy_shifts_from_hilbert
 from .config import CheckConfig
 from .errors import GenericityError, HilbertDataError
 from .lefschetz import distinct_forms
-from .poly import LinearForm, basis_size, restrict_linear_form, restrict_mod_linear
-from .quotient import Generator, GradedIdeal
+from .linalg import clear_row_to_int
+from .poly import GradedPoly, LinearForm, basis_size
+from .quotient import Generator, GradedIdeal, push_form, push_poly
 from .rng import SplitMix64
 
 
@@ -99,21 +100,35 @@ def predicted_splitting_type(exponents: Sequence[int]) -> SplittingType:
 def _restrict_generators(ideal: GradedIdeal, ell: LinearForm) -> GradedIdeal:
     """The ideal of the generators that survive on the line ell = 0.
 
-    A power (form, k) is cut through its form and stays a power.
+    Restriction is one more integer substitution.  With c the form ell
+    cleared to integers and c_k its first nonzero entry, x_k goes to
+    -sum_{i != k} c_i y_i and every other x_i to c_k y_i, the y_i being the
+    other variables in order.  That is c_k times solving ell = 0 for x_k,
+    so a degree-d generator only picks up the factor c_k^d and the ideal
+    is the same.  A power (form, k) stays a power of its pushed form.
     """
+    if ell.num_vars != ideal.num_vars or ell.is_zero:
+        raise ValueError("restriction needs a nonzero form in the ideal's variables")
+    c = clear_row_to_int(ell.coeffs)
+    k = next(i for i, ci in enumerate(c) if ci)
+    rest = c[:k] + c[k + 1:]
+    n = len(rest)
+    substitution = [[(j, c[k])] for j in range(n)]
+    substitution.insert(k, [(j, -ci) for j, ci in enumerate(rest) if ci])
     survivors: list[Generator] = []
     for g in ideal.generators:
         if isinstance(g, tuple):
-            cut = restrict_linear_form(g[0], ell)
-            survivor = (cut, g[1])
+            pushed = push_form(clear_row_to_int(g[0].coeffs), substitution, n)
+            if any(pushed):
+                survivors.append((LinearForm(pushed), g[1]))
         else:
-            cut = survivor = restrict_mod_linear(g, ell)
-        if not cut.is_zero:
-            survivors.append(survivor)
+            cut = GradedPoly(n, g.degree, push_poly(g, substitution, (None,) * n).items())
+            if not cut.is_zero:
+                survivors.append(cut)
     if len(survivors) < 2:
         # an Artinian ideal always keeps two generators alive on any line
         raise GenericityError("fewer than two generators survive the restriction")
-    return GradedIdeal(ideal.num_vars - 1, tuple(survivors))
+    return GradedIdeal(n, tuple(survivors))
 
 
 def _splitting_at(ideal: GradedIdeal, ell: LinearForm) -> tuple[SplittingType, tuple[int, ...]]:
@@ -123,6 +138,9 @@ def _splitting_at(ideal: GradedIdeal, ell: LinearForm) -> tuple[SplittingType, t
     vanishes on the line is a zero entry of the generating tuple, which
     adds one free relation in exactly its own degree.
     """
+    if ideal.num_vars != 3:
+        raise ValueError("splitting data is defined for three variables")
+    ideal.algebra.hilbert_function()  # Artinian or bust
     rhf = _restrict_generators(ideal, ell).algebra.hilbert_function()
 
     def ideal_dim(m: int) -> int:
@@ -139,31 +157,30 @@ def splitting_type_at(ideal: GradedIdeal, ell: LinearForm) -> SplittingType:
     Valid for any nonzero form, generic or not: generators vanishing on the
     line each split off a twist equal to their own degree.
     """
-    if ideal.num_vars != 3:
-        raise ValueError("splitting data is defined for three variables")
-    ideal.algebra.hilbert_function()  # Artinian or bust
     return _splitting_at(ideal, ell)[0]
 
 
 def generic_splitting_type(
     ideal: GradedIdeal, config: CheckConfig | None = None
 ) -> tuple[SplittingType, LinearForm]:
-    """Sample forms until two independent ones agree on the splitting type.
+    """Splitting type on the line of the most general of max(attempts, 2) sampled forms.
 
-    Agreement of two samples is the acceptance rule; running out of
-    attempts, or of distinct forms, without agreement raises GenericityError.
+    dim (R/(I, l))_m is upper semicontinuous in l: a general form attains
+    the least value in every degree m at once.  So the first sample whose
+    restricted Hilbert function, padded with zeros, is pointwise at most
+    every other sample's is accepted, and its splitting type and form are
+    returned.  If no sample is that small, GenericityError is raised.
     """
     config = config or CheckConfig()
     forms = distinct_forms(SplitMix64(config.seed), ideal.num_vars, config.bound)
-    seen: list[tuple[SplittingType, LinearForm]] = []
-    for form in islice(forms, max(config.attempts, 2)):
-        stype = splitting_type_at(ideal, form)
-        for earlier, witness in seen:
-            if earlier == stype:
-                return stype, witness
-        seen.append((stype, form))
+    samples = [(form, *_splitting_at(ideal, form)) for form in islice(forms, max(config.attempts, 2))]
+    width = max(len(rhf) for _, _, rhf in samples)
+    padded = [rhf + (0,) * (width - len(rhf)) for _, _, rhf in samples]
+    for (form, stype, _), low in zip(samples, padded):
+        if all(a <= b for other in padded for a, b in zip(low, other)):
+            return stype, form
     raise GenericityError(
-        f"no two of {len(seen)} sampled forms agreed on a splitting type"
+        f"none of {len(samples)} sampled forms has a restricted Hilbert function at most every other's"
     )
 
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from itertools import islice
 
+from oracles import dict_linear, dict_pow
 from wlpcheck import GradedIdeal, linear_form
 from wlpcheck.lefschetz import distinct_forms
-from wlpcheck.poly import expand_power
+from wlpcheck.poly import GradedPoly
 from wlpcheck.rng import stream
 
 
@@ -15,6 +16,11 @@ def powers_ideal(*pairs):
     return GradedIdeal.from_powers(
         (linear_form(coeffs), power) for coeffs, power in pairs
     )
+
+
+def expand_power(form, k):
+    """form**k multiplied out by the dict oracle, as a GradedPoly."""
+    return GradedPoly(form.num_vars, k, dict_pow(dict_linear(form.coeffs), k).items())
 
 
 def expanded(ideal):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from conftest import expanded, powers_ideal, seeded_forms, seeded_power_ideal
+from conftest import expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal
 from oracles import dict_from_graded, naive_hilbert
 from wlpcheck import (
     GradedIdeal,
@@ -28,7 +28,7 @@ from wlpcheck.binary import (
     syzygy_shifts_from_hilbert,
 )
 from wlpcheck.lefschetz import multiplication_rank
-from wlpcheck.poly import GradedPoly, expand_power
+from wlpcheck.poly import GradedPoly
 from wlpcheck.quotient import QuotientAlgebra
 from wlpcheck.splitting import restriction_h1, syzygy_h2
 from wlpcheck.trials import TrialConfig

@@ -317,21 +317,39 @@ def test_closed_stdout_keeps_the_exit_code():
         assert (done.returncode, done.stderr) == (code, ""), argv
 
 
-# The fixed point: stdout of the seeded sweep and of verify-paper, byte for
-# byte.  Regenerate a digest with
+# The fixed point: exit code and stdout of the seeded sweep, of verify-paper
+# and of split and predict on two corpus entries, byte for byte.  Regenerate
+# a digest with, for example,
 #   PYTHONPATH=src python -m wlpcheck.cli random-trials --json --count 100 | sha256sum
-#   PYTHONPATH=src python -m wlpcheck.cli verify-paper --json | sha256sum
+#   PYTHONPATH=src python -m wlpcheck.cli predict corpus:four-general-cubes --json | sha256sum
 # A change that moves a digest changes reported behaviour and must say why.
 FIXED_POINT = {
     ("random-trials", "--json", "--count", "100"):
-        "be592461cdc0d412ed166cfd2f7b33c641d18024dffd8cd19e70a06bcd372062",
+        (0, "be592461cdc0d412ed166cfd2f7b33c641d18024dffd8cd19e70a06bcd372062"),
     ("verify-paper", "--json"):
-        "dfa9e59d33e2b14e574fd3549bf64ab9b352da8fb5ab5ec8c968b6defc3ae80b",
+        (0, "dfa9e59d33e2b14e574fd3549bf64ab9b352da8fb5ab5ec8c968b6defc3ae80b"),
+    # the only corpus entry whose polynomial generators are restricted
+    ("split", QUINTICS, "--json"):
+        (0, "d895548c24c90c225ff22da8314d9f1dbaa7060365f69271a7d3e15c80c39ec0"),
+    ("predict", QUINTICS, "--json"):
+        (1, "12abfa3c17cc753dc44fb53a8e3bb90e9c71eba4844854a32457ba0a04d24423"),
+    ("split", "corpus:four-general-cubes", "--json"):
+        (0, "b689ced3641915f92ecb9ae08e8b3abc85d933e57b1897030e27cf8660265007"),
+    ("predict", "corpus:four-general-cubes", "--json"):
+        (0, "eb3f7c0221eb8d541762714584fe00aac173dc9bb6e28f70e9817261dd6b86d1"),
 }
 
 
 def test_fixed_point_outputs_are_unchanged(capsys):
-    for argv, digest in FIXED_POINT.items():
+    for argv, (exit_code, digest) in FIXED_POINT.items():
         code, out, _ = run(capsys, *argv)
-        assert code == 0
+        assert code == exit_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_split_reads_the_least_restricted_hilbert_function(capsys):
+    # at this seed the first two sampled lines are special and agree on
+    # [3, 4, 5]; the later, general ones restrict to a smaller algebra
+    code, payload, _ = run_json(capsys, "split", "corpus:four-general-cubes", "--seed", "1062785886")
+    assert code == 0
+    assert payload["splitting"]["shifts"] == [4, 4, 4]

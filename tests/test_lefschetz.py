@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expanded, powers_ideal, seeded_forms, seeded_power_ideal
+from conftest import expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal
 from oracles import (
     dict_from_graded,
     frac_rank,
@@ -26,7 +26,7 @@ from wlpcheck import (
     wlp_check,
 )
 from wlpcheck.lefschetz import distinct_forms, multiplication_rank
-from wlpcheck.poly import GradedPoly, expand_power
+from wlpcheck.poly import GradedPoly
 from wlpcheck.rng import stream
 from wlpcheck.trials import TrialConfig, random_power_ideal
 

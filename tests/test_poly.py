@@ -1,4 +1,8 @@
-"""Polynomial layer: bases, arithmetic, powers, and hyperplane restriction."""
+"""Polynomial layer: bases, arithmetic and rendering, against the dict oracle.
+
+Powers of linear forms are multiplied out only by the oracle (``conftest.expand_power``);
+restriction to a hyperplane is tested with the splitting code.
+"""
 
 from __future__ import annotations
 
@@ -9,18 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dict_from_graded, dict_linear, dict_mul, dict_pow
+from conftest import expand_power
+from oracles import dict_from_graded, dict_mul
 from wlpcheck.poly import (
     GradedPoly,
     LinearForm,
     basis_size,
-    expand_power,
     exponent_vectors,
     linear_form,
-    multinomial,
     multiply,
-    restrict_linear_form,
-    restrict_mod_linear,
     variable_names,
 )
 
@@ -118,10 +119,12 @@ def test_zero_form_rejected_in_ideal_context():
     )
 )
 def test_expand_power_matches_repeated_multiplication(args):
+    # the oracle's expansion of form**k against k - 1 package products
     form, k = args
-    expanded = expand_power(form, k)
-    assert expanded.degree == k
-    assert dict_from_graded(expanded) == dict_pow(dict_linear(form.coeffs), k)
+    product = form.as_poly()
+    for _ in range(k - 1):
+        product = product * form.as_poly()
+    assert expand_power(form, k) == product
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,88 +155,9 @@ def test_additive_group_laws(f):
     assert f.scale(Fraction(3, 2)).scale(Fraction(2, 3)) == f
 
 
-def test_multinomial_values():
-    assert multinomial(3, (3, 0)) == 1
-    assert multinomial(3, (2, 1)) == 3
-    assert multinomial(4, (2, 1, 1)) == 12
-    assert multinomial(2, (1, 1)) == 2
-
-
 def test_incompatible_operands_rejected():
     f = GradedPoly.monomial(2, (1, 0))
     g = GradedPoly.monomial(3, (1, 0, 0))
     with pytest.raises(ValueError):
         _ = f + g
 
-
-# -- restriction to a hyperplane ----------------------------------------------
-
-
-def _solve_on_hyperplane(ell, reduced_point):
-    """Lift a point of the hyperplane chart back to the ambient space."""
-    k = max(range(ell.num_vars), key=lambda i: (abs(ell.coeffs[i]), -i))
-    point = list(reduced_point)
-    others = point[:k] + [None] + point[k:]
-    value = -sum(
-        c * v for i, (c, v) in enumerate(zip(ell.coeffs, others)) if i != k
-    ) / ell.coeffs[k]
-    others[k] = value
-    return others
-
-
-def _evaluate(poly, point):
-    total = Fraction(0)
-    for exps, c in poly.terms():
-        term = c
-        for e, v in zip(exps, point):
-            term *= Fraction(v) ** e
-        total += term
-    return total
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=3).flatmap(
-        lambda n: st.tuples(
-            st.integers(min_value=1, max_value=3).flatmap(lambda d: graded_polys(n, d)),
-            linear_forms(n),
-            st.lists(coeff, min_size=n - 1, max_size=n - 1),
-        )
-    )
-)
-def test_restriction_agrees_on_the_hyperplane(args):
-    f, ell, reduced_point = args
-    restricted = restrict_mod_linear(f, ell)
-    assert restricted.num_vars == f.num_vars - 1
-    assert restricted.degree == f.degree
-    ambient_point = _solve_on_hyperplane(ell, reduced_point)
-    assert _evaluate(restricted, [Fraction(v) for v in reduced_point]) == _evaluate(
-        f, ambient_point
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=3).flatmap(
-        lambda n: st.tuples(linear_forms(n), linear_forms(n), st.lists(coeff, min_size=n - 1, max_size=n - 1))
-    )
-)
-def test_linear_restriction_is_the_degree_one_case(args):
-    form, ell, reduced_point = args
-    restricted = restrict_linear_form(form, ell)
-    via_poly = restrict_mod_linear(form.as_poly(), ell)
-    assert restricted.as_poly() == via_poly
-
-
-def test_restriction_kills_the_modulus():
-    ell = linear_form([1, 2, 3])
-    assert restrict_mod_linear(ell.as_poly(), ell).is_zero
-    assert restrict_linear_form(ell, ell).is_zero
-
-
-def test_restriction_eliminates_largest_coefficient():
-    # the eliminated variable is the one with the largest |coefficient|,
-    # first such on ties, so x + 5y restricts x -> x (y eliminated)
-    f = GradedPoly.monomial(2, (1, 0))
-    restricted = restrict_mod_linear(f, linear_form([1, 5]))
-    assert restricted == GradedPoly.monomial(1, (1,))

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expanded, powers_ideal, seeded_forms, seeded_power_ideal
+from conftest import expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal
 from oracles import (
     dict_from_graded,
+    dict_linear,
     monomials,
     naive_hilbert,
     naive_ideal_dim,
@@ -21,7 +22,7 @@ from oracles import (
 from wlpcheck import GenericityError, GradedIdeal, NotArtinianError, linear_form
 from wlpcheck.binary import power_quotient_dim
 from wlpcheck.linalg import FAST_PRIME, IntRowBasis, rank_mod_prime
-from wlpcheck.poly import GradedPoly, basis_size, expand_power, exponent_vectors
+from wlpcheck.poly import GradedPoly, basis_size, exponent_vectors
 from wlpcheck import quotient
 from wlpcheck.quotient import QuotientAlgebra
 from wlpcheck.splitting import _restrict_generators
@@ -77,6 +78,43 @@ def test_restricting_everything_away_is_rejected():
     only = powers_ideal(((1, 0, 0), 3))
     with pytest.raises(GenericityError):
         _restrict_generators(only, linear_form([1, 0, 0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_restriction_has_the_hilbert_function_of_the_ideal_plus_the_line(data):
+    # powers and polynomials with fractional coefficients, cut by a general
+    # line, by the form of a power, or by a factor of a polynomial generator;
+    # the oracle eliminates I + (ell) in all n variables
+    n = data.draw(st.integers(min_value=2, max_value=3), label="n")
+    salt = data.draw(st.integers(min_value=0, max_value=10**6), label="salt")
+    degrees = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n + 1, max_size=n + 2))
+    forms = seeded_forms(n, len(degrees) + 1, salt)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def poly(degree):
+        monos = tuple(exponent_vectors(n, degree))
+        values = data.draw(st.lists(coeffs, min_size=len(monos), max_size=len(monos)).filter(any))
+        return GradedPoly(n, degree, zip(monos, values))
+
+    gens = list(zip(forms, degrees))
+    gens += [poly(d) for d in data.draw(st.lists(st.integers(min_value=1, max_value=3), max_size=2))]
+    cut = data.draw(st.sampled_from(["general", "power", "polynomial"]), label="cut")
+    ell = forms[0] if cut == "power" else forms[-1]
+    if cut == "polynomial":
+        gens.append(ell.as_poly() * poly(data.draw(st.integers(min_value=1, max_value=2))))
+    ideal = GradedIdeal(n, tuple(gens))
+    gen_dicts = [dict_from_graded(g) for g in expanded(ideal)] + [dict_linear(ell.coeffs)]
+    expected = naive_hilbert(gen_dicts, ideal.generator_degrees + (1,), n, n * 3)
+    restricted = _restrict_generators(ideal, ell)
+    assert restricted.num_vars == n - 1
+    if cut != "general":
+        assert len(restricted.generators) < len(gens)
+    if expected is None:
+        with pytest.raises(NotArtinianError):
+            restricted.algebra.hilbert_function()
+    else:
+        assert restricted.algebra.hilbert_function() == expected
 
 
 # -- frozen example: three squares ------------------------------------------

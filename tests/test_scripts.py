@@ -51,6 +51,7 @@ def test_script_prints_json(argv):
     [
         (["theorem_sweep.py", "--trials", "0"], "need at least one trial"),
         (["gap_report.py", "--bound", "0"], "bound must be positive"),
+        (["gap_report.py", "--max-degree", "1"], "max degree must be at least 2"),
     ],
 )
 def test_bad_config_is_a_usage_error(argv, message):
@@ -65,11 +66,13 @@ def test_bad_config_is_a_usage_error(argv, message):
     [
         ["theorem_sweep.py", "--trials", "1", "--bound", "1", "--min-generators", "14", "--max-generators", "14"],
         ["four_variable_failures.py", "--trials", "1", "--bound", "1", "--generators", "41", "--power", "2"],
-        ["gap_report.py", "--attempts", "1", "--bound", "1"],
+        ["gap_report.py", "--attempts", "1", "--bound", "1", "--seed", "166", "--random", "1"],
     ],
 )
 def test_genericity_failure_exits_four(argv):
-    # bound 1 leaves 13 directions in three variables and 40 in four
+    # bound 1 leaves 13 directions in three variables and 40 in four; at
+    # seed 166 the two lines sampled for random-0 are special in different
+    # degrees, so neither restricts to a Hilbert function below the other's
     done = spawn(argv)
     assert done.returncode == 4
     assert done.stderr.startswith("genericity failure: ")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +19,12 @@ from wlpcheck import (
     splitting_type_at,
     wlp_check,
 )
+from wlpcheck import splitting
 from wlpcheck.binary import binary_power_resolution
-from wlpcheck import poly
+from wlpcheck.lefschetz import distinct_forms
 from wlpcheck.poly import GradedPoly
 from wlpcheck.quotient import GradedIdeal
-from wlpcheck.specfile import load_corpus_entry
+from wlpcheck.rng import SplitMix64
 from wlpcheck.splitting import (
     connecting_image_dim,
     restriction_h0,
@@ -138,6 +139,33 @@ def test_generic_splitting_agrees_with_formula():
     assert not witness.is_zero
 
 
+@pytest.mark.parametrize("hilberts, picked", [
+    ([(1, 2, 1), (1, 2), (1, 3)], 1),  # padded with zeros, (1, 2) is below both others
+    ([(1, 2, 1), (1, 1, 2)], None),  # neither is below the other
+])
+def test_the_least_restricted_hilbert_function_is_picked(monkeypatch, hilberts, picked):
+    # the k-th sampled line restricts to hilberts[k], with splitting type k
+    samples = iter(enumerate(hilberts))
+    monkeypatch.setattr(splitting, "_splitting_at", lambda ideal, ell: next(samples))
+    config = CheckConfig(attempts=len(hilberts))
+    if picked is None:
+        with pytest.raises(GenericityError):
+            generic_splitting_type(SQUARES, config)
+    else:
+        forms = list(islice(distinct_forms(SplitMix64(config.seed), 3, config.bound), picked + 1))
+        assert generic_splitting_type(SQUARES, config) == (picked, forms[picked])
+
+
+def test_lines_that_kill_a_generator_are_passed_over(monkeypatch):
+    # x = 0 and y = 0 each kill a square and agree on the type (2, 4); the
+    # general third line restricts to a smaller algebra and is the one kept
+    lines = [linear_form(c) for c in ((1, 0, 0), (0, 1, 0), (1, 2, 3))]
+    monkeypatch.setattr(splitting, "distinct_forms", lambda rng, n, bound: iter(lines))
+    assert splitting_type_at(SQUARES, lines[1]).shifts == (2, 4)
+    stype, witness = generic_splitting_type(SQUARES, CheckConfig(attempts=3))
+    assert (stype.shifts, witness) == ((3, 3), lines[2])
+
+
 def test_mixed_generators_get_exact_splitting():
     # non-power generators go through the dimension-count route
     quintics = mixed_quintics()
@@ -243,27 +271,3 @@ def test_predicted_conservation_and_socle_consistency(degrees):
     assert sum(stype.shifts) == sum(degrees)
     resolution = binary_power_resolution(degrees)
     assert stype.restricted_socle == resolution.socle_degree
-
-
-def test_powers_are_never_expanded(monkeypatch):
-    # a power (form, k) is expanded only on the standard monomials of the
-    # normalized coordinates, and restriction cuts its form
-    calls = []
-    original = poly.expand_power
-
-    def counting(form, degree):
-        calls.append(degree)
-        return original(form, degree)
-
-    for name, module in list(sys.modules.items()):
-        if name == "wlpcheck" or name.startswith("wlpcheck."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    assert poly.expand_power is counting
-    ideal = load_corpus_entry("four-general-cubes").ideal
-    report = wlp_check(ideal)
-    assert report.holds
-    _, witness = generic_splitting_type(ideal)
-    assert predict_wlp(ideal, witness).holds
-    assert calls == []
