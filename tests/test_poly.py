@@ -1,12 +1,14 @@
 """Polynomial layer: bases, arithmetic and rendering, against the dict oracle.
 
-Powers of linear forms are multiplied out only by the oracle (``conftest.expand_power``);
-restriction to a hyperplane is tested with the splitting code.
+Powers of linear forms are multiplied out only by the oracle (``conftest.expand_power``).
+Restriction to a hyperplane is done generator by generator by the splitting code; the
+tests here check it one generator at a time, and ``test_quotient`` checks whole ideals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import expand_power
 from oracles import dict_from_graded, dict_mul
+from wlpcheck import GenericityError, GradedIdeal
 from wlpcheck.poly import (
     GradedPoly,
     LinearForm,
@@ -24,6 +27,7 @@ from wlpcheck.poly import (
     multiply,
     variable_names,
 )
+from wlpcheck.splitting import _restrict_generators
 
 coeff = st.integers(min_value=-9, max_value=9)
 
@@ -161,3 +165,107 @@ def test_incompatible_operands_rejected():
     with pytest.raises(ValueError):
         _ = f + g
 
+
+# -- restriction to a hyperplane ----------------------------------------------
+
+
+def _cut(generator, ell):
+    """The one generator restricted to ell = 0, or None where it dies there."""
+    n = ell.num_vars
+    try:
+        restricted = _restrict_generators(GradedIdeal(n, (generator, generator)), ell)
+    except GenericityError:
+        return None
+    assert restricted.generators[0] == restricted.generators[1]
+    return restricted.generators[0]
+
+
+def _chart(ell):
+    """The linear map y -> x onto the hyperplane that the restriction uses,
+    read off from how the coordinate forms restrict."""
+    n = ell.num_vars
+    rows = []
+    for i in range(n):
+        cut = _cut((linear_form([int(j == i) for j in range(n)]), 1), ell)
+        rows.append(cut[0].coeffs if cut is not None else (0,) * (n - 1))
+    return lambda y: [sum(c * v for c, v in zip(row, y)) for row in rows]
+
+
+def _evaluate(poly, point):
+    total = Fraction(0)
+    for exps, c in poly.terms():
+        term = c
+        for e, v in zip(exps, point):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def _proportional(pairs):
+    """Whether the first entries are one nonzero multiple of the second entries."""
+    a0, b0 = next(((a, b) for a, b in pairs if a or b), (0, 0))
+    return all(a * b0 == b * a0 for a, b in pairs) and (a0 != 0) == (b0 != 0)
+
+
+# a degree-3 polynomial in two variables is fixed by its values on a 5 x 5 grid
+GRID = range(-2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=1, max_value=3).flatmap(lambda d: graded_polys(n, d)),
+            linear_forms(n),
+        )
+    )
+)
+def test_restriction_agrees_on_the_hyperplane(args):
+    f, ell = args
+    chart = _chart(ell)
+    points = list(product(GRID, repeat=ell.num_vars - 1))
+    # the chart lands on the hyperplane and is onto it
+    assert all(_evaluate(ell.as_poly(), chart(y)) == 0 for y in points)
+    assert len({tuple(chart(y)) for y in points}) == len(points)
+    restricted = _cut(f, ell)
+    on_plane = [_evaluate(f, chart(y)) for y in points]
+    if restricted is None:
+        assert not any(on_plane)
+        return
+    assert restricted.num_vars == f.num_vars - 1
+    assert restricted.degree == f.degree
+    # the restriction is f on the hyperplane, up to one nonzero constant
+    assert _proportional([(_evaluate(restricted, y), v) for y, v in zip(points, on_plane)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3).flatmap(
+        lambda n: st.tuples(linear_forms(n), linear_forms(n))
+    )
+)
+def test_linear_restriction_is_the_degree_one_case(args):
+    form, ell = args
+    as_power = _cut((form, 1), ell)
+    as_poly = _cut(form.as_poly(), ell)
+    assert (as_power is None) == (as_poly is None) == form.proportional_to(ell)
+    if as_power is not None:
+        pushed, k = as_power
+        assert k == 1
+        assert _proportional(
+            [(pushed.as_poly().coefficient(u), c) for u, c in as_poly.terms()]
+            + [(c, as_poly.coefficient(u)) for u, c in pushed.as_poly().terms()]
+        )
+
+
+def test_restriction_kills_the_modulus():
+    ell = linear_form([1, 2, 3])
+    g = GradedPoly.monomial(3, (0, 1, 1)) + GradedPoly.monomial(3, (2, 0, 0))
+    assert _cut((ell, 1), ell) is None
+    assert _cut((ell, 4), ell) is None
+    assert _cut(ell.as_poly(), ell) is None
+    assert _cut(ell.as_poly() * g, ell) is None
+    y, z = linear_form([0, 1, 0]), linear_form([0, 0, 1])
+    ideal = GradedIdeal(3, ((ell, 2), ell.as_poly(), ell.as_poly() * g, (y, 2), (z, 3)))
+    restricted = _restrict_generators(ideal, ell)
+    assert restricted.generators == (_cut((y, 2), ell), _cut((z, 3), ell))
