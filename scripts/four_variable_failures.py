@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Weak Lefschetz failures for powers of linear forms in four variables.
 
-Three variables are special: there the maximal-rank property always holds
-for ideals of powers of general linear forms.  One dimension up it already
-breaks.  This script draws tuples of general cubes (or any power) in four
-variables and reports every degree where multiplication by a general linear
-form drops rank.
+Three variables are special: there every Artinian quotient by powers of
+linear forms, general or not, has the maximal-rank property.  One dimension
+up it already breaks for general forms.  This script draws tuples of
+general cubes (or any power) in four variables and reports every degree
+where multiplication by a general linear form drops rank.
 
 Usage:
     python3 scripts/four_variable_failures.py --trials 10 --power 3 --generators 5
@@ -14,23 +14,17 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
 
-from wlpcheck import GenericityError, wlp_check
-from wlpcheck.cli import EXIT_GENERICITY
-from wlpcheck.rng import stream
-from wlpcheck.trials import TrialConfig, random_power_ideal
+from wlpcheck import cli
+from wlpcheck.trials import TrialConfig, wlp_trial
 
 
 def run(config: TrialConfig) -> dict:
     rows = []
     for index in range(config.count):
-        # Multiplier sampling must not replay the draws that built the ideal:
-        # a multiplier equal to a generator form has a forced kernel.
-        rng = stream(config.seed, index)
-        ideal = random_power_ideal(rng, config)
-        report = wlp_check(ideal, config.check_config(seed=rng.next_uint64()))
+        ideal, report = wlp_trial(index, config)
         rows.append(
             {
                 "index": index,
@@ -68,24 +62,11 @@ def run(config: TrialConfig) -> dict:
     }
 
 
-def main() -> None:
-    defaults = TrialConfig()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--bound", type=int, default=defaults.bound)
-    parser.add_argument("--attempts", type=int, default=defaults.attempts)
-    parser.add_argument("--power", type=int, default=3)
-    parser.add_argument("--generators", type=int, default=5)
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args()
-
+def command(parser: argparse.ArgumentParser, args) -> int:
     try:
-        config = TrialConfig(
+        config = cli.trial_config(
+            args,
             count=args.trials,
-            seed=args.seed,
-            bound=args.bound,
-            attempts=args.attempts,
             num_vars=4,
             min_degree=args.power,
             max_degree=args.power,
@@ -94,31 +75,35 @@ def main() -> None:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        outcome = run(config)
-    except GenericityError as exc:
-        print(f"genericity failure: {exc}", file=sys.stderr)
-        sys.exit(EXIT_GENERICITY)
-
-    if args.json:
-        print(json.dumps(outcome, indent=2))
-        return
-
+    outcome = run(config)
     summary = outcome["summary"]
-    print(
+    lines = [
         f"{args.generators} general forms to the power {args.power} "
-        f"in four variables, {summary['total']} trials"
-    )
-    print(f"weak Lefschetz true:  {summary['wlp_true']}")
-    print(f"weak Lefschetz FALSE: {summary['wlp_false']}")
+        f"in four variables, {summary['total']} trials",
+        f"weak Lefschetz true:  {summary['wlp_true']}",
+        f"weak Lefschetz FALSE: {summary['wlp_false']}",
+    ]
     for row in outcome["trials"]:
         if row["failures"]:
             spots = ", ".join(
                 f"degree {f['degree']} ({f['source']}->{f['target']} rank {f['rank']})"
                 for f in row["failures"]
             )
-            print(f"  trial {row['index']}: fails at {spots}")
+            lines.append(f"  trial {row['index']}: fails at {spots}")
+    cli.emit(args, outcome, lines)
+    return cli.EXIT_OK
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trials", type=int, default=10)
+    cli.add_sampling_flags(parser)
+    parser.add_argument("--power", type=int, default=3)
+    parser.add_argument("--generators", type=int, default=5)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=partial(command, parser))
+    return cli.run(parser, argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

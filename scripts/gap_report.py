@@ -16,12 +16,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
 from itertools import islice
 
-from wlpcheck import CheckConfig, GenericityError, GradedIdeal, generic_splitting_type, linear_form, wlp_check
-from wlpcheck.cli import EXIT_GENERICITY
+from wlpcheck import CheckConfig, GradedIdeal, cli, generic_splitting_type, linear_form, wlp_check
 from wlpcheck.lefschetz import distinct_forms
 from wlpcheck.rng import stream
 from wlpcheck.specfile import load_corpus_entry
@@ -84,44 +83,38 @@ def run(count: int, max_degree: int, config: CheckConfig) -> list[dict]:
     return rows
 
 
-def main() -> None:
-    defaults = CheckConfig()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--random", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--bound", type=int, default=defaults.bound)
-    parser.add_argument("--attempts", type=int, default=defaults.attempts)
-    parser.add_argument("--max-degree", type=int, default=7)
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args()
-
+def command(parser: argparse.ArgumentParser, args) -> int:
     try:
-        config = CheckConfig(seed=args.seed, bound=args.bound, attempts=args.attempts)
+        config = cli.sampling_config(args)
     except ValueError as exc:
         parser.error(str(exc))
     if args.max_degree < 2:
         parser.error("max degree must be at least 2")
-    try:
-        rows = run(args.random, args.max_degree, config)
-    except GenericityError as exc:
-        print(f"genericity failure: {exc}", file=sys.stderr)
-        sys.exit(EXIT_GENERICITY)
-
-    if args.json:
-        print(json.dumps(rows, indent=2))
-        return
+    rows = run(args.random, args.max_degree, config)
 
     width = max(len(r["name"]) for r in rows)
-    print(f"{'ideal':<{width}}  degrees              shifts               gap  balanced  wlp")
+    lines = [f"{'ideal':<{width}}  degrees              shifts               gap  balanced  wlp"]
     for r in rows:
         degrees = ",".join(str(d) for d in r["degrees"])
         shifts = ",".join(str(b) for b in r["shifts"])
         note = "" if r["wlp"] else f"  fails at {r['failures']}"
-        print(
+        lines.append(
             f"{r['name']:<{width}}  ({degrees:<18})  ({shifts:<18})  {r['gap']:3d}  "
             f"{str(r['balanced']).lower():8s}  {str(r['wlp']).lower()}{note}"
         )
+    cli.emit(args, rows, lines)
+    return cli.EXIT_OK
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--random", type=int, default=8)
+    cli.add_sampling_flags(parser)
+    parser.add_argument("--max-degree", type=int, default=7)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=partial(command, parser))
+    return cli.run(parser, argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

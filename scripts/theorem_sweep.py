@@ -15,12 +15,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
+from functools import partial
 
-from wlpcheck import GenericityError, minimal_power_degrees, predicted_splitting_type, run_random_trials
-from wlpcheck.cli import EXIT_GENERICITY
+from wlpcheck import cli, minimal_power_degrees, predicted_splitting_type, run_random_trials
 from wlpcheck.trials import TrialConfig
 
 
@@ -70,57 +69,38 @@ def run_sweep(config: TrialConfig) -> dict:
     }
 
 
-def main() -> None:
-    defaults = TrialConfig()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=defaults.count)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--bound", type=int, default=defaults.bound)
-    parser.add_argument("--attempts", type=int, default=defaults.attempts)
-    parser.add_argument("--min-degree", type=int, default=defaults.min_degree)
-    parser.add_argument("--max-degree", type=int, default=defaults.max_degree)
-    parser.add_argument("--min-generators", type=int, default=defaults.min_generators)
-    parser.add_argument("--max-generators", type=int, default=defaults.max_generators)
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args()
-
+def command(parser: argparse.ArgumentParser, args) -> int:
     try:
-        config = TrialConfig(
-            count=args.trials,
-            seed=args.seed,
-            bound=args.bound,
-            attempts=args.attempts,
-            min_degree=args.min_degree,
-            max_degree=args.max_degree,
-            min_generators=args.min_generators,
-            max_generators=args.max_generators,
-        )
+        config = cli.trial_config(args)
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        outcome = run_sweep(config)
-    except GenericityError as exc:
-        print(f"genericity failure: {exc}", file=sys.stderr)
-        sys.exit(EXIT_GENERICITY)
-
-    if args.json:
-        print(json.dumps(outcome, indent=2))
-        return
-
+    outcome = run_sweep(config)
     summary = outcome["summary"]
-    print(f"{summary['total']} random power ideals, seed {config.seed}")
-    print(f"weak Lefschetz true: {summary['wlp_true']}/{summary['total']}")
-    print(f"routes agree:        {summary['routes_agree']}/{summary['total']}")
-    print()
-    print("gap  wlp    count")
+    lines = [
+        f"{summary['total']} random power ideals, seed {config.seed}",
+        f"weak Lefschetz true: {summary['wlp_true']}/{summary['total']}",
+        f"routes agree:        {summary['routes_agree']}/{summary['total']}",
+        "",
+        "gap  wlp    count",
+    ]
     for row in summary["gap_table"]:
-        print(f"{row['gap']:3d}  {str(row['wlp']).lower():5s}  {row['count']:5d}")
+        lines.append(f"{row['gap']:3d}  {str(row['wlp']).lower():5s}  {row['count']:5d}")
     disagreements = [r for r in outcome["trials"] if not r["routes_agree"]]
     if disagreements:
-        print("\nDISAGREEMENTS:")
+        lines.append("\nDISAGREEMENTS:")
         for r in disagreements:
-            print(f"  trial {r['index']}: degrees {r['degrees']}")
+            lines.append(f"  trial {r['index']}: degrees {r['degrees']}")
+    cli.emit(args, outcome, lines)
+    return cli.EXIT_OK
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    cli.add_trial_flags(parser, "--trials")
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=partial(command, parser))
+    return cli.run(parser, argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

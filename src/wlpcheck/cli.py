@@ -5,7 +5,9 @@ predict, verify-paper, random-trials.  Exit codes: 0 success (and verdict
 true where there is one), 1 verdict false or a failed comparison, 2 bad
 input, 3 quotient not Artinian, 4 sampling could not reach a generic
 configuration.  If the reader of standard output goes away, the output
-is dropped and the exit code is still the command's own.
+is dropped and the exit code is still the command's own.  The experiment
+scripts build their parsers from the flag helpers here and run under
+``run``, so the same holds for them.
 
 Each subcommand imports the modules it needs when it runs, so a process
 loads only those: ``hilbert`` never loads the Lefschetz checks, and no
@@ -46,7 +48,9 @@ def _config_json(config: CheckConfig) -> dict:
     return {**config._asdict(), "generator": GENERATOR_NAME}
 
 
-def _emit(args, payload: dict, human_lines) -> None:
+def emit(args, payload: dict | list, human_lines) -> None:
+    """Print ``payload`` as JSON under ``--json``, else the human lines.  If
+    the reader of standard output has gone, the output is dropped."""
     if args.json:
         _print_and_flush(json.dumps(payload, indent=2))
     else:
@@ -75,8 +79,16 @@ def _ideal_summary(ideal: GradedIdeal) -> str:
     return f"{ideal.num_vars} variables, generator degrees ({degrees})"
 
 
-def _check_config(args) -> CheckConfig:
+def sampling_config(args) -> CheckConfig:
+    """The check configuration the sampling flags set."""
     return CheckConfig(seed=args.seed, bound=args.bound, attempts=args.attempts)
+
+
+def trial_config(args, **fixed) -> TrialConfig:
+    """The sweep the trial and sampling flags describe; ``fixed`` sets the
+    fields a command takes no flag for, and those left out keep their defaults."""
+    flags = {name: getattr(args, name) for name in TrialConfig._fields if hasattr(args, name)}
+    return TrialConfig(**{**flags, **fixed})
 
 
 def _report_lines(ideal: GradedIdeal, report: LefschetzReport, label: str):
@@ -133,7 +145,7 @@ def cmd_hilbert(args) -> int:
         "socle_degree": len(hf) - 1,
     }
     hfs = " ".join(str(h) for h in hf)
-    _emit(args, payload, [
+    emit(args, payload, [
         f"ideal: {_ideal_summary(ideal)}",
         f"hilbert function: {hfs}",
         f"socle degree: {len(hf) - 1}",
@@ -145,9 +157,9 @@ def cmd_lefschetz(args) -> int:
     from .lefschetz import slp_check, wlp_check
 
     ideal = load_ideal_argument(args.ideal)
-    config = _check_config(args)
+    config = sampling_config(args)
     report = (slp_check if args.command == "slp" else wlp_check)(ideal, config)
-    _emit(args, _report_payload(ideal, report, config), _report_lines(ideal, report, args.label))
+    emit(args, _report_payload(ideal, report, config), _report_lines(ideal, report, args.label))
     return EXIT_OK if report.holds else EXIT_FALSE
 
 
@@ -155,7 +167,7 @@ def cmd_split(args) -> int:
     from .splitting import generic_splitting_type
 
     ideal = load_ideal_argument(args.ideal)
-    config = _check_config(args)
+    config = sampling_config(args)
     stype, witness = generic_splitting_type(ideal, config)
     payload = {
         "ideal": _ideal_json(ideal),
@@ -164,7 +176,7 @@ def cmd_split(args) -> int:
         "config": _config_json(config),
     }
     shifts = ", ".join(str(b) for b in stype.shifts)
-    _emit(args, payload, [
+    emit(args, payload, [
         f"ideal: {_ideal_summary(ideal)}",
         f"splitting shifts: ({shifts})   sum {sum(stype.shifts)}",
         f"restricted socle degree: {stype.restricted_socle}",
@@ -179,7 +191,7 @@ def cmd_predict(args) -> int:
     from .splitting import generic_splitting_type, predict_wlp
 
     ideal = load_ideal_argument(args.ideal)
-    config = _check_config(args)
+    config = sampling_config(args)
     stype, witness = generic_splitting_type(ideal, config)
     prediction = predict_wlp(ideal, witness)
     payload = {
@@ -208,14 +220,14 @@ def cmd_predict(args) -> int:
         "predicted verdict: weak Lefschetz property "
         + ("holds" if prediction.holds else f"fails at degrees {list(prediction.failures)}")
     )
-    _emit(args, payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK if prediction.holds else EXIT_FALSE
 
 
 def cmd_verify(args) -> int:
     from .verify import verify_all
 
-    config = _check_config(args)
+    config = sampling_config(args)
     verifications = verify_all(config)
     payload = {
         "entries": [
@@ -237,16 +249,14 @@ def cmd_verify(args) -> int:
             if not o.passed:
                 lines.append(f"        {o.name}: expected {o.expected!r}, got {o.actual!r}")
     lines.append("all entries passed" if payload["all_passed"] else "some entries FAILED")
-    _emit(args, payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK if payload["all_passed"] else EXIT_FALSE
 
 
 def cmd_random_trials(args) -> int:
     from .trials import run_random_trials
 
-    config = TrialConfig(**{
-        name: getattr(args, name) for name in TrialConfig._fields if name != "num_vars"
-    })
+    config = trial_config(args)
     report = run_random_trials(config)
     payload = {
         "config": {
@@ -287,11 +297,11 @@ def cmd_random_trials(args) -> int:
             )
     ok = report.all_consistent and report.all_wlp
     lines.append("sweep verdict: " + ("consistent" if ok else "INCONSISTENT OR FAILING"))
-    _emit(args, payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
+def add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     defaults = CheckConfig()
     parser.add_argument("--seed", type=int, default=defaults.seed,
                         help=f"sampling seed (default {defaults.seed})")
@@ -299,6 +309,23 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"coefficients are drawn from [-B, B] (default {defaults.bound})")
     parser.add_argument("--attempts", type=int, default=defaults.attempts,
                         help=f"distinct forms to try (default {defaults.attempts})")
+
+
+def add_trial_flags(parser: argparse.ArgumentParser, count_flag: str = "--count") -> None:
+    """The flags of a random sweep: the trial count, the sampling flags and
+    the degree and generator ranges."""
+    trials = TrialConfig()  # the defaults
+    parser.add_argument(count_flag, dest="count", metavar=count_flag[2:].upper(), type=int,
+                        default=trials.count, help=f"number of ideals (default {trials.count})")
+    add_sampling_flags(parser)
+    parser.add_argument("--min-degree", type=int, default=trials.min_degree,
+                        help=f"smallest power (default {trials.min_degree})")
+    parser.add_argument("--max-degree", type=int, default=trials.max_degree,
+                        help=f"largest power (default {trials.max_degree})")
+    parser.add_argument("--min-generators", type=int, default=trials.min_generators,
+                        help=f"fewest generators (default {trials.min_generators})")
+    parser.add_argument("--max-generators", type=int, default=trials.max_generators,
+                        help=f"most generators (default {trials.max_generators})")
 
 
 # the subcommands that take an ideal: name, help, function, whether it takes
@@ -329,35 +356,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("ideal", help=ideal_help)
         p.add_argument("--json", action="store_true")
         if sampling:
-            _add_sampling_flags(p)
+            add_sampling_flags(p)
         p.set_defaults(func=func, **extra)
 
     p = sub.add_parser("verify-paper", help="re-check the bundled reference examples")
     p.add_argument("--json", action="store_true")
-    _add_sampling_flags(p)
+    add_sampling_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random-trials", help="random ideals of powers; compare both rank routes")
-    trials = TrialConfig()  # the defaults
     p.add_argument("--json", action="store_true")
-    p.add_argument("--count", type=int, default=trials.count,
-                   help=f"number of ideals (default {trials.count})")
-    _add_sampling_flags(p)
-    p.add_argument("--min-degree", type=int, default=trials.min_degree,
-                   help=f"smallest power (default {trials.min_degree})")
-    p.add_argument("--max-degree", type=int, default=trials.max_degree,
-                   help=f"largest power (default {trials.max_degree})")
-    p.add_argument("--min-generators", type=int, default=trials.min_generators,
-                   help=f"fewest generators (default {trials.min_generators})")
-    p.add_argument("--max-generators", type=int, default=trials.max_generators,
-                   help=f"most generators (default {trials.max_generators})")
+    add_trial_flags(p)
     p.set_defaults(func=cmd_random_trials)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run(parser: argparse.ArgumentParser, argv=None) -> int:
+    """Parse ``argv``, run the chosen ``func`` and return its exit code, or
+    the code of the error it raised."""
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -381,6 +398,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+
+
+def main(argv=None) -> int:
+    return run(build_parser(), argv)
 
 
 def entrypoint() -> None:

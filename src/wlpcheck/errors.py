@@ -31,5 +31,4 @@ class SpecFormatError(Exception):
     """An ideal description failed to parse or validate."""
 
     def __init__(self, message: str, where: str | None = None):
-        self.where = where
         super().__init__(message if where is None else f"{where}: {message}")

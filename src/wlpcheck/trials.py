@@ -70,11 +70,21 @@ class TrialsReport(NamedTuple):
         return self.num_wlp == len(self.results)
 
 
-def run_trial(index: int, config: TrialConfig) -> TrialResult:
-    """One ideal, both routes, at the same witness form."""
+def wlp_trial(index: int, config: TrialConfig) -> tuple[GradedIdeal, LefschetzReport]:
+    """Ideal ``index`` of the sweep and its direct weak Lefschetz check.
+
+    The check's seed is drawn from the trial's stream after the ideal's
+    draws, so sampling the multiplier does not replay the draws that built
+    the ideal: a multiplier equal to a generator form has a forced kernel.
+    """
     rng = stream(config.seed, index)
     ideal = random_power_ideal(rng, config)
-    direct: LefschetzReport = wlp_check(ideal, config.check_config(seed=rng.next_uint64()))
+    return ideal, wlp_check(ideal, config.check_config(seed=rng.next_uint64()))
+
+
+def run_trial(index: int, config: TrialConfig) -> TrialResult:
+    """One ideal, both routes, at the same witness form."""
+    ideal, direct = wlp_trial(index, config)
     predicted: WlpPrediction = predict_wlp(ideal, direct.form)
     direct_ranks = [(r.degree, r.rank) for r in direct.records]
     predicted_ranks = [(r.degree, r.rank) for r in predicted.records]

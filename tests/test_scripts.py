@@ -16,12 +16,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def spawn(argv):
+def spawn(argv, stdout=subprocess.PIPE, buffered=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:], "--json"],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=60,
@@ -34,16 +38,31 @@ def run_script(argv):
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["four_variable_failures.py", "--trials", "1", "--power", "3"],
-        ["theorem_sweep.py", "--trials", "2", "--max-degree", "3"],
-        ["gap_report.py", "--random", "1", "--max-degree", "3"],
-    ],
-)
+SMALL_RUNS = [
+    ["four_variable_failures.py", "--trials", "1", "--power", "3"],
+    ["theorem_sweep.py", "--trials", "2", "--max-degree", "3"],
+    ["gap_report.py", "--random", "1", "--max-degree", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS)
 def test_script_prints_json(argv):
     assert run_script(argv)
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS)
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE every time; argparse writes
+    # help text into the buffer, which is flushed only on the way out
+    for command, buffered in ((argv, False), ([argv[0], "--help"], True)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = spawn(command, stdout=write_end, buffered=buffered)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, ""), command
 
 
 @pytest.mark.parametrize(
@@ -52,6 +71,7 @@ def test_script_prints_json(argv):
         (["theorem_sweep.py", "--trials", "0"], "need at least one trial"),
         (["gap_report.py", "--bound", "0"], "bound must be positive"),
         (["gap_report.py", "--max-degree", "1"], "max degree must be at least 2"),
+        (["four_variable_failures.py", "--generators", "3"], "generator range must allow a spanning set"),
     ],
 )
 def test_bad_config_is_a_usage_error(argv, message):
