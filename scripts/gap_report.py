@@ -20,9 +20,8 @@ import sys
 from functools import partial
 from itertools import islice
 
-from wlpcheck import CheckConfig, GradedIdeal, cli, generic_splitting_type, linear_form, wlp_check
-from wlpcheck.lefschetz import distinct_forms
-from wlpcheck.rng import stream
+from wlpcheck import GradedIdeal, cli, generic_splitting_type, linear_form, wlp_check
+from wlpcheck.rng import CheckConfig, distinct_forms, stream
 from wlpcheck.specfile import load_corpus_entry
 
 

@@ -16,7 +16,6 @@ _EXPORTS = {
     "minimal_power_degrees": "binary",
     "power_quotient_dim": "binary",
     "power_syzygy_shifts": "binary",
-    "CheckConfig": "config",
     "GenericityError": "errors",
     "HilbertDataError": "errors",
     "NotArtinianError": "errors",
@@ -27,6 +26,7 @@ _EXPORTS = {
     "LinearForm": "poly",
     "linear_form": "poly",
     "GradedIdeal": "quotient",
+    "CheckConfig": "rng",
     "load_ideal_file": "specfile",
     "parse_ideal": "specfile",
     "render_ideal": "specfile",

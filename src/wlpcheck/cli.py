@@ -10,8 +10,9 @@ scripts build their parsers from the flag helpers here and run under
 ``run``, so the same holds for them.
 
 Each subcommand imports the modules it needs when it runs, so a process
-loads only those: ``hilbert`` never loads the Lefschetz checks, and no
-check loads the splitting, sweep or verification code it does not use.
+loads only those: ``hilbert``, ``split`` and ``predict`` never load the
+Lefschetz checks, and no check loads the splitting, sweep or verification
+code it does not use.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .config import CheckConfig, TrialConfig
 from .errors import GenericityError, NotArtinianError, SpecFormatError
-from .rng import GENERATOR_NAME
+from .rng import GENERATOR_NAME, CheckConfig, TrialConfig
 from .specfile import load_ideal_argument, render_coefficient
 
 if TYPE_CHECKING:
@@ -158,8 +158,10 @@ def cmd_lefschetz(args) -> int:
 
     ideal = load_ideal_argument(args.ideal)
     config = sampling_config(args)
-    report = (slp_check if args.command == "slp" else wlp_check)(ideal, config)
-    emit(args, _report_payload(ideal, report, config), _report_lines(ideal, report, args.label))
+    strong = args.command == "slp"
+    report = (slp_check if strong else wlp_check)(ideal, config)
+    label = f"{'strong' if strong else 'weak'} Lefschetz property"
+    emit(args, _report_payload(ideal, report, config), _report_lines(ideal, report, label))
     return EXIT_OK if report.holds else EXIT_FALSE
 
 
@@ -328,16 +330,22 @@ def add_trial_flags(parser: argparse.ArgumentParser, count_flag: str = "--count"
                         help=f"most generators (default {trials.max_generators})")
 
 
-# the subcommands that take an ideal: name, help, function, whether it takes
-# the sampling flags, and extra defaults
-_IDEAL_COMMANDS = (
-    ("hilbert", "Hilbert function and socle degree", cmd_hilbert, False, {}),
+# every subcommand: name, help, function, whether it takes an ideal, and the
+# helper that adds its other flags
+_COMMANDS = (
+    ("hilbert", "Hilbert function and socle degree", cmd_hilbert, True, None),
     ("wlp", "weak Lefschetz check: multiplication by a linear form", cmd_lefschetz, True,
-     {"label": "weak Lefschetz property"}),
+     add_sampling_flags),
     ("slp", "strong Lefschetz check: every power of one form", cmd_lefschetz, True,
-     {"label": "strong Lefschetz property"}),
-    ("split", "splitting type of the relation module on a generic line", cmd_split, True, {}),
-    ("predict", "rank table predicted from splitting data alone", cmd_predict, True, {}),
+     add_sampling_flags),
+    ("split", "splitting type of the relation module on a generic line", cmd_split, True,
+     add_sampling_flags),
+    ("predict", "rank table predicted from splitting data alone", cmd_predict, True,
+     add_sampling_flags),
+    ("verify-paper", "re-check the bundled reference examples", cmd_verify, False,
+     add_sampling_flags),
+    ("random-trials", "random ideals of powers; compare both rank routes", cmd_random_trials,
+     False, add_trial_flags),
 )
 
 
@@ -351,24 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ideal_help = "ideal description: a JSON file path, corpus:NAME, or an inline JSON object"
 
-    for name, text, func, sampling, extra in _IDEAL_COMMANDS:
+    for name, text, func, takes_ideal, add_flags in _COMMANDS:
         p = sub.add_parser(name, help=text)
-        p.add_argument("ideal", help=ideal_help)
+        if takes_ideal:
+            p.add_argument("ideal", help=ideal_help)
         p.add_argument("--json", action="store_true")
-        if sampling:
-            add_sampling_flags(p)
-        p.set_defaults(func=func, **extra)
-
-    p = sub.add_parser("verify-paper", help="re-check the bundled reference examples")
-    p.add_argument("--json", action="store_true")
-    add_sampling_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("random-trials", help="random ideals of powers; compare both rank routes")
-    p.add_argument("--json", action="store_true")
-    add_trial_flags(p)
-    p.set_defaults(func=cmd_random_trials)
-
+        if add_flags:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 

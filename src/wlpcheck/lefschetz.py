@@ -17,34 +17,12 @@ variable fewer, and l^k is never expanded in the original coordinates.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .config import CheckConfig
 from .errors import GenericityError
 from .poly import LinearForm
 from .quotient import Generator, GradedIdeal, QuotientAlgebra
-from .rng import SplitMix64
-
-MAX_SAMPLE_TRIES = 256
-
-
-def distinct_forms(rng: SplitMix64, num_vars: int, bound: int) -> Iterator[LinearForm]:
-    """Random integer linear forms with coefficients in [-bound, bound].
-
-    Each form is nonzero and not proportional to any earlier one.  The
-    stream ends once MAX_SAMPLE_TRIES draws in a row are rejected, which
-    is how a small coefficient pool runs out.
-    """
-    seen: list[LinearForm] = []
-    rejected = 0
-    while rejected < MAX_SAMPLE_TRIES:
-        form = LinearForm(tuple(rng.integer(-bound, bound) for _ in range(num_vars)))
-        if form.is_zero or any(form.proportional_to(f) for f in seen):
-            rejected += 1
-            continue
-        rejected = 0
-        seen.append(form)
-        yield form
+from .rng import MAX_SAMPLE_TRIES, CheckConfig, witness_forms
 
 
 class MapRankRecord(NamedTuple):
@@ -119,7 +97,7 @@ def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> Lef
     alg = ideal.algebra
     hf = alg.hilbert_function()
     powers = len(hf) - 1 if kind == "slp" else 1
-    forms = distinct_forms(SplitMix64(config.seed), ideal.num_vars, config.bound)
+    forms = witness_forms(config, ideal.num_vars)
     best: tuple[int, LinearForm, tuple[MapRankRecord, ...]] | None = None  # misses, form, records
     # a stream that ends early has exhausted the coefficient pool: judge what we saw
     for tried, form in enumerate(islice(forms, config.attempts), 1):

@@ -392,7 +392,7 @@ class QuotientAlgebra:
         ambient = basis_size(self.num_vars, m)
         ncols = len(self._standard(m).exponents)
         rows = self.spanning_rows(m)
-        rank = rank_mod_prime(rows, ncols) if rows else 0
+        rank = rank_mod_prime(rows, ncols)
         if rank < min(len(rows), ncols):
             # a rank mod p never exceeds the rational rank, which never
             # exceeds either count: only a smaller one needs exact elimination

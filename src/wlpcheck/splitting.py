@@ -36,13 +36,11 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .binary import binary_power_resolution, syzygy_shifts_from_hilbert
-from .config import CheckConfig
 from .errors import GenericityError, HilbertDataError
-from .lefschetz import distinct_forms
 from .linalg import clear_row_to_int
 from .poly import GradedPoly, LinearForm, basis_size
 from .quotient import Generator, GradedIdeal, push_form, push_poly
-from .rng import SplitMix64
+from .rng import CheckConfig, witness_forms
 
 
 class SplittingType(NamedTuple):
@@ -172,7 +170,7 @@ def generic_splitting_type(
     returned.  If no sample is that small, GenericityError is raised.
     """
     config = config or CheckConfig()
-    forms = distinct_forms(SplitMix64(config.seed), ideal.num_vars, config.bound)
+    forms = witness_forms(config, ideal.num_vars)
     samples = [(form, *_splitting_at(ideal, form)) for form in islice(forms, max(config.attempts, 2))]
     width = max(len(rhf) for _, _, rhf in samples)
     padded = [rhf + (0,) * (width - len(rhf)) for _, _, rhf in samples]

@@ -10,11 +10,10 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
-from .config import TrialConfig
 from .errors import GenericityError
-from .lefschetz import MAX_SAMPLE_TRIES, LefschetzReport, distinct_forms, wlp_check
+from .lefschetz import LefschetzReport, wlp_check
 from .quotient import GradedIdeal
-from .rng import SplitMix64, stream
+from .rng import MAX_SAMPLE_TRIES, SplitMix64, TrialConfig, distinct_forms, stream
 from .splitting import WlpPrediction, predict_wlp
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .config import CheckConfig
 from .lefschetz import multiplication_rank, slp_check, wlp_check
+from .rng import CheckConfig
 from .specfile import CorpusEntry, corpus_names, load_corpus_entry, parse_polynomial
 from .splitting import generic_splitting_type, predict_wlp
 

@@ -6,9 +6,8 @@ from itertools import islice
 
 from oracles import dict_linear, dict_pow
 from wlpcheck import GradedIdeal, linear_form
-from wlpcheck.lefschetz import distinct_forms
 from wlpcheck.poly import GradedPoly
-from wlpcheck.rng import stream
+from wlpcheck.rng import distinct_forms, stream
 
 
 def powers_ideal(*pairs):

@@ -30,8 +30,8 @@ from wlpcheck.binary import (
 from wlpcheck.lefschetz import multiplication_rank
 from wlpcheck.poly import GradedPoly
 from wlpcheck.quotient import QuotientAlgebra
+from wlpcheck.rng import TrialConfig
 from wlpcheck.splitting import restriction_h1, syzygy_h2
-from wlpcheck.trials import TrialConfig
 
 GRID_SEED = 20100601
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlpcheck import GenericityError, cli, splitting
 
@@ -127,11 +132,86 @@ def test_bad_bound_for_random_trials_is_two(capsys):
     assert err == "input error: bound must be positive\n"
 
 
+def test_bound_beyond_one_draw_is_two(capsys):
+    # one 64-bit draw covers the 2B + 1 coefficients of [-B, B] up to B = 2^63 - 1
+    for argv in (("wlp", SQUARES), ("split", SQUARES), ("random-trials", "--count", "1")):
+        code, out, err = run(capsys, *argv, "--bound", str(2**63))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: bound must be at most"), argv
+
+
 def test_wrong_variable_count_for_split_is_two(capsys):
     binary = '{"variables": 2, "powers": [{"form": [1, 0], "power": 2}, {"form": [0, 1], "power": 2}, {"form": [1, 1], "power": 2}]}'
     code, _, err = run(capsys, "split", binary)
     assert code == 2
     assert "three variables" in err
+
+
+NONZERO = st.integers(-3, 3).filter(bool)
+COEFFICIENTS = st.one_of(NONZERO, st.builds("{}/{}".format, NONZERO, st.integers(1, 3)))
+# what a malformed description puts where a value belongs
+JUNK = st.sampled_from([True, False, 1.5, None, "x", "1/0", [], {}, -1, 0, [1, 0, 0]])
+
+
+@st.composite
+def descriptions(draw):
+    """Small well-formed ideal descriptions; some are not Artinian."""
+    n = draw(st.integers(1, 3))
+    data = {"variables": n, "powers": [], "polynomials": []}
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            form = draw(st.lists(COEFFICIENTS, min_size=n, max_size=n))
+            data["powers"].append({"form": form, "power": degree})
+        else:
+            cuts = st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1).map(sorted)
+            keys = draw(st.lists(cuts, min_size=1, max_size=3).map(
+                lambda all_cuts: {
+                    " ".join(str(b - a) for a, b in zip([0, *c], [*c, degree])) for c in all_cuts
+                }
+            ))
+            terms = {key: draw(COEFFICIENTS) for key in sorted(keys)}
+            data["polynomials"].append({"degree": degree, "terms": terms})
+    return data
+
+
+def _containers(node):
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@st.composite
+def malformed_descriptions(draw):
+    """A well-formed description with one fault: a zero form, a bad exponent
+    key, a dropped key, or a value of the wrong kind."""
+    data = draw(descriptions())
+    fault = draw(st.sampled_from(["zero form", "bad key", "drop", "junk"]))
+    if fault == "zero form" and data["powers"]:
+        draw(st.sampled_from(data["powers"]))["form"] = [0] * data["variables"]
+    elif fault == "bad key" and data["polynomials"]:
+        terms = draw(st.sampled_from(data["polynomials"]))["terms"]
+        terms[draw(st.sampled_from(["x", "1 x", "", "-1 5", "9 9 9 9"]))] = 1
+    else:
+        target = draw(st.sampled_from([c for c in _containers(data) if c]))
+        spot = draw(st.sampled_from(sorted(target) if isinstance(target, dict) else range(len(target))))
+        if fault == "drop" and isinstance(target, dict):
+            del target[spot]
+        else:
+            target[spot] = draw(JUNK)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(descriptions(), malformed_descriptions()))
+def test_hilbert_exit_codes_on_generated_descriptions(data):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["hilbert", json.dumps(data)])
+    prefix = {0: "", 2: "input error: ", 3: "not Artinian: "}[code]
+    assert err.getvalue().startswith(prefix)
+    assert bool(err.getvalue()) == (code != 0)
 
 
 # -- JSON payloads ---------------------------------------------------------------
@@ -287,14 +367,20 @@ def test_each_command_loads_only_what_it_uses():
     # importing the package loads no submodule: exports resolve on first use
     assert not {m for m in _modules_after("import wlpcheck") if m.startswith("wlpcheck.")}
     # every piece of a corpus ideal is below linalg.NUMPY_CELLS, so a call on
-    # one never pays for numpy; no record pays for dataclasses
-    never = {"numpy", "dataclasses", "wlpcheck.splitting", "wlpcheck.binary",
-             "wlpcheck.trials", "wlpcheck.verify"}
+    # one never pays for numpy; no record pays for dataclasses; every draw
+    # and sampling knob lives in rng, so there is no config module to load
+    never = {"numpy", "dataclasses", "wlpcheck.config", "wlpcheck.trials", "wlpcheck.verify"}
+    predicted = {"wlpcheck.splitting", "wlpcheck.binary"}
     loaded = _modules_after_cli("hilbert", "corpus:four-general-cubes", "--json")
-    assert not loaded & (never | {"wlpcheck.lefschetz"})
+    assert not loaded & (never | predicted | {"wlpcheck.lefschetz"})
     loaded = _modules_after_cli("wlp", "corpus:four-general-cubes", "--json")
     assert "wlpcheck.lefschetz" in loaded
-    assert not loaded & never
+    assert not loaded & (never | predicted)
+    # the predicted route stays independent of the direct one
+    for command in ("split", "predict"):
+        loaded = _modules_after_cli(command, "corpus:four-general-cubes", "--json")
+        assert predicted <= loaded
+        assert not loaded & (never | {"wlpcheck.lefschetz"}), command
 
 
 def test_closed_stdout_keeps_the_exit_code():

@@ -25,10 +25,10 @@ from wlpcheck import (
     slp_check,
     wlp_check,
 )
-from wlpcheck.lefschetz import distinct_forms, multiplication_rank
+from wlpcheck.lefschetz import multiplication_rank
 from wlpcheck.poly import GradedPoly
-from wlpcheck.rng import stream
-from wlpcheck.trials import TrialConfig, random_power_ideal
+from wlpcheck.rng import TrialConfig, distinct_forms, stream
+from wlpcheck.trials import random_power_ideal
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 FOUR_CUBES = powers_ideal(
@@ -44,6 +44,10 @@ def test_config_validation():
         CheckConfig(seed=1, bound=0, attempts=3)
     with pytest.raises(ValueError):
         CheckConfig(seed=1, bound=10, attempts=0)
+    # one 64-bit draw must cover the 2B + 1 values of [-B, B]
+    for make in (CheckConfig, TrialConfig):
+        with pytest.raises(ValueError, match="bound must be at most 2"):
+            make(bound=2**63)
     cfg = CheckConfig()
     assert cfg.seed == 20100601
     assert cfg.bound == 100

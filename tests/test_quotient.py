@@ -25,8 +25,9 @@ from wlpcheck.linalg import FAST_PRIME, IntRowBasis, rank_mod_prime
 from wlpcheck.poly import GradedPoly, basis_size, exponent_vectors
 from wlpcheck import quotient
 from wlpcheck.quotient import QuotientAlgebra
+from wlpcheck.rng import TrialConfig
 from wlpcheck.splitting import _restrict_generators
-from wlpcheck.trials import TrialConfig, run_random_trials
+from wlpcheck.trials import run_random_trials
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 

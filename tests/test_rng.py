@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlpcheck.rng import GENERATOR_NAME, STREAM_BLOCK, SplitMix64, stream
+from wlpcheck.rng import (
+    GENERATOR_NAME,
+    MAX_BOUND,
+    STREAM_BLOCK,
+    CheckConfig,
+    SplitMix64,
+    distinct_forms,
+    stream,
+    witness_forms,
+)
 
 
 def test_generator_name():
@@ -84,3 +95,18 @@ def test_stream_is_a_block_jump(seed, index):
     assert [jumped.next_uint64() for _ in range(4)] == [
         walked.next_uint64() for _ in range(4)
     ]
+
+
+def test_the_largest_bound_reaches_both_signs():
+    # [-B, B] holds 2B + 1 values; past 2^64 of them, integer() would reach
+    # only the bottom of the box and never a positive coefficient
+    assert MAX_BOUND == 2**63 - 1
+    top = CheckConfig(bound=MAX_BOUND)
+    g = SplitMix64(top.seed)
+    assert {g.integer(-top.bound, top.bound) > 0 for _ in range(64)} == {False, True}
+
+
+def test_witness_forms_read_the_seeded_stream():
+    seeded = SplitMix64(9)
+    expected = list(islice(distinct_forms(seeded, 3, 5), 4))
+    assert list(islice(witness_forms(CheckConfig(seed=9, bound=5), 3), 4)) == expected

@@ -72,6 +72,7 @@ def test_closed_stdout_keeps_the_exit_code(argv):
         (["gap_report.py", "--bound", "0"], "bound must be positive"),
         (["gap_report.py", "--max-degree", "1"], "max degree must be at least 2"),
         (["four_variable_failures.py", "--generators", "3"], "generator range must allow a spanning set"),
+        (["theorem_sweep.py", "--bound", str(2**63)], "bound must be at most 2^63 - 1"),
     ],
 )
 def test_bad_config_is_a_usage_error(argv, message):

@@ -21,10 +21,9 @@ from wlpcheck import (
 )
 from wlpcheck import splitting
 from wlpcheck.binary import binary_power_resolution
-from wlpcheck.lefschetz import distinct_forms
 from wlpcheck.poly import GradedPoly
 from wlpcheck.quotient import GradedIdeal
-from wlpcheck.rng import SplitMix64
+from wlpcheck.rng import witness_forms
 from wlpcheck.splitting import (
     connecting_image_dim,
     restriction_h0,
@@ -152,7 +151,7 @@ def test_the_least_restricted_hilbert_function_is_picked(monkeypatch, hilberts, 
         with pytest.raises(GenericityError):
             generic_splitting_type(SQUARES, config)
     else:
-        forms = list(islice(distinct_forms(SplitMix64(config.seed), 3, config.bound), picked + 1))
+        forms = list(islice(witness_forms(config, 3), picked + 1))
         assert generic_splitting_type(SQUARES, config) == (picked, forms[picked])
 
 
@@ -160,7 +159,7 @@ def test_lines_that_kill_a_generator_are_passed_over(monkeypatch):
     # x = 0 and y = 0 each kill a square and agree on the type (2, 4); the
     # general third line restricts to a smaller algebra and is the one kept
     lines = [linear_form(c) for c in ((1, 0, 0), (0, 1, 0), (1, 2, 3))]
-    monkeypatch.setattr(splitting, "distinct_forms", lambda rng, n, bound: iter(lines))
+    monkeypatch.setattr(splitting, "witness_forms", lambda config, n: iter(lines))
     assert splitting_type_at(SQUARES, lines[1]).shifts == (2, 4)
     stype, witness = generic_splitting_type(SQUARES, CheckConfig(attempts=3))
     assert (stype.shifts, witness) == ((3, 3), lines[2])

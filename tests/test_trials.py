@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from wlpcheck import run_random_trials
-from wlpcheck.trials import TrialConfig
+from wlpcheck.rng import TrialConfig
 
 
 def test_config_validation():
