@@ -341,8 +341,11 @@ def test_complete_intersections_of_general_powers_have_the_slp():
 # draws them, and of slp_check on the first one.  Its powers l^k with k > 4
 # are adjoined as powers that pick no coordinate, so they are rewritten,
 # not counted.  A change that moves the digest changes reported ranks and
-# must say why.
+# must say why.  The whole-report digest also pins each report's verdict,
+# witness form, attempt count and Hilbert function, so a change in which
+# attempt is reported moves it even when the tables agree.
 FOUR_VARIABLE_TABLES = "3c51b34b7f3d3ddf085c580f6169f0be65adb9020f4b170bca13ee1400413a64"
+FOUR_VARIABLE_REPORTS = "a43452525f16f5c751ff0f0a40eef5c7fd754b9dc5aa4780d05d2330f6aa7bb2"
 
 
 def test_four_variable_rank_tables_are_unchanged():
@@ -358,3 +361,9 @@ def test_four_variable_rank_tables_are_unchanged():
     assert max(r.power for r in reports[1].records) > 4
     tables = [[(r.power, r.degree, r.source_dim, r.target_dim, r.rank) for r in rep.records] for rep in reports]
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == FOUR_VARIABLE_TABLES
+    whole = [
+        (rep.holds, [str(c) for c in rep.form.coeffs], rep.attempts_used, list(rep.hilbert),
+         [tuple(r) for r in rep.records])
+        for rep in reports
+    ]
+    assert hashlib.sha256(repr(whole).encode()).hexdigest() == FOUR_VARIABLE_REPORTS
