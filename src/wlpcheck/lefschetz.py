@@ -76,15 +76,25 @@ def multiplication_rank(alg: QuotientAlgebra, g: Generator, m: int) -> int:
     return target_dim - alg.adjoined(g).dimension(target)
 
 
-def _rank_records(alg: QuotientAlgebra, form: LinearForm, powers: int) -> tuple[MapRankRecord, ...]:
+def _rank_records(
+    alg: QuotientAlgebra, form: LinearForm, positions: list[tuple[int, int]], first: tuple[tuple[int, int], ...]
+) -> tuple[MapRankRecord, ...] | None:
+    """The form's rank table at ``positions``, in their order, or None.
+
+    The positions in ``first``, where the best form so far missed, are
+    ranked before the others.  None means that as many ranks missed as
+    ``first`` has positions, and the table was dropped there.
+    """
     hf = alg.hilbert_function()
-    top = len(hf) - 1
-    records = []
-    for k in range(1, powers + 1):
-        for m in range(top - k + 1):
-            rank = multiplication_rank(alg, (form, k), m)
-            records.append(MapRankRecord(k, m, hf[m], hf[m + k], rank))
-    return tuple(records)
+    ranked: dict[tuple[int, int], MapRankRecord] = {}
+    misses = 0
+    for k, m in [*first, *(p for p in positions if p not in first)]:
+        record = ranked[k, m] = MapRankRecord(k, m, hf[m], hf[m + k], multiplication_rank(alg, (form, k), m))
+        if not record.maximal:
+            misses += 1
+            if misses == len(first):
+                return None
+    return tuple(ranked[p] for p in positions)
 
 
 def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> LefschetzReport:
@@ -92,26 +102,36 @@ def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> Lef
 
     "wlp" checks only multiplication by the form itself; "slp" checks every
     power up to the socle degree for the same form, which is the all-powers
-    property.
+    property.  The first form with no miss is the witness.  Otherwise the
+    report is the form with the fewest misses, the earliest on a tie.
+
+    Once the best form so far has b misses, a later form is ranked first
+    where that one missed, in (power, degree) order, and is abandoned as
+    soon as b of its ranks miss: it can neither hold nor have fewer misses.
+    Every miss counted is an exact rank.  A form that is not abandoned has
+    the rest of its table ranked in the same pass, on the same algebras of
+    I + (l^k), one per power, and has fewer misses than the best before it.
     """
     alg = ideal.algebra
     hf = alg.hilbert_function()
-    powers = len(hf) - 1 if kind == "slp" else 1
+    top = len(hf) - 1
+    powers = top if kind == "slp" else 1
+    positions = [(k, m) for k in range(1, powers + 1) for m in range(top - k + 1)]
     forms = witness_forms(config, ideal.num_vars)
-    best: tuple[int, LinearForm, tuple[MapRankRecord, ...]] | None = None  # misses, form, records
+    best: LefschetzReport | None = None
     # a stream that ends early has exhausted the coefficient pool: judge what we saw
     for tried, form in enumerate(islice(forms, config.attempts), 1):
-        records = _rank_records(alg, form, powers)
-        misses = sum(1 for r in records if not r.maximal)
-        if misses == 0:
-            return LefschetzReport(kind, True, form, tried, hf, records)
-        if best is None or misses < best[0]:
-            best = (misses, form, records)
+        records = _rank_records(alg, form, positions, best.failures if best else ())
+        if records is None:
+            continue
+        best = LefschetzReport(kind, False, form, tried, hf, records)
+        if not best.failures:
+            return best._replace(holds=True)
     if best is None:
         raise GenericityError(
             f"could not sample a linear form within {MAX_SAMPLE_TRIES} tries (bound {config.bound})"
         )
-    return LefschetzReport(kind, False, best[1], tried, hf, best[2])
+    return best._replace(attempts_used=tried)
 
 
 def wlp_check(ideal: GradedIdeal, config: CheckConfig | None = None) -> LefschetzReport:

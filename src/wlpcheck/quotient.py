@@ -273,7 +273,9 @@ class QuotientAlgebra:
         self._degrees = ideal.generator_degrees
         self._pieces: dict[int, DegreePiece] = {}
         self._hilbert: tuple[int, ...] | None = None
-        self._adjoined: tuple[Generator, QuotientAlgebra] | None = None
+        # the latest multiplier's base (a form or a polynomial) and the
+        # algebras of I + (g) for the multipliers g on it
+        self._adjoined: tuple[LinearForm | GradedPoly, dict[Generator, QuotientAlgebra]] | None = None
         # normalized coordinates: y_k = c_k . x for integer rows c_k (power
         # forms cleared of denominators, then unit vectors); bounds[k] is the
         # exponent of the chosen power y_k^{a_k}, None for a unit vector.  One
@@ -284,6 +286,8 @@ class QuotientAlgebra:
         span = IntRowBasis(2 * n + 1)
         bounds: list[int | None] = []
         for a, c in candidates:
+            if len(bounds) == n:  # the c_k span, so no later candidate is independent
+                break
             v = span.reduce(c + [int(k == len(bounds)) for k in range(n)] + [0])
             if any(v[:n]):  # c is independent of the accepted rows
                 span.insert(v)
@@ -370,14 +374,19 @@ class QuotientAlgebra:
     def adjoined(self, g: Generator) -> "QuotientAlgebra":
         """The algebra of I + (g), for g a polynomial or a power (form, k).
 
-        Only the latest one is kept, so the ranks of one multiplier in every
-        source degree share its pieces.
+        Only those of the latest base, the form of a power or the polynomial
+        itself, are kept: the ranks of every power of one form, in every
+        source degree and in any order, share one algebra per power.
         """
+        base = g[0] if isinstance(g, tuple) else g
         last = self._adjoined
-        if last is None or last[0] != g:
-            bigger = GradedIdeal(self.num_vars, self.generators + (g,))
-            last = self._adjoined = (g, QuotientAlgebra(bigger))
-        return last[1]
+        if last is None or last[0] != base:
+            last = self._adjoined = (base, {})
+        kept = last[1]
+        got = kept.get(g)
+        if got is None:
+            got = kept[g] = QuotientAlgebra(GradedIdeal(self.num_vars, self.generators + (g,)))
+        return got
 
     def piece(self, m: int) -> DegreePiece:
         if m < 0:

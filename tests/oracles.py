@@ -226,3 +226,35 @@ def naive_multiplication_rank(gen_dicts, gen_degrees, num_vars, g_dict, g_degree
     if not image or not image[0]:
         return 0
     return frac_rank(image)
+
+
+# -- best of several sampled forms ----------------------------------------
+
+
+def naive_best_of_attempts(gen_dicts, gen_degrees, num_vars, forms, strong):
+    """The Lefschetz verdict from the full rank table of each sampled form.
+
+    ``forms`` are coefficient lists in the order drawn.  The weak check
+    multiplies by each form, the strong one by each of its powers up to the
+    socle degree.  Every form gets its whole table.  The first form with no
+    miss holds at once; otherwise the form with the fewest misses is
+    reported, the earliest on a tie, after every form was tried.  Returns
+    (holds, attempts used, form, hilbert function, records), a record being
+    (power, degree, source dim, target dim, rank).
+    """
+    hf = naive_hilbert(gen_dicts, gen_degrees, num_vars, num_vars * max(gen_degrees) + 1)
+    top = len(hf) - 1
+    best = None
+    for tried, coeffs in enumerate(forms, 1):
+        records = []
+        for k in range(1, (top if strong else 1) + 1):
+            g = dict_pow(dict_linear(coeffs), k)
+            for m in range(top - k + 1):
+                rank = naive_multiplication_rank(gen_dicts, gen_degrees, num_vars, g, k, m)
+                records.append((k, m, hf[m], hf[m + k], rank))
+        misses = sum(1 for *_, src, tgt, rank in records if rank < min(src, tgt))
+        if misses == 0:
+            return True, tried, list(coeffs), hf, records
+        if best is None or misses < best[0]:
+            best = (misses, list(coeffs), records)
+    return False, len(forms), best[1], hf, best[2]

@@ -203,15 +203,29 @@ def malformed_descriptions(draw):
     return data
 
 
+# the stderr prefix of each exit code; 0 and 1 (a verdict) print nothing there
+STDERR_PREFIX = {0: "", 1: "", 2: "input error: ", 3: "not Artinian: ", 4: "genericity failure: "}
+
+
+def _assert_exit_contract(argv, codes):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in codes
+    assert err.getvalue().startswith(STDERR_PREFIX[code])
+    assert bool(err.getvalue()) == (code > 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(descriptions(), malformed_descriptions()))
 def test_hilbert_exit_codes_on_generated_descriptions(data):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["hilbert", json.dumps(data)])
-    prefix = {0: "", 2: "input error: ", 3: "not Artinian: "}[code]
-    assert err.getvalue().startswith(prefix)
-    assert bool(err.getvalue()) == (code != 0)
+    _assert_exit_contract(["hilbert", json.dumps(data)], {0, 2, 3})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["wlp", "slp"]), st.one_of(descriptions(), malformed_descriptions()))
+def test_sampling_exit_codes_on_generated_descriptions(command, data):
+    _assert_exit_contract([command, json.dumps(data), "--attempts", "3", "--bound", "3"], {0, 1, 2, 3, 4})
 
 
 # -- JSON payloads ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from conftest import expand_power, expanded, powers_ideal, seeded_forms, seeded_
 from oracles import (
     dict_from_graded,
     frac_rank,
+    naive_best_of_attempts,
     naive_hilbert,
     naive_ideal_dim,
     naive_membership,
@@ -21,19 +22,30 @@ from oracles import (
 from wlpcheck import (
     CheckConfig,
     GradedIdeal,
+    lefschetz,
     linear_form,
     slp_check,
     wlp_check,
 )
 from wlpcheck.lefschetz import multiplication_rank
+from wlpcheck.linalg import FAST_PRIME
 from wlpcheck.poly import GradedPoly
-from wlpcheck.rng import TrialConfig, distinct_forms, stream
+from wlpcheck.quotient import QuotientAlgebra
+from wlpcheck.rng import TrialConfig, distinct_forms, stream, witness_forms
 from wlpcheck.trials import random_power_ideal
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 FOUR_CUBES = powers_ideal(
     ((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3), ((1, 1, 1), 3)
 )
+CUBES = powers_ideal(((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3))
+QUINTICS = GradedIdeal(
+    3,
+    powers_ideal(((1, 0, 0), 5), ((0, 1, 0), 5), ((0, 0, 1), 5)).generators
+    + (GradedPoly.monomial(3, (2, 1, 1)), GradedPoly.monomial(3, (1, 2, 1))),
+)
+# five general quartics in four variables, drawn as the ``fourvar`` benchmark draws them
+FOURVAR = TrialConfig(num_vars=4, min_degree=4, max_degree=4, min_generators=5, max_generators=5)
 
 
 # -- configuration -----------------------------------------------------------
@@ -103,16 +115,7 @@ def test_four_cubes_slp_fails_only_at_cube_of_witness():
 
 
 def test_mixed_quintics_fail_exactly_once():
-    ideal = powers_ideal(
-        ((1, 0, 0), 5), ((0, 1, 0), 5), ((0, 0, 1), 5)
-    )
-    gens = ideal.generators + (
-        GradedPoly.monomial(3, (2, 1, 1)),
-        GradedPoly.monomial(3, (1, 2, 1)),
-    )
-    quintics = GradedIdeal(3, gens)
-
-    report = wlp_check(quintics)
+    report = wlp_check(QUINTICS)
     assert not report.holds
     assert report.hilbert == (1, 3, 6, 10, 13, 13, 10, 6, 3)
     assert report.failures == ((1, 4),)
@@ -349,12 +352,11 @@ FOUR_VARIABLE_REPORTS = "a43452525f16f5c751ff0f0a40eef5c7fd754b9dc5aa4780d05d233
 
 
 def test_four_variable_rank_tables_are_unchanged():
-    config = TrialConfig(num_vars=4, min_degree=4, max_degree=4, min_generators=5, max_generators=5)
     reports = []
     for i in range(20):
         draws = stream(1, i)
-        ideal = random_power_ideal(draws, config)
-        check = config.check_config(seed=draws.next_uint64())
+        ideal = random_power_ideal(draws, FOURVAR)
+        check = FOURVAR.check_config(seed=draws.next_uint64())
         reports.append(wlp_check(ideal, check))
         if i == 0:
             reports.append(slp_check(ideal, check))
@@ -367,3 +369,103 @@ def test_four_variable_rank_tables_are_unchanged():
         for rep in reports
     ]
     assert hashlib.sha256(repr(whole).encode()).hexdigest() == FOUR_VARIABLE_REPORTS
+
+
+# -- best of attempts: the cutoff against the plain oracle -----------------------
+
+
+def _plain(report):
+    return (report.holds, report.attempts_used, list(report.form.coeffs), report.hilbert,
+            [tuple(r) for r in report.records])
+
+
+def _oracle(ideal, forms, kind):
+    return naive_best_of_attempts(
+        [dict_from_graded(g) for g in expanded(ideal)], list(ideal.generator_degrees), ideal.num_vars,
+        [f.coeffs for f in forms], kind == "slp",
+    )
+
+
+CHECKS = {"wlp": wlp_check, "slp": slp_check}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=3), min_size=3, max_size=5),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(sorted(CHECKS)),
+)
+def test_best_of_attempts_matches_the_plain_oracle(degrees, salt, bound, attempts, kind):
+    # small coefficients, in the ideal's forms and in the sampled ones, make
+    # special forms common, so later attempts are abandoned, tie or hold
+    ideal = GradedIdeal.from_powers(zip(seeded_forms(3, len(degrees), seed=81, index=salt, bound=1), degrees))
+    if not ideal.algebra.is_artinian():
+        return
+    config = CheckConfig(seed=salt, bound=bound, attempts=attempts)
+    sampled = list(islice(witness_forms(config, 3), attempts))
+    assert _plain(CHECKS[kind](ideal, config)) == _oracle(ideal, sampled, kind)
+
+
+def _sample(monkeypatch, *coeffs):
+    """Make the checks draw exactly these forms, in this order."""
+    forms = [linear_form(c) for c in coeffs]
+    monkeypatch.setattr(lefschetz, "witness_forms", lambda config, num_vars: iter(forms))
+    return forms
+
+
+def test_a_general_form_after_a_special_one_holds(monkeypatch):
+    # x misses from degree 1 to 2; a form with no zero coefficient does not
+    forms = _sample(monkeypatch, (1, 0, 0), (3, -2, 5))
+    report = wlp_check(SQUARES, CheckConfig(attempts=2))
+    assert report.holds
+    assert report.attempts_used == 2
+    assert report.form == forms[1]
+    assert _plain(report) == _oracle(SQUARES, forms, "wlp")
+
+
+def test_a_later_form_with_fewer_misses_is_reported(monkeypatch):
+    # misses in degrees 3-7, then 3-5, then only 4, a tie, and 3-7 again:
+    # the third form is reported, not the tie after it
+    forms = _sample(monkeypatch, (1, 0, 0), (1, 1, 0), (2, -3, 5), (3, 1, -2), (0, 0, 1))
+    report = wlp_check(QUINTICS, CheckConfig(attempts=5))
+    assert not report.holds
+    assert report.form == forms[2]
+    assert report.attempts_used == 5
+    assert report.failures == ((1, 4),)
+    assert _plain(report) == _oracle(QUINTICS, forms, "wlp")
+
+
+def test_a_shortfall_mod_p_is_not_a_miss(monkeypatch):
+    # x + y misses, so x + y + pz is ranked first where it missed.  Mod p
+    # that form is x + y, and some of its pieces fall short mod p (the cube
+    # from degree 1, for one); over the rationals every power has maximal rank
+    forms = _sample(monkeypatch, (1, 1, 0), (1, 1, FAST_PRIME))
+    report = slp_check(CUBES, CheckConfig(attempts=2))
+    assert report.holds
+    assert report.attempts_used == 2
+    assert _plain(report) == _oracle(CUBES, forms, "slp")
+
+
+def test_a_losing_form_is_ranked_only_where_the_best_one_missed(monkeypatch):
+    # every form misses once, at (1, 5), so each form after the first is
+    # abandoned at its first rank, one degree-6 piece of its I + (l)
+    computed = []
+    compute = QuotientAlgebra._compute_piece
+
+    def counted(alg, m):
+        computed.append((alg.generators, m))
+        return compute(alg, m)
+
+    monkeypatch.setattr(QuotientAlgebra, "_compute_piece", counted)
+    draws = stream(1, 0)
+    ideal = random_power_ideal(draws, FOURVAR)  # its Hilbert function is computed here
+    report = wlp_check(ideal, FOURVAR.check_config(seed=draws.next_uint64()))
+    assert report.failures == ((1, 5),)
+    assert report.attempts_used == 5
+    degrees = {}  # the degrees computed in each algebra: I, then each I + (l)
+    for generators, m in computed:
+        degrees.setdefault(generators, []).append(m)
+    assert list(degrees.values()) == [list(range(9)), list(range(1, 8)), [6], [6], [6], [6]]
+    assert len(computed) == 20
