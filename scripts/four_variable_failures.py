@@ -18,6 +18,7 @@ import sys
 from functools import partial
 
 from wlpcheck import cli
+from wlpcheck.specfile import render_coefficient
 from wlpcheck.trials import TrialConfig, wlp_trial
 
 
@@ -31,6 +32,8 @@ def run(config: TrialConfig) -> dict:
                 "degrees": list(ideal.generator_degrees),
                 "hilbert": list(report.hilbert),
                 "wlp": report.holds,
+                "witness": [render_coefficient(c) for c in report.form.coeffs],
+                "attempts_used": report.attempts_used,
                 "failures": [
                     {
                         "degree": r.degree,

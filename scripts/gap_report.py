@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from itertools import islice
 
 from wlpcheck import GradedIdeal, cli, generic_splitting_type, linear_form, wlp_check
-from wlpcheck.rng import CheckConfig, distinct_forms, stream
+from wlpcheck.rng import CheckConfig, TrialConfig, stream
 from wlpcheck.specfile import load_corpus_entry
+from wlpcheck.trials import random_power_ideal
 
 
 def named_cases() -> list[tuple[str, GradedIdeal]]:
@@ -49,18 +49,9 @@ def named_cases() -> list[tuple[str, GradedIdeal]]:
 
 
 def random_cases(count: int, max_degree: int, config: CheckConfig) -> list[tuple[str, GradedIdeal]]:
-    cases = []
-    for index in range(count):
-        rng = stream(config.seed, 1000 + index)
-        size = 3 + rng.integer(0, 2)
-        degrees = [rng.integer(2, max_degree) for _ in range(size)]
-        for _ in range(64):
-            forms = list(islice(distinct_forms(rng, 3, config.bound), size))
-            ideal = GradedIdeal.from_powers(zip(forms, degrees))
-            if ideal.algebra.is_artinian():
-                cases.append((f"random-{index}", ideal))
-                break
-    return cases
+    sampling = TrialConfig(bound=config.bound, num_vars=3, min_degree=2, max_degree=max_degree,
+                           min_generators=3, max_generators=5)
+    return [(f"random-{i}", random_power_ideal(stream(config.seed, 1000 + i), sampling)) for i in range(count)]
 
 
 def run(count: int, max_degree: int, config: CheckConfig) -> list[dict]:

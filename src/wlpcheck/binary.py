@@ -62,23 +62,13 @@ def power_quotient_dim(exponents: Sequence[int], m: int) -> int:
 class BinaryResolution(NamedTuple):
     """Resolution data of a two-variable quotient by powers of linear forms.
 
-    ``shifts`` are the generator degrees of the relation module, ascending:
-    the value socle_degree + 2 appears ``high_count`` times and the value
-    socle_degree + 1 fills the rest, one relation fewer than there are
-    minimal generators.
+    ``shifts`` are the generator degrees of the relation module, ascending,
+    each socle_degree + 1 or socle_degree + 2: one relation fewer than
+    there are minimal generators (:func:`minimal_power_degrees`).
     """
 
-    minimal_degrees: tuple[int, ...]
     socle_degree: int
     shifts: tuple[int, ...]
-
-    @property
-    def num_generators(self) -> int:
-        return len(self.minimal_degrees)
-
-    @property
-    def high_count(self) -> int:
-        return sum(1 for b in self.shifts if b == self.socle_degree + 2)
 
 
 def binary_power_resolution(exponents: Sequence[int]) -> BinaryResolution:
@@ -93,7 +83,7 @@ def binary_power_resolution(exponents: Sequence[int]) -> BinaryResolution:
     socle = (total - t) // (t - 1)
     high = total - (t - 1) * (socle + 1)
     shifts = (socle + 1,) * (t - 1 - high) + (socle + 2,) * high
-    return BinaryResolution(minimal, socle, shifts)
+    return BinaryResolution(socle, shifts)
 
 
 def syzygy_shifts_from_hilbert(

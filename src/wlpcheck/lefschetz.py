@@ -1,17 +1,14 @@
 """Maximal-rank checks for multiplication by powers of a linear form.
 
-The rank of multiplication by g from the degree-m piece of A = R/I is never
-computed from a matrix of the map.  The image of g times A_m is
-(I + gR) / I in degree m + deg g, so
+Every rank comes from :func:`wlpcheck.quotient.multiplication_rank`, which
+reads it off two Hilbert-function values:
 
-    rank(x g : A_m -> A_{m + deg g}) = h_A(m + deg g) - dim (R/(I + (g)))_{m + deg g},
+    rank(x g : A_m -> A_{m + deg g}) = h_A(m + deg g) - dim (R/(I + (g)))_{m + deg g}.
 
-and both dimensions are Hilbert-function values.  The quotient by I + (g)
-is the algebra of the ideal I + (g), whose last generator is g.  For
-g = l^k that generator is the power (l, k), so its normalized coordinates
-pick l as a coordinate whenever k is among the smallest exponents, which
-k = 1 always is: its pieces then live on standard monomials in one
-variable fewer, and l^k is never expanded in the original coordinates.
+For g = l^k the last generator of I + (g) is the power (l, k), never
+expanded in the original coordinates.  This module keeps only the policy:
+which candidate forms are tried, which (power, degree) positions are
+ranked, and which form is reported.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import GenericityError
 from .poly import LinearForm
-from .quotient import Generator, GradedIdeal, QuotientAlgebra
+from .quotient import GradedIdeal, QuotientAlgebra, multiplication_rank
 from .rng import MAX_SAMPLE_TRIES, CheckConfig, witness_forms
 
 
@@ -55,25 +52,6 @@ class LefschetzReport(NamedTuple):
     @property
     def socle_degree(self) -> int:
         return len(self.hilbert) - 1
-
-
-def multiplication_rank(alg: QuotientAlgebra, g: Generator, m: int) -> int:
-    """Exact rank of multiplication by g out of the degree-m quotient piece.
-
-    g is a polynomial or a power ``(form, k)`` of a linear form.  The image
-    of g times the degree-m piece is (I + gR) / I in degree m + deg g, so
-    the rank is the drop in dimension from A to the quotient by I + (g).
-    """
-    base, degree = g if isinstance(g, tuple) else (g, g.degree)
-    if base.num_vars != alg.num_vars:
-        raise ValueError("variable count does not match")
-    if base.is_zero:
-        return 0
-    target = m + degree
-    target_dim = alg.dimension(target)
-    if alg.dimension(m) == 0 or target_dim == 0:
-        return 0
-    return target_dim - alg.adjoined(g).dimension(target)
 
 
 def _rank_records(

@@ -9,13 +9,14 @@ so no division ever leaves the integers and every answer is exact.
 exact ranks of graded pieces, and it also picks the normalized coordinates
 of a quotient and inverts their change of basis (see :mod:`wlpcheck.quotient`).
 
-``rank_mod_prime`` is a single-prime modular fast path with a one-sided
-guarantee: the modular rank never exceeds the rational rank, and no rank
-exceeds the number of rows or of columns, so a modular rank that reaches
-min(#rows, #cols) is the exact rank.  Callers in this package only use it
-that way; any smaller modular answer is recomputed exactly before it can
-influence a reported value.  It has two paths, picked by the size of the
-matrix, each the faster one on its side of the cutoff:
+``exact_rank`` is the one rule for when a rank is trusted, and the only
+caller of ``rank_mod_prime``, a single-prime modular fast path with a
+one-sided guarantee: the modular rank never exceeds the rational rank, and
+no rank exceeds the number of rows or of columns, so a modular rank that
+reaches min(#rows, #cols) is the exact rank.  Any smaller modular answer is
+recomputed by ``IntRowBasis`` before it is returned.  The modular path has
+two branches, picked by the size of the matrix, each the faster one on its
+side of the cutoff:
 
 * below ``NUMPY_CELLS`` entries, an incremental echelon form in plain
   Python that stops as soon as the rank is full.  It reduces mod p only
@@ -111,6 +112,20 @@ class IntRowBasis:
 
     def extend(self, rows: Iterable[Sequence[int]]) -> int:
         return sum(1 for row in rows if self.insert(row))
+
+
+def exact_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Exact rank of an integer row span: the one place a rank is certified.
+
+    A rank mod p that reaches min(#rows, #cols) is exact; any smaller one
+    is recomputed by fraction-free elimination.
+    """
+    rank = rank_mod_prime(rows, ncols)
+    if rank < min(len(rows), ncols):
+        basis = IntRowBasis(ncols)
+        basis.extend(rows)
+        rank = basis.rank
+    return rank
 
 
 def rank_mod_prime(rows: Sequence[Sequence[int]], ncols: int) -> int:

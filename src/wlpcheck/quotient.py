@@ -8,18 +8,18 @@ computes one graded piece at a time: the row space of the ideal in that
 degree, its exact rank, and therefore the dimension of the quotient piece.
 A piece keeps three integers, its degree, the number of monomials of
 that degree and the rank; its rows and any echelon basis are dropped once
-the rank is read.  Ranks go through a modular fast path first; a rank
-modulo the working prime that reaches the number of rows or of columns is
-already a certificate, anything less is recomputed exactly, so every
-number that leaves this module is exact.  Both read the same integer rows,
-built once per piece.  Rows are built from monomial codes: an exponent
+the rank is read.  The rank is :func:`wlpcheck.linalg.exact_rank` of the
+piece's integer rows, built once, so every number that leaves this module
+is exact.  Rows are built from monomial codes: an exponent
 vector u is the integer sum_i u_i w_i for mixed-radix weights w, and a
 monomial multiple adds one code to another, with no carry since each radix
 is above every exponent a product of two standard monomials can reach.
 
 Every question about the quotient is answered by dimensions of pieces.
-Membership is one: f of degree d lies in the ideal exactly when the
-quotient by I + (f) has the same degree-d dimension as the quotient by I.
+:func:`multiplication_rank` gives the rank of multiplication by g out of
+degree m as the drop from the quotient by I to the quotient by I + (g) in
+degree m + deg g.  Membership is its m = 0 case: f lies in the ideal
+exactly when multiplication by f is zero on the degree-0 piece.
 
 Pieces are computed in normalized coordinates.  When the algebra is built
 it picks a maximal linearly independent set of the power generators'
@@ -49,7 +49,7 @@ ideal, so a monomial dropped early could only have yielded nonstandard
 monomials later.  Nothing is ever expanded in the original coordinates.
 The two pushes, :func:`push_form` and :func:`push_poly`, take any integer
 substitution: with no bounds, they also cut an ideal to a hyperplane
-(:mod:`wlpcheck.splitting`).
+(:meth:`GradedIdeal.restricted`).
 
 The standard monomials of a degree, their codes and their column indices
 form a table that depends on the number of variables, the exponent bounds
@@ -65,9 +65,9 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NotArtinianError
+from .errors import GenericityError, NotArtinianError
 from .frozen import Frozen
-from .linalg import IntRowBasis, clear_row_to_int, rank_mod_prime
+from .linalg import IntRowBasis, clear_row_to_int, exact_rank
 from .poly import Exponents, GradedPoly, LinearForm, basis_size, exponent_vectors
 
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -238,6 +238,39 @@ class GradedIdeal(Frozen):
     def algebra(self) -> "QuotientAlgebra":
         return QuotientAlgebra(self)
 
+    def restricted(self, ell: LinearForm) -> "GradedIdeal":
+        """The ideal of the generators that survive on the hyperplane ell = 0.
+
+        Restriction is one more integer substitution.  With c the form ell
+        cleared to integers and c_k its first nonzero entry, x_k goes to
+        -sum_{i != k} c_i y_i and every other x_i to c_k y_i, the y_i being the
+        other variables in order.  That is c_k times solving ell = 0 for x_k,
+        so a degree-d generator only picks up the factor c_k^d and the ideal
+        is the same.  A power (form, k) stays a power of its pushed form.
+        """
+        if ell.num_vars != self.num_vars or ell.is_zero:
+            raise ValueError("restriction needs a nonzero form in the ideal's variables")
+        c = clear_row_to_int(ell.coeffs)
+        k = next(i for i, ci in enumerate(c) if ci)
+        rest = c[:k] + c[k + 1:]
+        n = len(rest)
+        substitution = [[(j, c[k])] for j in range(n)]
+        substitution.insert(k, [(j, -ci) for j, ci in enumerate(rest) if ci])
+        survivors: list[Generator] = []
+        for g in self.generators:
+            if isinstance(g, tuple):
+                pushed = push_form(clear_row_to_int(g[0].coeffs), substitution, n)
+                if any(pushed):
+                    survivors.append((LinearForm(pushed), g[1]))
+            else:
+                cut = GradedPoly(n, g.degree, push_poly(g, substitution, (None,) * n).items())
+                if not cut.is_zero:
+                    survivors.append(cut)
+        if len(survivors) < 2:
+            # an Artinian ideal always keeps two generators alive on any line
+            raise GenericityError("fewer than two generators survive the restriction")
+        return GradedIdeal(n, tuple(survivors))
+
 
 class DegreePiece(NamedTuple):
     """One graded piece: the dimensions of the ideal and of the quotient in one degree.
@@ -400,14 +433,7 @@ class QuotientAlgebra:
     def _compute_piece(self, m: int) -> DegreePiece:
         ambient = basis_size(self.num_vars, m)
         ncols = len(self._standard(m).exponents)
-        rows = self.spanning_rows(m)
-        rank = rank_mod_prime(rows, ncols)
-        if rank < min(len(rows), ncols):
-            # a rank mod p never exceeds the rational rank, which never
-            # exceeds either count: only a smaller one needs exact elimination
-            basis = IntRowBasis(ncols)
-            basis.extend(rows)
-            rank = basis.rank
+        rank = exact_rank(self.spanning_rows(m), ncols)
         # the nonstandard monomials lie in the ideal
         return DegreePiece(m, ambient, ambient - ncols + rank)
 
@@ -454,15 +480,29 @@ class QuotientAlgebra:
     def contains(self, f: GradedPoly) -> bool:
         """Is f in the ideal?
 
-        For f of degree d, (I + (f))_d is I_d plus the span of f, so f lies
-        in I_d exactly when adjoining it leaves the quotient's degree-d
-        piece as it was: the same rule that gives every rank.
+        The m = 0 case of :func:`multiplication_rank`: f is in the ideal
+        exactly when multiplication by f is zero on the degree-0 piece.  A
+        nonzero constant never is, as every generator has positive degree.
         """
-        if f.num_vars != self.num_vars:
-            raise ValueError("variable count does not match")
-        if f.is_zero:
-            return True
-        if f.degree == 0:
-            return False  # every generator has positive degree
-        dim = self.dimension(f.degree)
-        return dim == 0 or self.adjoined(f).dimension(f.degree) == dim
+        if f.degree == 0 and not f.is_zero and f.num_vars == self.num_vars:
+            return False
+        return multiplication_rank(self, f, 0) == 0
+
+
+def multiplication_rank(alg: QuotientAlgebra, g: Generator, m: int) -> int:
+    """Exact rank of multiplication by g out of the degree-m quotient piece.
+
+    g is a polynomial or a power ``(form, k)`` of a linear form.  The image
+    of g times the degree-m piece is (I + gR) / I in degree m + deg g, so
+    the rank is the drop in dimension from A to the quotient by I + (g).
+    """
+    base, degree = g if isinstance(g, tuple) else (g, g.degree)
+    if base.num_vars != alg.num_vars:
+        raise ValueError("variable count does not match")
+    if base.is_zero:
+        return 0
+    target = m + degree
+    target_dim = alg.dimension(target)
+    if alg.dimension(m) == 0 or target_dim == 0:
+        return 0
+    return target_dim - alg.adjoined(g).dimension(target)

@@ -154,7 +154,7 @@ def render_ideal(ideal: GradedIdeal) -> dict:
 def _decode_json(text: str, where: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise _fail(where, f"not valid JSON: {exc}") from None
     except RecursionError:
         raise _fail(where, "not valid JSON: nested too deeply") from None
@@ -170,6 +170,8 @@ def load_ideal_file(path: str) -> GradedIdeal:
             text = handle.read()
     except OSError as exc:
         raise _fail(path, f"cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _fail(path, f"not UTF-8 text: {exc}") from None
     return load_ideal_text(text, path)
 
 

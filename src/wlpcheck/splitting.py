@@ -27,6 +27,9 @@ Multiplication by the form from degree m to m + 1 then has
 
 and both are cross-checked internally against the restricted Hilbert
 function, which computes the same cokernel as a plain dimension count.
+That function is the Hilbert function of ``ideal.restricted(ell)``: the
+cut to the line is :meth:`wlpcheck.quotient.GradedIdeal.restricted`, and
+this module only turns dimension counts into shifts and predictions.
 """
 
 from __future__ import annotations
@@ -37,9 +40,8 @@ from typing import NamedTuple, Sequence
 
 from .binary import binary_power_resolution, syzygy_shifts_from_hilbert
 from .errors import GenericityError, HilbertDataError
-from .linalg import clear_row_to_int
-from .poly import GradedPoly, LinearForm, basis_size
-from .quotient import Generator, GradedIdeal, push_form, push_poly
+from .poly import LinearForm, basis_size
+from .quotient import GradedIdeal
 from .rng import CheckConfig, witness_forms
 
 
@@ -90,43 +92,10 @@ def predicted_splitting_type(exponents: Sequence[int]) -> SplittingType:
     two-variable resolution; each redundant power splits off its own degree.
     """
     resolution = binary_power_resolution(exponents)
-    redundant = sorted(exponents)[resolution.num_generators:]
+    # one relation fewer than there are minimal generators
+    redundant = sorted(exponents)[len(resolution.shifts) + 1:]
     shifts = tuple(sorted(resolution.shifts + tuple(redundant)))
     return SplittingType(shifts, resolution.socle_degree)
-
-
-def _restrict_generators(ideal: GradedIdeal, ell: LinearForm) -> GradedIdeal:
-    """The ideal of the generators that survive on the line ell = 0.
-
-    Restriction is one more integer substitution.  With c the form ell
-    cleared to integers and c_k its first nonzero entry, x_k goes to
-    -sum_{i != k} c_i y_i and every other x_i to c_k y_i, the y_i being the
-    other variables in order.  That is c_k times solving ell = 0 for x_k,
-    so a degree-d generator only picks up the factor c_k^d and the ideal
-    is the same.  A power (form, k) stays a power of its pushed form.
-    """
-    if ell.num_vars != ideal.num_vars or ell.is_zero:
-        raise ValueError("restriction needs a nonzero form in the ideal's variables")
-    c = clear_row_to_int(ell.coeffs)
-    k = next(i for i, ci in enumerate(c) if ci)
-    rest = c[:k] + c[k + 1:]
-    n = len(rest)
-    substitution = [[(j, c[k])] for j in range(n)]
-    substitution.insert(k, [(j, -ci) for j, ci in enumerate(rest) if ci])
-    survivors: list[Generator] = []
-    for g in ideal.generators:
-        if isinstance(g, tuple):
-            pushed = push_form(clear_row_to_int(g[0].coeffs), substitution, n)
-            if any(pushed):
-                survivors.append((LinearForm(pushed), g[1]))
-        else:
-            cut = GradedPoly(n, g.degree, push_poly(g, substitution, (None,) * n).items())
-            if not cut.is_zero:
-                survivors.append(cut)
-    if len(survivors) < 2:
-        # an Artinian ideal always keeps two generators alive on any line
-        raise GenericityError("fewer than two generators survive the restriction")
-    return GradedIdeal(n, tuple(survivors))
 
 
 def _splitting_at(ideal: GradedIdeal, ell: LinearForm) -> tuple[SplittingType, tuple[int, ...]]:
@@ -139,7 +108,7 @@ def _splitting_at(ideal: GradedIdeal, ell: LinearForm) -> tuple[SplittingType, t
     if ideal.num_vars != 3:
         raise ValueError("splitting data is defined for three variables")
     ideal.algebra.hilbert_function()  # Artinian or bust
-    rhf = _restrict_generators(ideal, ell).algebra.hilbert_function()
+    rhf = ideal.restricted(ell).algebra.hilbert_function()
 
     def ideal_dim(m: int) -> int:
         quotient = rhf[m] if 0 <= m < len(rhf) else 0

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lefschetz import multiplication_rank, slp_check, wlp_check
+from .lefschetz import slp_check, wlp_check
+from .quotient import multiplication_rank
 from .rng import CheckConfig
 from .specfile import CorpusEntry, corpus_names, load_corpus_entry, parse_polynomial
 from .splitting import generic_splitting_type, predict_wlp

@@ -51,7 +51,7 @@ def test_resolution_frozen():
     four_cubes = binary_power_resolution([3, 3, 3, 3])
     assert four_cubes.socle_degree == 2
     assert four_cubes.shifts == (4, 4, 4)
-    assert four_cubes.minimal_degrees == (3, 3, 3, 3)
+    assert minimal_power_degrees([3, 3, 3, 3]) == (3, 3, 3, 3)
     assert minimal_power_degrees([3, 3, 3, 3, 3]) == (3, 3, 3, 3)
 
 

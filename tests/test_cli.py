@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -214,12 +215,40 @@ def _assert_exit_contract(argv, codes):
     assert code in codes
     assert err.getvalue().startswith(STDERR_PREFIX[code])
     assert bool(err.getvalue()) == (code > 1)
+    return code, err.getvalue()
+
+
+def _assert_file_contract(path):
+    """``hilbert`` on a file path: exit 0, 2 or 3, and any input error names the path."""
+    code, err = _assert_exit_contract(["hilbert", str(path)], {0, 2, 3})
+    assert code != 2 or str(path) in err
+    return code
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(descriptions(), malformed_descriptions()))
 def test_hilbert_exit_codes_on_generated_descriptions(data):
     _assert_exit_contract(["hilbert", json.dumps(data)], {0, 2, 3})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(descriptions(), malformed_descriptions()).map(lambda d: json.dumps(d).encode()) | st.binary())
+def test_hilbert_exit_codes_on_generated_files(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ideal.json"
+        path.write_bytes(content)
+        _assert_file_contract(path)
+
+
+def test_hilbert_exit_codes_on_paths_that_hold_no_description(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_bytes(b"")
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff{}")
+    long_integer = tmp_path / "digits.json"
+    long_integer.write_text("9" * 5000, encoding="ascii")
+    for path in (empty, undecodable, long_integer, tmp_path, tmp_path / "missing.json"):
+        assert _assert_file_contract(path) == 2, path
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import frac_rank, frac_solveable
-from wlpcheck.linalg import FAST_PRIME, NUMPY_CELLS, IntRowBasis, clear_row_to_int, rank_mod_prime
+from wlpcheck.linalg import FAST_PRIME, NUMPY_CELLS, IntRowBasis, clear_row_to_int, exact_rank, rank_mod_prime
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -150,9 +150,10 @@ def test_modular_rank_above_the_cutoff(rows):
 
 def test_a_multiple_of_the_prime_is_lost_on_both_paths():
     # a pivot divisible by p vanishes mod p: the modular rank falls short of
-    # the rational one, never above it
+    # the rational one, never above it, and exact_rank recovers the rest
     assert 3 * 3 < NUMPY_CELLS <= 32 * 32
     for size in (3, 32):
         rows = [[int(i == j) * (FAST_PRIME if i == 0 else 1) for j in range(size)] for i in range(size)]
         assert frac_rank(rows) == size
         assert rank_mod_prime(rows, size) == size - 1
+        assert exact_rank(rows, size) == size

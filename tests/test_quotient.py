@@ -23,10 +23,9 @@ from wlpcheck import GenericityError, GradedIdeal, NotArtinianError, linear_form
 from wlpcheck.binary import power_quotient_dim
 from wlpcheck.linalg import FAST_PRIME, IntRowBasis, rank_mod_prime
 from wlpcheck.poly import GradedPoly, basis_size, exponent_vectors
-from wlpcheck import quotient
+from wlpcheck import linalg, quotient
 from wlpcheck.quotient import QuotientAlgebra
 from wlpcheck.rng import TrialConfig
-from wlpcheck.splitting import _restrict_generators
 from wlpcheck.trials import run_random_trials
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
@@ -69,7 +68,7 @@ def test_degrees_and_power_flags():
 
 def test_restricted_drops_dead_generators():
     ell = linear_form([1, 0, 0])
-    restricted = _restrict_generators(SQUARES, ell)
+    restricted = SQUARES.restricted(ell)
     # x^2 dies on the line x = 0; y^2 and z^2 survive as binary powers
     assert restricted.num_vars == 2
     assert restricted.generators == ((linear_form([1, 0]), 2), (linear_form([0, 1]), 2))
@@ -78,7 +77,7 @@ def test_restricted_drops_dead_generators():
 def test_restricting_everything_away_is_rejected():
     only = powers_ideal(((1, 0, 0), 3))
     with pytest.raises(GenericityError):
-        _restrict_generators(only, linear_form([1, 0, 0]))
+        only.restricted(linear_form([1, 0, 0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,7 +106,7 @@ def test_restriction_has_the_hilbert_function_of_the_ideal_plus_the_line(data):
     ideal = GradedIdeal(n, tuple(gens))
     gen_dicts = [dict_from_graded(g) for g in expanded(ideal)] + [dict_linear(ell.coeffs)]
     expected = naive_hilbert(gen_dicts, ideal.generator_degrees + (1,), n, n * 3)
-    restricted = _restrict_generators(ideal, ell)
+    restricted = ideal.restricted(ell)
     assert restricted.num_vars == n - 1
     if cut != "general":
         assert len(restricted.generators) < len(gens)
@@ -374,8 +373,8 @@ def test_membership_on_a_piece_certified_by_its_row_count(monkeypatch):
 def test_a_low_modular_rank_is_never_trusted(monkeypatch):
     # an unlucky prime gives a rank mod p below min(#rows, #cols); such an
     # answer must send the piece to exact elimination
-    real = quotient.rank_mod_prime
-    monkeypatch.setattr(quotient, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
+    real = linalg.rank_mod_prime
+    monkeypatch.setattr(linalg, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
     ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
@@ -413,8 +412,8 @@ def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
     monkeypatch.setattr(QuotientAlgebra, "spanning_rows", counting)
     # a rank mod p one short of full sends every piece with rows to exact
     # elimination, which must reuse the rows already built
-    real = quotient.rank_mod_prime
-    monkeypatch.setattr(quotient, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
+    real = linalg.rank_mod_prime
+    monkeypatch.setattr(linalg, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
     ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
