@@ -266,9 +266,9 @@ class GradedIdeal(Frozen):
                 cut = GradedPoly(n, g.degree, push_poly(g, substitution, (None,) * n).items())
                 if not cut.is_zero:
                     survivors.append(cut)
-        if len(survivors) < 2:
-            # an Artinian ideal always keeps two generators alive on any line
-            raise GenericityError("fewer than two generators survive the restriction")
+        if len(survivors) < n:
+            # an Artinian ideal in the n cut variables has at least n generators
+            raise GenericityError(f"fewer than {n} generators survive the restriction")
         return GradedIdeal(n, tuple(survivors))
 
 
@@ -332,8 +332,14 @@ class QuotientAlgebra:
         # is s x_j = -r . y.  So x = B y / D for row j of B equal to -r D / s
         # and D the lcm of the s: B is a positive multiple of C^-1, C the
         # matrix of the c_k, and a degree-d polynomial only picks up the
-        # scalar D^-d, which changes no span.  Rows of B are (k, B_jk) pairs.
-        tails = [span.reduce([int(i == j) for i in range(2 * n)] + [1])[n:] for j in range(n)]
+        # scalar D^-d, which changes no span.  reduce leaves a content in
+        # [r | s]; it is stripped here, or B would carry it into every
+        # rewritten coefficient.  Rows of B are (k, B_jk) pairs.
+        tails = []
+        for j in range(n):
+            t = span.reduce([int(i == j) for i in range(2 * n)] + [1])[n:]
+            g = gcd(*t)
+            tails.append([x // g for x in t])
         scale = lcm(*(t[-1] for t in tails))
         self._substitution = [
             [(k, -r * (scale // t[-1])) for k, r in enumerate(t[:-1]) if r] for t in tails

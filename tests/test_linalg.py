@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,7 +105,7 @@ def test_basis_contains_agrees_with_solveability(rows):
     assert (not any(basis.reduce(target))) == frac_solveable(span, target)
 
 
-# -- both mod-p paths ---------------------------------------------------------
+# -- both sides of the cutoff --------------------------------------------------
 
 
 @st.composite
@@ -114,8 +115,7 @@ def sized_matrix(draw, min_cells, max_cells):
     Half of the draws are products A B through an inner dimension k below
     both sides, so their rank is at most k: rank-deficient on purpose.
     Entries are small or reach about 2^200, far above the prime, as the
-    rewritten generators' coefficients do, so the lazy reduction mod p is
-    exercised.
+    rewritten generators' coefficients do.
     """
     nrows = draw(st.integers(min_value=1, max_value=40))
     ncols = draw(st.integers(min_value=max(1, -(-min_cells // nrows)), max_value=max_cells // nrows))
@@ -134,26 +134,106 @@ def sized_matrix(draw, min_cells, max_cells):
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
+def _exact_ranks(rows):
+    """The rank by exact_rank and by an IntRowBasis fed every row."""
+    ncols = len(rows[0])
+    basis = IntRowBasis(ncols)
+    basis.extend(rows)
+    return exact_rank(rows, ncols), basis.rank
+
+
 @settings(max_examples=40, deadline=None)
 @given(sized_matrix(1, NUMPY_CELLS - 1))
-def test_modular_rank_below_the_cutoff(rows):
+def test_exact_rank_below_the_cutoff(rows):
+    # eliminated exactly at once, with no screen mod p
     assert len(rows) * len(rows[0]) < NUMPY_CELLS
-    assert rank_mod_prime(rows, len(rows[0])) == frac_rank(rows)
+    expected = frac_rank(rows)
+    assert _exact_ranks(rows) == (expected, expected)
 
 
 @settings(max_examples=20, deadline=None)
 @given(sized_matrix(NUMPY_CELLS, 2 * NUMPY_CELLS))
 def test_modular_rank_above_the_cutoff(rows):
     assert len(rows) * len(rows[0]) >= NUMPY_CELLS
-    assert rank_mod_prime(rows, len(rows[0])) == frac_rank(rows)
+    expected = frac_rank(rows)
+    assert rank_mod_prime(rows, len(rows[0])) == expected
+    assert _exact_ranks(rows) == (expected, expected)
 
 
-def test_a_multiple_of_the_prime_is_lost_on_both_paths():
+def test_an_empty_piece_has_rank_zero():
+    assert exact_rank([], 7) == 0
+    assert exact_rank([[], []], 0) == 0
+
+
+def test_a_multiple_of_the_prime_is_lost_mod_p():
     # a pivot divisible by p vanishes mod p: the modular rank falls short of
-    # the rational one, never above it, and exact_rank recovers the rest
+    # the rational one, never above it, and exact_rank recovers the rest on
+    # both sides of the cutoff
     assert 3 * 3 < NUMPY_CELLS <= 32 * 32
     for size in (3, 32):
         rows = [[int(i == j) * (FAST_PRIME if i == 0 else 1) for j in range(size)] for i in range(size)]
         assert frac_rank(rows) == size
         assert rank_mod_prime(rows, size) == size - 1
         assert exact_rank(rows, size) == size
+
+
+# -- content: stored rows primitive, reduced rows a positive multiple ----------
+
+# large enough that a row scaled by one outgrows the small pivots it meets
+factors = st.integers(min_value=1, max_value=2**300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sized_matrix(1, NUMPY_CELLS - 1), st.lists(factors, min_size=40, max_size=40))
+def test_stored_rows_are_primitive_with_positive_pivots(rows, scales):
+    # every row carries a large common factor, every other one a sign too
+    scaled = [[(-1) ** i * f * x for x in row] for i, (row, f) in enumerate(zip(rows, scales))]
+    basis = IntRowBasis(len(rows[0]))
+    basis.extend(scaled)
+    assert basis.rank == frac_rank(rows)
+    assert basis.pivots == sorted(basis.pivots)
+    for p, row in zip(basis.pivots, basis.rows):
+        assert not any(row[:p])
+        assert row[p] > 0
+        assert gcd(*row) == 1
+
+
+def test_reduce_sheds_a_common_factor_that_outgrows_the_pivots():
+    basis = IntRowBasis(3)
+    basis.insert([1, 0, 1])
+    big = 2**200
+    # 3 * 2^200 has far more bits than the pivot 1: the factor goes before the step
+    assert basis.reduce([3 * big, 5 * big, 7 * big]) == [0, 5, 4]
+    assert basis.reduce([-3 * big, -5 * big, -7 * big]) == [0, -5, -4]
+    # a row that has not outgrown the pivot keeps its content
+    assert basis.reduce([6, 10, 14]) == [0, 10, 8]
+
+
+def _reduced_over_q(basis, vec):
+    """vec minus the combination of the basis rows that clears every pivot."""
+    w = [Fraction(x) for x in vec]
+    for p, row in zip(basis.pivots, basis.rows):
+        if w[p]:
+            t = w[p] / row[p]
+            w = [x - t * y for x, y in zip(w, row)]
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_matrix(1, NUMPY_CELLS - 1), factors, st.booleans())
+def test_reduce_returns_a_positive_multiple_of_the_reduced_row(rows, factor, sign):
+    # the coordinate inversion of a quotient reads the sign and the ratios of
+    # the reduced row, not its scale
+    *span, target = rows
+    basis = IntRowBasis(len(target))
+    basis.extend(span)
+    target = [(-1) ** sign * factor * x for x in target]
+    got = basis.reduce(target)
+    want = _reduced_over_q(basis, target)
+    nonzero = [i for i, x in enumerate(want) if x]
+    if not nonzero:
+        assert not any(got)
+        return
+    ratio = got[nonzero[0]] / want[nonzero[0]]
+    assert ratio > 0
+    assert got == [ratio * x for x in want]

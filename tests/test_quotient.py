@@ -74,6 +74,15 @@ def test_restricted_drops_dead_generators():
     assert restricted.generators == ((linear_form([1, 0]), 2), (linear_form([0, 1]), 2))
 
 
+def test_restricting_two_variables_keeps_one_generator():
+    # (x^2, y^2) cut by x = 0 is (y^2): one generator is Artinian in one variable
+    x, y = linear_form([1, 0]), linear_form([0, 1])
+    restricted = GradedIdeal.from_powers([(x, 2), (y, 2)]).restricted(x)
+    assert restricted.num_vars == 1
+    assert restricted.generators == ((linear_form([1]), 2),)
+    assert restricted.algebra.hilbert_function() == (1, 1)
+
+
 def test_restricting_everything_away_is_rejected():
     only = powers_ideal(((1, 0, 0), 3))
     with pytest.raises(GenericityError):
@@ -345,22 +354,36 @@ def test_ideal_owns_its_algebra():
         gc.enable()
 
 
-def test_membership_on_a_piece_certified_by_its_row_count(monkeypatch):
+def _count_rank_calls(monkeypatch):
+    """Log the column count of every exact elimination and "mod p" for every screen."""
     calls = []
-    original = IntRowBasis.extend
+    extend = IntRowBasis.extend
+    screen = linalg.rank_mod_prime
 
-    def counting(self, rows):
+    def counting_extend(self, rows):
         calls.append(self.ncols)
-        return original(self, rows)
+        return extend(self, rows)
 
-    monkeypatch.setattr(IntRowBasis, "extend", counting)
+    def counting_screen(rows, ncols):
+        calls.append("mod p")
+        return screen(rows, ncols)
+
+    monkeypatch.setattr(IntRowBasis, "extend", counting_extend)
+    monkeypatch.setattr(linalg, "rank_mod_prime", counting_screen)
+    return calls
+
+
+def test_membership_on_a_piece_certified_by_its_row_count(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
     # three cubes pick the coordinates; the fourth cube is the only row in
     # degree 3, one row against seven standard monomials
     ideal = seeded_power_ideal([3, 3, 3, 3], seed=43, index=0, num_vars=3)
     alg = QuotientAlgebra(ideal)
     piece = alg.piece(3)
     assert (piece.ideal_rank, piece.ambient_dim) == (4, 10)
-    assert calls == []
+    # below NUMPY_CELLS a piece is eliminated exactly at once, with no screen mod p
+    assert 1 * 7 < linalg.NUMPY_CELLS
+    assert calls == [7]
     first, _, _, fourth = expanded(ideal)
     assert alg.contains(fourth.scale(3) - first)
     stranger = expand_power(linear_form([1, 1, 1]), 3)
@@ -370,10 +393,22 @@ def test_membership_on_a_piece_certified_by_its_row_count(monkeypatch):
     assert not naive_membership(gen_dicts, gen_degrees, 3, dict_from_graded(stranger), 3)
 
 
+def test_a_big_piece_certified_mod_p_runs_no_exact_elimination(monkeypatch):
+    calls = _count_rank_calls(monkeypatch)
+    # five general quartics in four variables: 20 rows against 40 standard
+    # monomials in degree 7, of full rank mod p
+    ideal = seeded_power_ideal([4] * 5, seed=45, num_vars=4)
+    piece = ideal.algebra.piece(7)
+    assert 20 * 40 >= linalg.NUMPY_CELLS
+    assert calls == ["mod p"]
+    assert piece.ideal_rank == basis_size(4, 7) - 40 + 20
+
+
 def test_a_low_modular_rank_is_never_trusted(monkeypatch):
     # an unlucky prime gives a rank mod p below min(#rows, #cols); such an
     # answer must send the piece to exact elimination
     real = linalg.rank_mod_prime
+    monkeypatch.setattr(linalg, "NUMPY_CELLS", 1)  # screen every piece mod p
     monkeypatch.setattr(linalg, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
     ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
@@ -382,10 +417,12 @@ def test_a_low_modular_rank_is_never_trusted(monkeypatch):
     assert QuotientAlgebra(ideal).hilbert_function() == expected
 
 
-def test_integer_rows_that_vanish_mod_p_fall_back_to_exact_rank():
+def test_integer_rows_that_vanish_mod_p_fall_back_to_exact_rank(monkeypatch):
     # x*f = p x^2yz + x^3y projects to p x^2yz, as x^3 is not standard: a row
     # that is nonzero over the integers and zero mod p.  It lowers the rank
-    # mod p below the row count, so the degree-4 piece is ranked exactly.
+    # mod p below the row count, so the degree-4 piece, screened mod p like
+    # every piece here, is ranked exactly.
+    monkeypatch.setattr(linalg, "NUMPY_CELLS", 1)
     powers = powers_ideal(((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3))
     f = GradedPoly.monomial(3, (1, 1, 1)).scale(FAST_PRIME) + GradedPoly.monomial(3, (2, 1, 0))
     ideal = GradedIdeal(3, powers.generators + (f,))
@@ -413,6 +450,7 @@ def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
     # a rank mod p one short of full sends every piece with rows to exact
     # elimination, which must reuse the rows already built
     real = linalg.rank_mod_prime
+    monkeypatch.setattr(linalg, "NUMPY_CELLS", 1)  # screen every piece mod p
     monkeypatch.setattr(linalg, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
     ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
