@@ -1,10 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Everything downstream (Hilbert functions, multiplication-map ranks, syzygy
-shift recovery) reduces to ranks and row spans of matrices with rational
-entries.  The engine is fraction-free: rows are cleared to integer vectors
-and eliminated by cross-multiplication, so no division ever leaves the
-integers and every answer is exact.  A row under reduction sheds its
+shift recovery) reduces to ranks and row spans of integer matrices: a
+generator scaled by a nonzero rational spans the same ideal, so its
+integer view (:mod:`wlpcheck.poly`) stands for it, and the rank over the
+integers is the rank over the rationals.  The engine is fraction-free:
+rows are eliminated by cross-multiplication, so no division ever leaves
+the integers and every answer is exact.  A row under reduction sheds its
 content only once it has outgrown the pivot rows that reduce it, and every
 stored row is primitive.  ``IntRowBasis`` is the only exact elimination
 routine: it computes the exact ranks of graded pieces, and it also picks the
@@ -28,8 +30,7 @@ cutoff.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 FAST_PRIME = 2**31 - 1
@@ -42,14 +43,6 @@ NUMPY_CELLS = 512
 # plus STRIP_SLACK bits: the measured best (CHANGES.md has the table).
 STRIP_RATIO = 8
 STRIP_SLACK = 64
-
-
-def clear_row_to_int(row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row by the lcm of its denominators."""
-    mult = 1
-    for x in row:
-        mult = lcm(mult, x.denominator)
-    return [x.numerator * (mult // x.denominator) for x in row]
 
 
 class IntRowBasis:

@@ -4,10 +4,17 @@ A polynomial of degree d is the tuple of its nonzero terms, each a pair of
 an exponent vector and a rational coefficient, listed in graded
 lexicographic order with the variable order fixed once and for all: within
 a degree the exponent vectors are in descending lexicographic order, so
-x^2, x*y, x*z, y^2, y*z, z^2 for three variables in degree two.  Every
-operation builds a list of terms and leaves merging, dropping zeros and
-sorting to the constructor, so storage and work follow the number of terms,
-never the number of monomials of the degree.
+x^2, x*y, x*z, y^2, y*z, z^2 for three variables in degree two.  The
+constructor merges repeated exponent vectors, drops zeros and sorts, so
+storage follows the number of terms, never the number of monomials of the
+degree.  A polynomial is a validated record of its terms; it has no
+arithmetic.
+
+This is the one module where rationals become integers.  Scaling a
+generator by a nonzero rational leaves the ideal unchanged, so every rank
+is computed over the integers, from the integer views
+``LinearForm.integer_coeffs`` and ``GradedPoly.integer_terms``: the
+coefficients times the lcm of their denominators, computed once per value.
 
 Nothing here changes coordinates or expands a power of a linear form.
 Rewriting into normalized coordinates and restriction to a hyperplane are
@@ -18,7 +25,8 @@ and :func:`wlpcheck.quotient.push_poly`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .frozen import Frozen
@@ -65,6 +73,12 @@ def _as_q(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The values scaled by the lcm of their denominators."""
+    mult = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (mult // x.denominator) for x in values)
+
+
 class LinearForm(Frozen):
     """A linear form given by its coefficient vector."""
 
@@ -85,6 +99,11 @@ class LinearForm(Frozen):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    @cached_property
+    def integer_coeffs(self) -> tuple[int, ...]:
+        """The coefficients times the lcm of their denominators."""
+        return _cleared(self.coeffs)
+
     def as_poly(self) -> "GradedPoly":
         # the degree-1 exponent vectors list the variables in order
         return GradedPoly(self.num_vars, 1, zip(exponent_vectors(self.num_vars, 1), self.coeffs))
@@ -92,7 +111,7 @@ class LinearForm(Frozen):
     def proportional_to(self, other: "LinearForm") -> bool:
         if self.num_vars != other.num_vars:
             return False
-        a, b = self.coeffs, other.coeffs
+        a, b = self.integer_coeffs, other.integer_coeffs
         n = self.num_vars
         return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
 
@@ -143,29 +162,10 @@ class GradedPoly(Frozen):
     def is_zero(self) -> bool:
         return not self.items
 
-    def terms(self) -> tuple[tuple[Exponents, Fraction], ...]:
-        return self.items
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return dict(self.items).get(tuple(exponents), Q(0))
-
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        if self.num_vars != other.num_vars or self.degree != other.degree:
-            raise ValueError("mixed degrees or variable counts")
-        return GradedPoly(self.num_vars, self.degree, self.items + other.items)
-
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + -other
-
-    def __neg__(self) -> "GradedPoly":
-        return self.scale(-1)
-
-    def scale(self, factor) -> "GradedPoly":
-        f = _as_q(factor)
-        return GradedPoly(self.num_vars, self.degree, [(e, f * c) for e, c in self.items])
-
-    def __mul__(self, other: "GradedPoly") -> "GradedPoly":
-        return multiply(self, other)
+    @cached_property
+    def integer_terms(self) -> tuple[tuple[Exponents, int], ...]:
+        """The terms with their coefficients times the lcm of their denominators."""
+        return tuple(zip((e for e, _ in self.items), _cleared([c for _, c in self.items])))
 
     def __str__(self) -> str:
         names = variable_names(self.num_vars)
@@ -194,14 +194,3 @@ class GradedPoly(Frozen):
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
-
-
-def multiply(f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    if f.num_vars != g.num_vars:
-        raise ValueError("mixed variable counts")
-    return GradedPoly(f.num_vars, f.degree + g.degree, [
-        (tuple(a + b for a, b in zip(ef, eg)), cf * cg)
-        for ef, cf in f.items
-        for eg, cg in g.items
-    ])
-

@@ -140,7 +140,7 @@ def render_ideal(ideal: GradedIdeal) -> dict:
                 "degree": gen.degree,
                 "terms": {
                     " ".join(str(e) for e in exps): render_coefficient(c)
-                    for exps, c in gen.terms()
+                    for exps, c in gen.items
                 },
             })
     data: dict = {"variables": ideal.num_vars}

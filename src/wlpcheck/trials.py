@@ -49,7 +49,6 @@ class TrialResult(NamedTuple):
 
 
 class TrialsReport(NamedTuple):
-    config: TrialConfig
     results: tuple[TrialResult, ...]
 
     @property
@@ -100,4 +99,4 @@ def run_trial(index: int, config: TrialConfig) -> TrialResult:
 def run_random_trials(config: TrialConfig | None = None) -> TrialsReport:
     config = config or TrialConfig()
     results = tuple(run_trial(i, config) for i in range(config.count))
-    return TrialsReport(config, results)
+    return TrialsReport(results)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from oracles import dict_linear, dict_pow
+from oracles import dict_from_graded, dict_linear, dict_mul, dict_pow
 from wlpcheck import GradedIdeal, linear_form
 from wlpcheck.poly import GradedPoly
 from wlpcheck.rng import distinct_forms, stream
@@ -20,6 +20,18 @@ def powers_ideal(*pairs):
 def expand_power(form, k):
     """form**k multiplied out by the dict oracle, as a GradedPoly."""
     return GradedPoly(form.num_vars, k, dict_pow(dict_linear(form.coeffs), k).items())
+
+
+def times(f, g):
+    """The product f*g multiplied out by the dict oracle, as a GradedPoly."""
+    return GradedPoly(f.num_vars, f.degree + g.degree, dict_mul(dict_from_graded(f), dict_from_graded(g)).items())
+
+
+def combine(*pairs):
+    """The sum of c*f over the (c, f) pairs, one degree, as a GradedPoly:
+    the constructor adds the repeated exponent vectors."""
+    first = pairs[0][1]
+    return GradedPoly(first.num_vars, first.degree, [(e, c * a) for c, f in pairs for e, a in f.items])
 
 
 def expanded(ideal):

@@ -88,7 +88,7 @@ def dict_pow(f, k):
 
 def dict_from_graded(poly):
     """Convert a package GradedPoly to the dict shape (constructor-only use)."""
-    return {exps: coeff for exps, coeff in poly.terms()}
+    return dict(poly.items)
 
 
 # -- naive graded pieces of an ideal -------------------------------------

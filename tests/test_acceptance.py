@@ -280,13 +280,7 @@ def test_criterion_8_four_general_cubes_strong_failure_cubic_success():
     assert report.failures == ((3, 1),)
 
     # and yet one general cubic multiplies with maximal rank in every degree
-    cubic = (
-        expand_power(linear_form([1, 0, 0]), 3)
-        + expand_power(linear_form([0, 1, 0]), 3).scale(2)
-        + expand_power(linear_form([0, 0, 1]), 3).scale(5)
-        + GradedPoly.monomial(3, (1, 1, 1), 7)
-        + GradedPoly.monomial(3, (2, 1, 0), -3)
-    )
+    cubic = GradedPoly(3, 3, [((3, 0, 0), 1), ((0, 3, 0), 2), ((0, 0, 3), 5), ((1, 1, 1), 7), ((2, 1, 0), -3)])
     hf = alg.hilbert_function()
     for m in range(len(hf)):
         target = hf[m + 3] if m + 3 < len(hf) else 0

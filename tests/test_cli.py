@@ -252,7 +252,7 @@ def test_hilbert_exit_codes_on_paths_that_hold_no_description(tmp_path):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["wlp", "slp"]), st.one_of(descriptions(), malformed_descriptions()))
+@given(st.sampled_from(["wlp", "slp", "split", "predict"]), st.one_of(descriptions(), malformed_descriptions()))
 def test_sampling_exit_codes_on_generated_descriptions(command, data):
     _assert_exit_contract([command, json.dumps(data), "--attempts", "3", "--bound", "3"], {0, 1, 2, 3, 4})
 

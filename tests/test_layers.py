@@ -48,9 +48,12 @@ def test_module_names_are_distinct():
         # the integer substitutions: normalized coordinates and restriction
         ("push_form", {"quotient.py"}),
         ("push_poly", {"quotient.py"}),
-        ("clear_row_to_int", {"quotient.py", "linalg.py"}),
+        # rationals become integers in one place: the integer views of poly
+        ("_cleared", {"poly.py"}),
         # one sampler of linear forms, behind witness_forms and random_power_ideal
         ("distinct_forms", {"rng.py", "trials.py"}),
+        # only the parser and poly hold a rational
+        ("Fraction", {"poly.py", "specfile.py"}),
     ],
 )
 def test_a_name_is_referenced_only_at_home(name, homes):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal
+from conftest import combine, expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal, times
 from oracles import (
     dict_from_graded,
     frac_rank,
@@ -266,8 +266,8 @@ def test_rank_with_dependent_rows_in_a_non_full_degree():
     # neither count may certify the rank
     powers = seeded_power_ideal([4, 4, 4], seed=74, index=0, num_vars=3)
     x, y = (GradedPoly.monomial(3, e) for e in ((1, 0, 0), (0, 1, 0)))
-    h = expand_power(linear_form([1, 2, 3]), 2) + GradedPoly.monomial(3, (0, 1, 1))
-    ideal = GradedIdeal(3, powers.generators + (x * h, y * h))
+    h = combine((1, expand_power(linear_form([1, 2, 3]), 2)), (1, GradedPoly.monomial(3, (0, 1, 1))))
+    ideal = GradedIdeal(3, powers.generators + (times(x, h), times(y, h)))
     alg = ideal.algebra
     rows = alg.spanning_rows(4)
     assert frac_rank(rows) == len(rows) - 1 < len(rows[0])
@@ -281,8 +281,8 @@ def test_rank_with_dependent_rows_in_a_non_full_degree():
 def test_rank_of_a_non_power_multiplier():
     ideal = seeded_power_ideal([2, 3, 3, 2], seed=76, index=0, num_vars=3)
     a, b = seeded_forms(3, 2, seed=77, index=0)
-    quadric = a.as_poly() * b.as_poly() + GradedPoly.monomial(3, (0, 0, 2))
-    cubic = quadric * a.as_poly() - expand_power(b, 3)
+    quadric = combine((1, times(a.as_poly(), b.as_poly())), (1, GradedPoly.monomial(3, (0, 0, 2))))
+    cubic = combine((1, times(quadric, a.as_poly())), (-1, expand_power(b, 3)))
     _assert_ranks_match_oracle(ideal, [(quadric, [quadric]), (cubic, [cubic])])
 
 
@@ -323,7 +323,7 @@ def test_fractional_coefficients_match_the_oracles(ideal):
     _assert_ranks_match_oracle(ideal, _every_power(ell, 2))
     probes = [expand_power(ell, k) for k in range(1, len(hf) + 1)]
     for g in expanded(ideal):
-        probes += [g, g * ell.as_poly(), g + expand_power(ell, g.degree)]
+        probes += [g, times(g, ell.as_poly()), combine((1, g), (1, expand_power(ell, g.degree)))]
     for f in probes:
         expected = naive_membership(gen_dicts, gen_degrees, n, dict_from_graded(f), f.degree)
         assert alg.contains(f) == expected, f

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import frac_rank, frac_solveable
-from wlpcheck.linalg import FAST_PRIME, NUMPY_CELLS, IntRowBasis, clear_row_to_int, exact_rank, rank_mod_prime
+from wlpcheck.linalg import FAST_PRIME, NUMPY_CELLS, IntRowBasis, exact_rank, rank_mod_prime
+from wlpcheck.poly import linear_form
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -29,7 +30,8 @@ def int_matrix(max_rows=6, max_cols=6):
 
 def _rank(rows):
     basis = IntRowBasis(len(rows[0]))
-    basis.extend(clear_row_to_int([Fraction(x) for x in row]) for row in rows)
+    # a rational row stands for its integer view, which spans the same line
+    basis.extend(linear_form(row).integer_coeffs for row in rows)
     return basis.rank
 
 
@@ -38,12 +40,6 @@ def test_rank_frozen_cases():
     assert _rank([[1, 0], [0, 1]]) == 2
     assert _rank([[0] * 4] * 3) == 0
     assert _rank([[Fraction(1, 2), Fraction(1, 3)]]) == 1
-
-
-def test_clear_row_to_int():
-    assert clear_row_to_int([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-    assert clear_row_to_int([Fraction(0), Fraction(-2)]) == [0, -2]
-    assert clear_row_to_int([Fraction(0), Fraction(0)]) == [0, 0]
 
 
 def test_row_basis_membership():

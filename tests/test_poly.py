@@ -1,4 +1,4 @@
-"""Polynomial layer: bases, arithmetic and rendering, against the dict oracle.
+"""Polynomial layer: bases, rendering and the integer views, against the dict oracle.
 
 Powers of linear forms are multiplied out only by the oracle (``conftest.expand_power``).
 Restriction to a hyperplane is ``GradedIdeal.restricted``, generator by generator; the
@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expand_power
+from conftest import expand_power, times
 from oracles import dict_from_graded, dict_mul
 from wlpcheck import GenericityError, GradedIdeal
 from wlpcheck.poly import (
@@ -24,7 +24,6 @@ from wlpcheck.poly import (
     basis_size,
     exponent_vectors,
     linear_form,
-    multiply,
     variable_names,
 )
 
@@ -112,7 +111,71 @@ def test_zero_form_rejected_in_ideal_context():
     assert z.is_zero
 
 
-# -- arithmetic against the dict oracle ---------------------------------------
+# -- the integer views ---------------------------------------------------------
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12) | st.just(Fraction(0))
+
+
+def _lcm_of_denominators(values):
+    return lcm(*(Fraction(x).denominator for x in values))
+
+
+def test_integer_coeffs_frozen_cases():
+    assert linear_form([Fraction(1, 2), Fraction(1, 3)]).integer_coeffs == (3, 2)
+    assert linear_form([0, -2]).integer_coeffs == (0, -2)
+    assert linear_form([0, 0]).integer_coeffs == (0, 0)
+    # scaled by the lcm of the denominators, not made primitive
+    assert linear_form([4, Fraction(-6, 5)]).integer_coeffs == (20, -6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=5))
+def test_integer_coeffs_is_the_form_times_the_lcm_of_its_denominators(values):
+    view = linear_form(values).integer_coeffs
+    scale = _lcm_of_denominators(values)
+    assert all(type(c) is int for c in view)
+    assert view == tuple(scale * Fraction(x) for x in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.integers(min_value=0, max_value=3).flatmap(
+            lambda d: st.tuples(
+                st.just(n), st.just(d),
+                st.lists(rationals, min_size=basis_size(n, d), max_size=basis_size(n, d)),
+            )
+        )
+    )
+)
+def test_integer_terms_are_the_terms_times_the_lcm_of_their_denominators(args):
+    n, d, values = args
+    poly = GradedPoly(n, d, zip(exponent_vectors(n, d), values))
+    scale = _lcm_of_denominators(c for _, c in poly.items)
+    assert all(type(c) is int for _, c in poly.integer_terms)
+    assert poly.integer_terms == tuple((e, scale * c) for e, c in poly.items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(rationals, min_size=n, max_size=n),
+            st.lists(rationals, min_size=n, max_size=n),
+            st.none() | rationals,
+        )
+    )
+)
+def test_proportional_to_agrees_with_fraction_cross_multiplication(args):
+    a, b, factor = args
+    if factor is not None:  # a multiple of a, so proportional pairs come up
+        b = [factor * x for x in a]
+    n = len(a)
+    expected = all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+    assert linear_form(a).proportional_to(linear_form(b)) == expected
+
+
+# -- the oracle's expansion ----------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,47 +185,14 @@ def test_zero_form_rejected_in_ideal_context():
     )
 )
 def test_expand_power_matches_repeated_multiplication(args):
-    # the oracle's expansion of form**k against k - 1 package products
+    # the GradedPoly built from the oracle's expansion of form**k against
+    # k - 1 dict products of the form's own terms
     form, k = args
-    product = form.as_poly()
+    factor = dict_from_graded(form.as_poly())
+    product = factor
     for _ in range(k - 1):
-        product = product * form.as_poly()
-    assert expand_power(form, k) == product
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=3).flatmap(
-        lambda n: st.tuples(
-            st.integers(min_value=1, max_value=3).flatmap(lambda d: graded_polys(n, d)),
-            st.integers(min_value=1, max_value=3).flatmap(lambda d: graded_polys(n, d)),
-        )
-    )
-)
-def test_multiply_matches_dict_convolution(pair):
-    f, g = pair
-    product = multiply(f, g)
-    assert product.degree == f.degree + g.degree
-    assert dict_from_graded(product) == dict_mul(dict_from_graded(f), dict_from_graded(g))
-    assert multiply(g, f) == product
-    assert f * g == product
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=3).flatmap(lambda n: graded_polys(n, 2)))
-def test_additive_group_laws(f):
-    zero = GradedPoly(f.num_vars, f.degree)
-    assert f + zero == f
-    assert f - f == zero
-    assert (-f) + f == zero
-    assert f.scale(Fraction(3, 2)).scale(Fraction(2, 3)) == f
-
-
-def test_incompatible_operands_rejected():
-    f = GradedPoly.monomial(2, (1, 0))
-    g = GradedPoly.monomial(3, (1, 0, 0))
-    with pytest.raises(ValueError):
-        _ = f + g
+        product = dict_mul(product, factor)
+    assert dict_from_graded(expand_power(form, k)) == product
 
 
 # -- restriction to a hyperplane ----------------------------------------------
@@ -192,7 +222,7 @@ def _chart(ell):
 
 def _evaluate(poly, point):
     total = Fraction(0)
-    for exps, c in poly.terms():
+    for exps, c in poly.items:
         term = c
         for e, v in zip(exps, point):
             term *= Fraction(v) ** e
@@ -252,20 +282,18 @@ def test_linear_restriction_is_the_degree_one_case(args):
     if as_power is not None:
         pushed, k = as_power
         assert k == 1
-        assert _proportional(
-            [(pushed.as_poly().coefficient(u), c) for u, c in as_poly.terms()]
-            + [(c, as_poly.coefficient(u)) for u, c in pushed.as_poly().terms()]
-        )
+        a, b = dict(pushed.as_poly().items), dict(as_poly.items)
+        assert _proportional([(a.get(u, 0), c) for u, c in b.items()] + [(c, b.get(u, 0)) for u, c in a.items()])
 
 
 def test_restriction_kills_the_modulus():
     ell = linear_form([1, 2, 3])
-    g = GradedPoly.monomial(3, (0, 1, 1)) + GradedPoly.monomial(3, (2, 0, 0))
+    g = GradedPoly(3, 2, [((0, 1, 1), 1), ((2, 0, 0), 1)])
     assert _cut((ell, 1), ell) is None
     assert _cut((ell, 4), ell) is None
     assert _cut(ell.as_poly(), ell) is None
-    assert _cut(ell.as_poly() * g, ell) is None
+    assert _cut(times(ell.as_poly(), g), ell) is None
     y, z = linear_form([0, 1, 0]), linear_form([0, 0, 1])
-    ideal = GradedIdeal(3, ((ell, 2), ell.as_poly(), ell.as_poly() * g, (y, 2), (z, 3)))
+    ideal = GradedIdeal(3, ((ell, 2), ell.as_poly(), times(ell.as_poly(), g), (y, 2), (z, 3)))
     restricted = ideal.restricted(ell)
     assert restricted.generators == (_cut((y, 2), ell), _cut((z, 3), ell))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal
+from conftest import combine, expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal, times
 from oracles import (
     dict_from_graded,
     dict_linear,
@@ -111,7 +111,7 @@ def test_restriction_has_the_hilbert_function_of_the_ideal_plus_the_line(data):
     cut = data.draw(st.sampled_from(["general", "power", "polynomial"]), label="cut")
     ell = forms[0] if cut == "power" else forms[-1]
     if cut == "polynomial":
-        gens.append(ell.as_poly() * poly(data.draw(st.integers(min_value=1, max_value=2))))
+        gens.append(times(ell.as_poly(), poly(data.draw(st.integers(min_value=1, max_value=2)))))
     ideal = GradedIdeal(n, tuple(gens))
     gen_dicts = [dict_from_graded(g) for g in expanded(ideal)] + [dict_linear(ell.coeffs)]
     expected = naive_hilbert(gen_dicts, ideal.generator_degrees + (1,), n, n * 3)
@@ -158,17 +158,17 @@ def test_squares_multiplication_matrices():
     for source, target, matrix in cases:
         degree = sum(target[0])
         for j, exps in enumerate(source):
-            image = GradedPoly.monomial(3, exps) * ell
+            image = times(GradedPoly.monomial(3, exps), ell)
             column = GradedPoly(3, degree, zip(target, (row[j] for row in matrix)))
-            assert alg.contains(image - column)
-            assert not alg.contains(image - column - GradedPoly.monomial(3, target[0]))
+            assert alg.contains(combine((1, image), (-1, column)))
+            assert not alg.contains(combine((1, image), (-1, column), (-1, GradedPoly.monomial(3, target[0]))))
 
 
 def test_squares_reduction():
     alg = SQUARES.algebra
     f = expand_power(linear_form([1, 1, 0]), 2)  # (x+y)^2 = x^2 + 2xy + y^2
     reduced = GradedPoly.monomial(3, (1, 1, 0), 2)
-    assert alg.contains(f - reduced)
+    assert alg.contains(combine((1, f), (-1, reduced)))
     assert not alg.contains(f)
     assert alg.contains(GradedPoly(3, 2))
     assert not alg.contains(GradedPoly.monomial(3, (0, 0, 0), 5))
@@ -283,7 +283,7 @@ def test_mixed_ideal_hilbert_matches_naive_oracle():
     powers = seeded_power_ideal([3, 3, 4], seed=31, index=0, num_vars=3)
     # the product of the power forms, a monomial in the algebra's coordinates
     a, b, c = (form.as_poly() for form, _ in powers.generators)
-    cubic = a * b * c
+    cubic = times(times(a, b), c)
     ideal = GradedIdeal(3, powers.generators + (cubic,))
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 4 + 1)
@@ -296,7 +296,7 @@ def test_polynomials_make_too_few_power_forms_artinian():
     # is monic in z, which makes the quotient Artinian
     powers = powers_ideal(((1, 1, 0), 2), ((1, -2, 0), 3), ((1, 1, 0), 3))
     z = GradedPoly.monomial(3, (0, 0, 1))
-    cubic = z * z * z + expanded(powers)[0] * z  # z^3 + (x + y)^2 z
+    cubic = combine((1, GradedPoly.monomial(3, (0, 0, 3))), (1, times(expanded(powers)[0], z)))  # z^3 + (x + y)^2 z
     ideal = GradedIdeal(3, powers.generators + (cubic,))
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
@@ -385,10 +385,10 @@ def test_membership_on_a_piece_certified_by_its_row_count(monkeypatch):
     assert 1 * 7 < linalg.NUMPY_CELLS
     assert calls == [7]
     first, _, _, fourth = expanded(ideal)
-    assert alg.contains(fourth.scale(3) - first)
+    assert alg.contains(combine((3, fourth), (-1, first)))
     stranger = expand_power(linear_form([1, 1, 1]), 3)
     assert not alg.contains(stranger)
-    assert not alg.contains(fourth + stranger)
+    assert not alg.contains(combine((1, fourth), (1, stranger)))
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     assert not naive_membership(gen_dicts, gen_degrees, 3, dict_from_graded(stranger), 3)
 
@@ -424,7 +424,7 @@ def test_integer_rows_that_vanish_mod_p_fall_back_to_exact_rank(monkeypatch):
     # every piece here, is ranked exactly.
     monkeypatch.setattr(linalg, "NUMPY_CELLS", 1)
     powers = powers_ideal(((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3))
-    f = GradedPoly.monomial(3, (1, 1, 1)).scale(FAST_PRIME) + GradedPoly.monomial(3, (2, 1, 0))
+    f = GradedPoly(3, 3, [((1, 1, 1), FAST_PRIME), ((2, 1, 0), 1)])
     ideal = GradedIdeal(3, powers.generators + (f,))
     alg = ideal.algebra
     rows = alg.spanning_rows(4)
