@@ -18,7 +18,6 @@ import sys
 from functools import partial
 
 from wlpcheck import cli
-from wlpcheck.specfile import render_coefficient
 from wlpcheck.trials import TrialConfig, wlp_trial
 
 
@@ -32,7 +31,7 @@ def run(config: TrialConfig) -> dict:
                 "degrees": list(ideal.generator_degrees),
                 "hilbert": list(report.hilbert),
                 "wlp": report.holds,
-                "witness": [render_coefficient(c) for c in report.form.coeffs],
+                "witness": list(report.form.coeffs),
                 "attempts_used": report.attempts_used,
                 "failures": [
                     {

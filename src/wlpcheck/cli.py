@@ -25,11 +25,10 @@ from typing import TYPE_CHECKING
 
 from .errors import GenericityError, NotArtinianError, SpecFormatError
 from .rng import GENERATOR_NAME, CheckConfig, TrialConfig
-from .specfile import load_ideal_argument, render_coefficient
+from .specfile import load_ideal_argument
 
 if TYPE_CHECKING:
     from .lefschetz import LefschetzReport
-    from .poly import LinearForm
     from .quotient import GradedIdeal
     from .splitting import SplittingType
 
@@ -38,10 +37,6 @@ EXIT_FALSE = 1
 EXIT_FORMAT = 2
 EXIT_NOT_ARTINIAN = 3
 EXIT_GENERICITY = 4
-
-
-def _form_json(form: LinearForm):
-    return [render_coefficient(c) for c in form.coeffs]
 
 
 def _config_json(config: CheckConfig) -> dict:
@@ -114,7 +109,7 @@ def _report_payload(ideal: GradedIdeal, report: LefschetzReport, config: CheckCo
         "kind": report.kind,
         "ideal": _ideal_json(ideal),
         "holds": report.holds,
-        "witness": _form_json(report.form),
+        "witness": list(report.form.coeffs),
         "attempts_used": report.attempts_used,
         "hilbert": list(report.hilbert),
         "socle_degree": report.socle_degree,
@@ -174,7 +169,7 @@ def cmd_split(args) -> int:
     payload = {
         "ideal": _ideal_json(ideal),
         "splitting": _splitting_json(stype),
-        "witness": _form_json(witness),
+        "witness": list(witness.coeffs),
         "config": _config_json(config),
     }
     shifts = ", ".join(str(b) for b in stype.shifts)
@@ -199,7 +194,7 @@ def cmd_predict(args) -> int:
     payload = {
         "ideal": _ideal_json(ideal),
         "holds": prediction.holds,
-        "witness": _form_json(witness),
+        "witness": list(witness.coeffs),
         "hilbert": list(prediction.hilbert),
         "splitting": _splitting_json(prediction.splitting),
         "records": [{**r._asdict(), "maximal": r.maximal} for r in prediction.records],

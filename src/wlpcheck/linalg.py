@@ -2,8 +2,8 @@
 
 Everything downstream (Hilbert functions, multiplication-map ranks, syzygy
 shift recovery) reduces to ranks and row spans of integer matrices: a
-generator scaled by a nonzero rational spans the same ideal, so its
-integer view (:mod:`wlpcheck.poly`) stands for it, and the rank over the
+generator scaled by a nonzero rational spans the same ideal, so
+:mod:`wlpcheck.poly` stores it cleared to integers, and the rank over the
 integers is the rank over the rationals.  The engine is fraction-free:
 rows are eliminated by cross-multiplication, so no division ever leaves
 the integers and every answer is exact.  A row under reduction sheds its

@@ -1,7 +1,7 @@
-"""Homogeneous polynomials in a fixed number of variables, exact coefficients.
+"""Homogeneous polynomials in a fixed number of variables, integer coefficients.
 
 A polynomial of degree d is the tuple of its nonzero terms, each a pair of
-an exponent vector and a rational coefficient, listed in graded
+an exponent vector and an integer coefficient, listed in graded
 lexicographic order with the variable order fixed once and for all: within
 a degree the exponent vectors are in descending lexicographic order, so
 x^2, x*y, x*z, y^2, y*z, z^2 for three variables in degree two.  The
@@ -10,11 +10,14 @@ storage follows the number of terms, never the number of monomials of the
 degree.  A polynomial is a validated record of its terms; it has no
 arithmetic.
 
-This is the one module where rationals become integers.  Scaling a
-generator by a nonzero rational leaves the ideal unchanged, so every rank
-is computed over the integers, from the integer views
-``LinearForm.integer_coeffs`` and ``GradedPoly.integer_terms``: the
-coefficients times the lcm of their denominators, computed once per value.
+This is the one module where rationals become integers.  Coefficients may
+be given as ints, Fractions or fraction strings; a linear form or a
+polynomial stores them times the lcm of their denominators (after merging,
+for a polynomial), so ints given as ints are stored as they are.  Scaling
+a generator, a multiplier or a candidate member of an ideal by a nonzero
+rational changes no ideal, no rank and no membership, so every rank is
+computed over the integers, from ``LinearForm.coeffs`` and
+``GradedPoly.items`` directly.
 
 Nothing here changes coordinates or expands a power of a linear form.
 Rewriting into normalized coordinates and restriction to a hyperplane are
@@ -25,13 +28,12 @@ and :func:`wlpcheck.quotient.push_poly`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .frozen import Frozen
 
-Q = Fraction
 Exponents = tuple[int, ...]
 
 _SHORT_NAMES = ("x", "y", "z", "w")
@@ -47,46 +49,64 @@ def exponent_vectors(
     num_vars: int, degree: int, caps: Sequence[int | None] | None = None
 ) -> Iterator[Exponents]:
     """The exponent vectors of one degree in graded-lex order, with
-    u_i < caps[i] wherever a cap is given and not None."""
+    u_i < caps[i] wherever a cap is given and not None.
+
+    Iterative, so the number of variables is not bounded by the recursion
+    limit: each vector is the largest one, in lexicographic order, below
+    the last that still fits the caps.
+    """
     caps = caps or (None,) * num_vars
-    top = degree if caps[0] is None else min(degree, caps[0] - 1)
-    if num_vars == 1:
-        if top == degree:
-            yield (degree,)
+    tops = [degree if caps[i] is None else min(degree, caps[i] - 1) for i in range(num_vars)]
+    # room[i]: the largest degree that positions i, i + 1, ... can carry
+    room = list(accumulate(reversed(tops), initial=0))[::-1]
+    if min(tops) < 0 or room[0] < degree:
         return
-    for head in range(top, -1, -1):
-        for tail in exponent_vectors(num_vars - 1, degree - head, caps[1:]):
-            yield (head,) + tail
+    u = [0] * num_vars
+    start, rest = 0, degree
+    while True:
+        # the largest vector with u[:start] fixed: fill greedily from the left
+        for i in range(start, num_vars):
+            u[i] = min(tops[i], rest)
+            rest -= u[i]
+        yield tuple(u)
+        # the last position that can move one unit to the positions after it
+        rest = 0
+        for start in range(num_vars - 2, -1, -1):
+            rest += u[start + 1]
+            if u[start] and rest < room[start + 1]:
+                break
+        else:
+            return
+        u[start] -= 1
+        start, rest = start + 1, rest + 1
 
 
 def basis_size(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
-def _as_q(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value) -> int | Fraction:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Q(value)
     if isinstance(value, str):
-        return Q(value)
+        return Fraction(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """The values scaled by the lcm of their denominators."""
+def _cleared(values: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """The values times the lcm of their denominators."""
     mult = lcm(*(x.denominator for x in values))
     return tuple(x.numerator * (mult // x.denominator) for x in values)
 
 
 class LinearForm(Frozen):
-    """A linear form given by its coefficient vector."""
+    """A linear form given by its coefficient vector, stored cleared to integers."""
 
     _fields = ("coeffs",)
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable):
-        coeffs = tuple(_as_q(c) for c in coeffs)
+        coeffs = _cleared([_exact(c) for c in coeffs])
         if len(coeffs) < 1:
             raise ValueError("a linear form needs at least one variable")
         super().__init__(coeffs)
@@ -97,12 +117,7 @@ class LinearForm(Frozen):
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    @cached_property
-    def integer_coeffs(self) -> tuple[int, ...]:
-        """The coefficients times the lcm of their denominators."""
-        return _cleared(self.coeffs)
+        return not any(self.coeffs)
 
     def as_poly(self) -> "GradedPoly":
         # the degree-1 exponent vectors list the variables in order
@@ -111,7 +126,7 @@ class LinearForm(Frozen):
     def proportional_to(self, other: "LinearForm") -> bool:
         if self.num_vars != other.num_vars:
             return False
-        a, b = self.integer_coeffs, other.integer_coeffs
+        a, b = self.coeffs, other.coeffs
         n = self.num_vars
         return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
 
@@ -128,19 +143,20 @@ class GradedPoly(Frozen):
 
     ``items`` may be given in any order, with repeated exponents and zero
     coefficients; the constructor checks that every exponent vector is a
-    monomial of the degree, adds repeated ones, drops zeros and sorts.
-    With no items the polynomial is zero.
+    monomial of the degree, adds repeated ones, drops zeros, sorts and
+    clears the coefficients to integers.  With no items the polynomial is
+    zero.
     """
 
     _fields = ("num_vars", "degree", "items")
     num_vars: int
     degree: int
-    items: tuple[tuple[Exponents, Fraction], ...]
+    items: tuple[tuple[Exponents, int], ...]
 
     def __init__(self, num_vars: int, degree: int, items: Iterable = ()):
         if num_vars < 1 or degree < 0:
             raise ValueError("need num_vars >= 1 and degree >= 0")
-        merged: dict[Exponents, Fraction] = {}
+        merged: dict[Exponents, int | Fraction] = {}
         for exponents, coeff in items:
             exps = tuple(exponents)
             if len(exps) != num_vars or min(exps) < 0 or sum(exps) != degree:
@@ -148,24 +164,19 @@ class GradedPoly(Frozen):
                     f"exponents {exps} are not a degree-{degree} monomial "
                     f"in {num_vars} variables"
                 )
-            merged[exps] = merged.get(exps, 0) + _as_q(coeff)
-        # exponent vectors are distinct, so the sort never compares coefficients
-        super().__init__(num_vars, degree, tuple(sorted(
-            ((e, c) for e, c in merged.items() if c), reverse=True
-        )))
+            merged[exps] = merged.get(exps, 0) + _exact(coeff)
+        # cleared after merging and dropping zeros, so the scale is the polynomial's own
+        exponents = sorted((e for e, c in merged.items() if c), reverse=True)
+        coeffs = _cleared([merged[e] for e in exponents])
+        super().__init__(num_vars, degree, tuple(zip(exponents, coeffs)))
 
     @classmethod
-    def monomial(cls, num_vars: int, exponents: Sequence[int], coeff=Q(1)) -> "GradedPoly":
+    def monomial(cls, num_vars: int, exponents: Sequence[int], coeff=1) -> "GradedPoly":
         return cls(num_vars, sum(exponents), ((exponents, coeff),))
 
     @property
     def is_zero(self) -> bool:
         return not self.items
-
-    @cached_property
-    def integer_terms(self) -> tuple[tuple[Exponents, int], ...]:
-        """The terms with their coefficients times the lcm of their denominators."""
-        return tuple(zip((e for e, _ in self.items), _cleared([c for _, c in self.items])))
 
     def __str__(self) -> str:
         names = variable_names(self.num_vars)

@@ -162,7 +162,7 @@ def push_form(coeffs: Sequence[int], substitution: Substitution, num_vars: int) 
 
 
 def push_poly(g: GradedPoly, substitution: Substitution, bounds: Bounds) -> dict[Exponents, int]:
-    """``g.integer_terms`` in y, projected onto the monomials with
+    """The terms of g in y, projected onto the monomials with
     u_j < bounds[j] wherever a bound is set.
 
     g is read as a sum of products of linear forms in y: a term c x^u is c
@@ -172,7 +172,7 @@ def push_poly(g: GradedPoly, substitution: Substitution, bounds: Bounds) -> dict
     None it is the plain product.
     """
     acc: dict[Exponents, int] = {}
-    for u, c in g.integer_terms:
+    for u, c in g.items:
         product = {(0,) * len(bounds): 1}
         for row in (row for row, e in zip(substitution, u) for _ in range(e)):
             step: dict[Exponents, int] = {}
@@ -241,7 +241,7 @@ class GradedIdeal(Frozen):
         """The ideal of the generators that survive on the hyperplane ell = 0.
 
         Restriction is one more integer substitution.  With c the integer
-        view ``ell.integer_coeffs`` and c_k its first nonzero entry, x_k goes to
+        coefficients of ell and c_k the first nonzero one, x_k goes to
         -sum_{i != k} c_i y_i and every other x_i to c_k y_i, the y_i being the
         other variables in order.  That is c_k times solving ell = 0 for x_k,
         so a degree-d generator only picks up the factor c_k^d and the ideal
@@ -249,7 +249,7 @@ class GradedIdeal(Frozen):
         """
         if ell.num_vars != self.num_vars or ell.is_zero:
             raise ValueError("restriction needs a nonzero form in the ideal's variables")
-        c = ell.integer_coeffs
+        c = ell.coeffs
         k = next(i for i, ci in enumerate(c) if ci)
         rest = c[:k] + c[k + 1:]
         n = len(rest)
@@ -258,7 +258,7 @@ class GradedIdeal(Frozen):
         survivors: list[Generator] = []
         for g in self.generators:
             if isinstance(g, tuple):
-                pushed = push_form(g[0].integer_coeffs, substitution, n)
+                pushed = push_form(g[0].coeffs, substitution, n)
                 if any(pushed):
                     survivors.append((LinearForm(pushed), g[1]))
             else:
@@ -309,11 +309,11 @@ class QuotientAlgebra:
         # algebras of I + (g) for the multipliers g on it
         self._adjoined: tuple[LinearForm | GradedPoly, dict[Generator, QuotientAlgebra]] | None = None
         # normalized coordinates: y_k = c_k . x for integer rows c_k (the
-        # power forms' integer_coeffs, then unit vectors); bounds[k] is the
+        # power forms' coefficients, then unit vectors); bounds[k] is the
         # exponent of the chosen power y_k^{a_k}, None for a unit vector.  One
         # basis of the rows [c_k | e_k | 0] both picks the c_k and inverts them.
         powers = sorted((g[1], i) for i, g in enumerate(gens) if isinstance(g, tuple))
-        candidates = [(a, gens[i][0].integer_coeffs) for a, i in powers]
+        candidates = [(a, gens[i][0].coeffs) for a, i in powers]
         candidates += [(None, [int(i == j) for i in range(n)]) for j in range(n)]
         span = IntRowBasis(2 * n + 1)
         bounds: list[int | None] = []
@@ -366,7 +366,7 @@ class QuotientAlgebra:
         """
         if isinstance(g, tuple):
             form, k = g
-            pushed = push_form(form.integer_coeffs, self._substitution, self.num_vars)
+            pushed = push_form(form.coeffs, self._substitution, self.num_vars)
             # the standard monomials in the pushed form's support, as a table
             # in those coordinates alone; a chosen power finds it empty
             support = [j for j, b in enumerate(pushed) if b]

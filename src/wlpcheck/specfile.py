@@ -34,11 +34,11 @@ def _fail(where: str, message: str) -> SpecFormatError:
     return SpecFormatError(message, where=where)
 
 
-def parse_coefficient(value, where: str) -> Fraction:
+def parse_coefficient(value, where: str) -> int | Fraction:
     if isinstance(value, bool):
         raise _fail(where, "coefficient must be an integer or a fraction string")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -116,15 +116,13 @@ def parse_polynomial(entry, num_vars: int, where: str) -> GradedPoly:
     return poly
 
 
-def render_coefficient(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
-
-
 def render_ideal(ideal: GradedIdeal) -> dict:
     """Inverse of parse_ideal: a JSON-ready description of the ideal.
 
     parse_ideal(render_ideal(I)) reconstructs I exactly; power generators
-    stay power entries and everything else is written term by term.
+    stay power entries and everything else is written term by term.  A
+    generator parsed from fractions is written as the integer multiple it
+    stores.
     """
     powers = []
     polynomials = []
@@ -132,16 +130,13 @@ def render_ideal(ideal: GradedIdeal) -> dict:
         if isinstance(gen, tuple):
             form, exponent = gen
             powers.append({
-                "form": [render_coefficient(c) for c in form.coeffs],
+                "form": list(form.coeffs),
                 "power": exponent,
             })
         else:
             polynomials.append({
                 "degree": gen.degree,
-                "terms": {
-                    " ".join(str(e) for e in exps): render_coefficient(c)
-                    for exps, c in gen.items
-                },
+                "terms": {" ".join(str(e) for e in exps): c for exps, c in gen.items},
             })
     data: dict = {"variables": ideal.num_vars}
     if powers:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 
 # -- naive exact linear algebra -----------------------------------------
@@ -258,3 +259,64 @@ def naive_best_of_attempts(gen_dicts, gen_degrees, num_vars, forms, strong):
         if best is None or misses < best[0]:
             best = (misses, list(coeffs), records)
     return False, len(forms), best[1], hf, best[2]
+
+
+# -- powers of five linear forms in four variables, by fat points --------------
+#
+# By Emsalem-Iarrobino, the degree-j piece of R / (L_1^{a_1}, ..., L_r^{a_r})
+# has the dimension of the degree-j forms vanishing to order j - a_i + 1 at
+# the point dual to each L_i.  Multiplication by l into degree j has rank
+# h_A(j) - dim (R / (I, l))_j, and R / (I, l) is the quotient by the powers
+# of the L_i cut to the plane l = 0: fat points in P^2.
+
+
+def det(matrix):
+    """Determinant by expansion along the first row; for the small matrices here."""
+    if not matrix:
+        return 1
+    minors = ([row[:j] + row[j + 1:] for row in matrix[1:]] for j in range(len(matrix)))
+    return sum((-1) ** j * a * det(minor) for j, (a, minor) in enumerate(zip(matrix[0], minors)) if a)
+
+
+def no_three_collinear_on(forms, ell):
+    """Are the points the forms cut on the plane ell = 0 distinct, with no
+    three on a line?  Three cut forms are dependent exactly when
+    det[L_i, L_j, L_k, ell] = 0."""
+    return all(det([list(a), list(b), list(c), list(ell)]) for a, b, c in itertools.combinations(forms, 3))
+
+
+def fat_points_p2(degree, multiplicities):
+    """Dimension of the degree-``degree`` forms in three variables vanishing
+    to the given orders at at most five points of P^2, no three collinear.
+
+    Cremona reduction.  A line through two points whose orders add up past
+    the degree is a fixed component: it is split off, lowering the degree
+    and both orders by one.  Three points whose orders add up past the
+    degree are the base of a quadratic transformation, which keeps the
+    dimension and, for five points, the general position.  What is left is
+    in standard form, and for at most eight points in general position a
+    standard system is non-special: its dimension is the expected one.
+    """
+    d = degree
+    ms = sorted((m for m in multiplicities if m > 0), reverse=True)
+    if len(ms) > 5:
+        raise ValueError("no three collinear is general position only up to five points")
+    while True:
+        if d < 0 or (ms and ms[0] > d):
+            return 0
+        if len(ms) >= 2 and ms[0] + ms[1] > d:
+            d, ms[0], ms[1] = d - 1, ms[0] - 1, ms[1] - 1
+        elif len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d:
+            k = d - ms[0] - ms[1] - ms[2]
+            d, ms[0], ms[1], ms[2] = d + k, ms[0] + k, ms[1] + k, ms[2] + k
+        else:
+            return max(0, comb(d + 2, 2) - sum(comb(m + 1, 2) for m in ms))
+        ms = sorted((m for m in ms if m > 0), reverse=True)
+
+
+def fat_point_rank(exponents, target_degree, target_dim):
+    """Rank of multiplication by l into degree j = ``target_degree`` on
+    R / (L_i^{a_i}) in four variables, h_A(j) = ``target_dim``, when the
+    L_i cut points on l = 0 with no three collinear."""
+    j = target_degree
+    return target_dim - fat_points_p2(j, [max(j - a + 1, 0) for a in exponents])

@@ -117,6 +117,17 @@ def test_not_artinian_is_three(capsys):
     assert "not Artinian" in err
 
 
+def test_a_thousand_variables_are_not_artinian_not_a_crash():
+    # one linear generator in 1000 variables: the scan stops after degree
+    # 1 with exit 3, where enumerating monomials once recursed per variable
+    n = 1000
+    ideal = {"variables": n, "polynomials": [{"degree": 1, "terms": {" ".join("1" + "0" * (n - 1)): 1}}]}
+    done = _python("-m", "wlpcheck.cli", "hilbert", json.dumps(ideal), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.endswith("\ndimensions so far: 1 999 ...\n")
+    assert "Traceback" not in done.stderr
+
+
 def test_genericity_failure_is_four(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise GenericityError("no usable form found")
@@ -446,8 +457,9 @@ def test_closed_stdout_keeps_the_exit_code():
         assert (done.returncode, done.stderr) == (code, ""), argv
 
 
-# The fixed point: exit code and stdout of the seeded sweep, of verify-paper
-# and of split and predict on two corpus entries, byte for byte.  Regenerate
+# The fixed point: exit code and stdout of the seeded sweep, of verify-paper,
+# of hilbert, wlp and slp on every corpus entry and of split and predict on
+# two of them, byte for byte.  Regenerate
 # a digest with, for example,
 #   PYTHONPATH=src python -m wlpcheck.cli random-trials --json --count 100 | sha256sum
 #   PYTHONPATH=src python -m wlpcheck.cli predict corpus:four-general-cubes --json | sha256sum
@@ -466,6 +478,30 @@ FIXED_POINT = {
         (0, "b689ced3641915f92ecb9ae08e8b3abc85d933e57b1897030e27cf8660265007"),
     ("predict", "corpus:four-general-cubes", "--json"):
         (0, "eb3f7c0221eb8d541762714584fe00aac173dc9bb6e28f70e9817261dd6b86d1"),
+    ("hilbert", SQUARES, "--json"):
+        (0, "70549c66b14cf747003820883e8e7d417c3d9d4c1253b5e67e239c818d2868c2"),
+    ("hilbert", "corpus:four-general-cubes", "--json"):
+        (0, "78969aaf6cc3f87fe2a3444db4ffa0cbd0214a6611de3483a4438d93858a5730"),
+    ("hilbert", "corpus:four-variable-cubes", "--json"):
+        (0, "cac692a59ad778e441885d206b3c0d8d28bbc2ae947f017173b33588d6012fb1"),
+    ("hilbert", QUINTICS, "--json"):
+        (0, "2e693a8a3ed162699279cb8284fd081d17463a20350e1df95701d2c7dd8a624c"),
+    ("wlp", SQUARES, "--json"):
+        (0, "95d4e47776c896df1cc2e0a3cd0ed51880dcbb2bf00b630bcf4785c553c4bbb7"),
+    ("wlp", "corpus:four-general-cubes", "--json"):
+        (0, "a684e6eda56e068b39e0ef7697c1243909657c2869852e7fb9a33626d6e33135"),
+    ("wlp", "corpus:four-variable-cubes", "--json"):
+        (1, "81d79fce8c69106b0b7bc4edeba7162706b4b59cfe137a27baf05a4d0c73ea87"),
+    ("wlp", QUINTICS, "--json"):
+        (1, "064a1ed25644a77b1d572305f5db6fdd036610aec15be470566f0c386f5bb042"),
+    ("slp", SQUARES, "--json"):
+        (0, "60bd78fb121abdcced7082761f67f261c4e6354fe98e35b32ebabc86a8dd54ea"),
+    ("slp", "corpus:four-general-cubes", "--json"):
+        (1, "64c7a31b3488ab86d40abef693b235ef46cc7e2e75324a882eb63c2ccbc3e828"),
+    ("slp", "corpus:four-variable-cubes", "--json"):
+        (1, "cdd9fb38caae526f2c02f9190eb3b9f5c34b9fe8c0d1120366c1dd49b236b373"),
+    ("slp", QUINTICS, "--json"):
+        (1, "d92a8cf54dcd81ff666e8671bccfb19f29609c286c4873f196beb9ac4c64c26e"),
 }
 
 

@@ -48,7 +48,7 @@ def test_module_names_are_distinct():
         # the integer substitutions: normalized coordinates and restriction
         ("push_form", {"quotient.py"}),
         ("push_poly", {"quotient.py"}),
-        # rationals become integers in one place: the integer views of poly
+        # rationals become integers in one place: the constructors of poly
         ("_cleared", {"poly.py"}),
         # one sampler of linear forms, behind witness_forms and random_power_ideal
         ("distinct_forms", {"rng.py", "trials.py"}),
@@ -59,6 +59,13 @@ def test_module_names_are_distinct():
 def test_a_name_is_referenced_only_at_home(name, homes):
     where = {file for file, tree in TREES.items() if name in _names(tree)}
     assert where and where <= homes
+
+
+@pytest.mark.parametrize("name", ["integer_coeffs", "integer_terms", "render_coefficient"])
+def test_records_hold_one_representation(name):
+    # a form or polynomial stores its cleared integers, which every rank
+    # reads: no second, integer view of it, and no renderer of rationals
+    assert not {file for file, tree in TREES.items() if name in _names(tree)}
 
 
 def test_the_generator_format_is_told_apart_only_where_it_is_owned():

@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import combine, expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal, times
 from oracles import (
     dict_from_graded,
+    fat_point_rank,
     frac_rank,
     naive_best_of_attempts,
     naive_hilbert,
     naive_ideal_dim,
     naive_membership,
     naive_multiplication_rank,
+    no_three_collinear_on,
 )
 from wlpcheck import (
     CheckConfig,
@@ -32,7 +35,7 @@ from wlpcheck.linalg import FAST_PRIME
 from wlpcheck.poly import GradedPoly
 from wlpcheck.quotient import QuotientAlgebra
 from wlpcheck.rng import TrialConfig, distinct_forms, stream, witness_forms
-from wlpcheck.trials import random_power_ideal
+from wlpcheck.trials import random_power_ideal, wlp_trial
 
 SQUARES = powers_ideal(((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2))
 FOUR_CUBES = powers_ideal(
@@ -351,13 +354,22 @@ FOUR_VARIABLE_TABLES = "3c51b34b7f3d3ddf085c580f6169f0be65adb9020f4b170bca13ee14
 FOUR_VARIABLE_REPORTS = "a43452525f16f5c751ff0f0a40eef5c7fd754b9dc5aa4780d05d2330f6aa7bb2"
 
 
-def test_four_variable_rank_tables_are_unchanged():
-    reports = []
+@cache
+def _four_variable_wlp_checks():
+    """(ideal, check config, wlp_check report) for the first 20 ``fourvar`` ideals."""
+    checks = []
     for i in range(20):
         draws = stream(1, i)
         ideal = random_power_ideal(draws, FOURVAR)
         check = FOURVAR.check_config(seed=draws.next_uint64())
-        reports.append(wlp_check(ideal, check))
+        checks.append((ideal, check, wlp_check(ideal, check)))
+    return checks
+
+
+def test_four_variable_rank_tables_are_unchanged():
+    reports = []
+    for i, (ideal, check, report) in enumerate(_four_variable_wlp_checks()):
+        reports.append(report)
         if i == 0:
             reports.append(slp_check(ideal, check))
     assert max(r.power for r in reports[1].records) > 4
@@ -369,6 +381,38 @@ def test_four_variable_rank_tables_are_unchanged():
         for rep in reports
     ]
     assert hashlib.sha256(repr(whole).encode()).hexdigest() == FOUR_VARIABLE_REPORTS
+
+
+# -- four variables: every rank against fat points in the plane -----------------
+
+
+def test_four_variable_wlp_ranks_match_fat_points():
+    # the 20 fixed-point ideals of five general quartics, and one trial of
+    # five general d-th powers for each row of the README table
+    checked = [(ideal, report) for ideal, _, report in _four_variable_wlp_checks()]
+    for d in range(3, 9):
+        config = TrialConfig(count=1, num_vars=4, min_degree=d, max_degree=d, min_generators=5, max_generators=5)
+        checked.append(wlp_trial(0, config))
+    for ideal, report in checked:
+        forms, exponents = zip(*ideal.generators)
+        assert len(forms) == 5
+        assert no_three_collinear_on([form.coeffs for form in forms], report.form.coeffs)
+        for r in report.records:
+            assert r.rank == fat_point_rank(exponents, r.degree + 1, r.target_dim), r
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=4), min_size=5, max_size=5), st.integers(min_value=0, max_value=10_000))
+def test_five_mixed_powers_in_four_variables_match_fat_points(exponents, salt):
+    *forms, ell = seeded_forms(4, 6, salt)
+    # a special plane makes the cut points special, and fat points there
+    # need more than Cremona reduction
+    assume(no_three_collinear_on([form.coeffs for form in forms], ell.coeffs))
+    alg = GradedIdeal.from_powers(zip(forms, exponents)).algebra
+    assume(alg.is_artinian())
+    hf = alg.hilbert_function()
+    for m in range(len(hf) - 1):
+        assert multiplication_rank(alg, (ell, 1), m) == fat_point_rank(exponents, m + 1, hf[m + 1])
 
 
 # -- best of attempts: the cutoff against the plain oracle -----------------------

@@ -30,8 +30,8 @@ def int_matrix(max_rows=6, max_cols=6):
 
 def _rank(rows):
     basis = IntRowBasis(len(rows[0]))
-    # a rational row stands for its integer view, which spans the same line
-    basis.extend(linear_form(row).integer_coeffs for row in rows)
+    # a rational row stands for its cleared integer multiple, which spans the same line
+    basis.extend(linear_form(row).coeffs for row in rows)
     return basis.rank
 
 

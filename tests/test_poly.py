@@ -1,4 +1,4 @@
-"""Polynomial layer: bases, rendering and the integer views, against the dict oracle.
+"""Polynomial layer: bases, rendering and cleared integer storage, against the dict oracle.
 
 Powers of linear forms are multiplied out only by the oracle (``conftest.expand_power``).
 Restriction to a hyperplane is ``GradedIdeal.restricted``, generator by generator; the
@@ -8,7 +8,7 @@ tests here check it one generator at a time, and ``test_quotient`` checks whole 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb, lcm
 
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expand_power, times
-from oracles import dict_from_graded, dict_mul
+from oracles import dict_from_graded, dict_mul, monomials
 from wlpcheck import GenericityError, GradedIdeal
 from wlpcheck.poly import (
     GradedPoly,
@@ -63,7 +63,20 @@ def test_monomial_order_is_graded_lex_descending():
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=7))
 def test_basis_size_is_stars_and_bars(n, d):
     assert basis_size(n, d) == comb(d + n - 1, n - 1)
+    assert list(exponent_vectors(n, d)) == sorted(monomials(n, d), reverse=True)
     assert len(list(exponent_vectors(n, d))) == basis_size(n, d)
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit():
+    # thousands of variables, read cheaply: the first vectors of an
+    # uncapped degree, and capped degrees with one vector or none
+    n = 5000
+    zeros = (0,) * n
+    first = list(islice(exponent_vectors(n, 2), 3))
+    assert first == [(2,) + zeros[1:], (1, 1) + zeros[2:], (1, 0, 1) + zeros[3:]]
+    assert list(exponent_vectors(n, n, (2,) * n)) == [(1,) * n]
+    assert list(exponent_vectors(n, n + 1, (2,) * n)) == []
+    assert list(exponent_vectors(n, 3, (1,) * (n - 1) + (None,))) == [zeros[1:] + (3,)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -91,7 +104,8 @@ def test_capped_enumeration_filters_the_uncapped_one(args):
 def test_rendering():
     assert str(expand_power(linear_form([1, 1]), 2)) == "x^2 + 2*x*y + y^2"
     assert str(linear_form([-91, -7, -46])) == "-91*x - 7*y - 46*z"
-    assert str(GradedPoly.monomial(3, (1, 1, 1), Fraction(-3, 2))) == "-3/2*x*y*z"
+    # fractional coefficients are stored, and printed, cleared to integers
+    assert str(GradedPoly.monomial(3, (1, 1, 1), Fraction(-3, 2))) == "-3*x*y*z"
     assert str(GradedPoly(4, 2, [((0, 1, 0, 1), 1)])) == "y*w"
     assert str(GradedPoly(2, 3)) == "0"
 
@@ -111,7 +125,7 @@ def test_zero_form_rejected_in_ideal_context():
     assert z.is_zero
 
 
-# -- the integer views ---------------------------------------------------------
+# -- cleared integer storage ---------------------------------------------------
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12) | st.just(Fraction(0))
 
@@ -120,21 +134,23 @@ def _lcm_of_denominators(values):
     return lcm(*(Fraction(x).denominator for x in values))
 
 
-def test_integer_coeffs_frozen_cases():
-    assert linear_form([Fraction(1, 2), Fraction(1, 3)]).integer_coeffs == (3, 2)
-    assert linear_form([0, -2]).integer_coeffs == (0, -2)
-    assert linear_form([0, 0]).integer_coeffs == (0, 0)
+def test_coeffs_frozen_cases():
+    assert linear_form([Fraction(1, 2), Fraction(1, 3)]).coeffs == (3, 2)
+    assert linear_form(["1/2", "1/3", 0]).coeffs == (3, 2, 0)
+    assert linear_form([0, -2]).coeffs == (0, -2)
+    assert linear_form([0, 0]).coeffs == (0, 0)
     # scaled by the lcm of the denominators, not made primitive
-    assert linear_form([4, Fraction(-6, 5)]).integer_coeffs == (20, -6)
+    assert linear_form([4, Fraction(-6, 5)]).coeffs == (20, -6)
+    assert linear_form([4, 6]).coeffs == (4, 6)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=5))
-def test_integer_coeffs_is_the_form_times_the_lcm_of_its_denominators(values):
-    view = linear_form(values).integer_coeffs
+def test_coeffs_are_the_form_times_the_lcm_of_its_denominators(values):
+    coeffs = linear_form(values).coeffs
     scale = _lcm_of_denominators(values)
-    assert all(type(c) is int for c in view)
-    assert view == tuple(scale * Fraction(x) for x in values)
+    assert all(type(c) is int for c in coeffs)
+    assert coeffs == tuple(scale * Fraction(x) for x in values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,12 +164,14 @@ def test_integer_coeffs_is_the_form_times_the_lcm_of_its_denominators(values):
         )
     )
 )
-def test_integer_terms_are_the_terms_times_the_lcm_of_their_denominators(args):
+def test_items_are_the_terms_times_the_lcm_of_their_denominators(args):
     n, d, values = args
-    poly = GradedPoly(n, d, zip(exponent_vectors(n, d), values))
-    scale = _lcm_of_denominators(c for _, c in poly.items)
-    assert all(type(c) is int for _, c in poly.integer_terms)
-    assert poly.integer_terms == tuple((e, scale * c) for e, c in poly.items)
+    # each term given twice, as two halves, so the scale is read after merging
+    halves = [(e, v / 2) for e, v in zip(exponent_vectors(n, d), values) for _ in range(2)]
+    poly = GradedPoly(n, d, halves)
+    scale = _lcm_of_denominators(values)
+    assert all(type(c) is int for _, c in poly.items)
+    assert poly.items == tuple((e, scale * v) for e, v in zip(exponent_vectors(n, d), values) if v)
 
 
 @settings(max_examples=80, deadline=None)

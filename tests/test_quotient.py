@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -481,7 +482,7 @@ def test_a_power_rewrites_as_its_expansion(num_vars, degrees, salt, k):
     probes = list(ideal.generators) + [(form, k) for form in forms]
     probes += [
         (linear_form([a - 2 * b for a, b in zip(first, second)]), k),
-        (linear_form([a / 3 for a in first]), k),
+        (linear_form([Fraction(a, 3) for a in first]), k),
     ]
     probes += [(form, k) for form in seeded_forms(num_vars, 2, salt, 1)]
     for g in probes:

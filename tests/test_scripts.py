@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -44,10 +45,21 @@ SMALL_RUNS = [
     ["gap_report.py", "--random", "1", "--max-degree", "3"],
 ]
 
+# sha256 of each small run's stdout, byte for byte; a change that moves one
+# changes reported behaviour and must say why
+SMALL_RUN_DIGESTS = {
+    "four_variable_failures.py": "ca068285be8a4a024bcca27ab94359300b612c53c1c64c5868b90e6609af2a97",
+    "theorem_sweep.py": "a7ba88b67554aef146ade8c21f38681d71e02db550e4f56c9671a8007bf7510a",
+    "gap_report.py": "467d5700905eccdf588eb41425628e8aee3a1b432525dfd2ecf29289b59bee94",
+}
+
 
 @pytest.mark.parametrize("argv", SMALL_RUNS)
 def test_script_prints_json(argv):
-    assert run_script(argv)
+    done = spawn(argv)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == SMALL_RUN_DIGESTS[argv[0]]
 
 
 @pytest.mark.parametrize("argv", SMALL_RUNS)

@@ -33,10 +33,11 @@ def test_parse_good_description():
     assert ideal.num_vars == 3
     assert ideal.generator_degrees == (2, 2, 2, 2)
     form, power = ideal.generators[1]
-    assert (form.coeffs, power) == ((0, Fraction(1, 2), 0), 2)
+    # fractional input is stored cleared: times the lcm of its denominators
+    assert (form.coeffs, power) == ((0, 1, 0), 2)
     last = ideal.generators[3]
     assert isinstance(last, GradedPoly)
-    assert dict(last.items)[(0, 1, 1)] == Fraction(-2, 3)
+    assert dict(last.items) == {(1, 1, 0): 3, (0, 1, 1): -2}
 
 
 def test_round_trip_parse_render():
