@@ -51,11 +51,26 @@ The two pushes, :func:`push_form` and :func:`push_poly`, take any integer
 substitution: with no bounds, they also cut an ideal to a hyperplane
 (:meth:`GradedIdeal.restricted`).
 
+The coordinates are then scaled to a frame.  The first power generator,
+in the order the coordinates were picked, whose form pushes to
+sum_j p_j y_j with two or more p_j nonzero has each such y_j scaled by
+P / p_j, P the lcm of the p_j, so that power becomes (sum_j y_j)^k up to a
+scalar.  Scaling the y_j is a graded automorphism that keeps every chosen
+power a monomial, so the argument above covers it.  Powers of n + 1
+general forms in n variables then have a presentation that depends on
+their exponents alone, not on the coefficients of the forms.
+
+A graded piece is a function of the presentation alone: the number of
+variables, the bounds and the rewritten generators.  Algebras with the
+same presentation share one dict of pieces, so a piece computed for one
+is exact for all of them.
+
 The standard monomials of a degree, their codes and their column indices
 form a table that depends on the number of variables, the exponent bounds
 and the degree alone.  One table serves every algebra with those bounds
-(an ideal's algebra and each I + (l) it adjoins share most of them), and
-at most ``STANDARD_TABLES`` are kept, least recently used dropped first.
+(an ideal's algebra and each I + (l) it adjoins share most of them).  At
+most ``STANDARD_TABLES`` tables, and as many sets of shared pieces, are
+kept, least recently used dropped first.
 """
 
 from __future__ import annotations
@@ -77,9 +92,13 @@ Generator = GradedPoly | tuple[LinearForm, int]
 Bounds = tuple[int | None, ...]
 # a linear substitution x_i -> sum_j b_ij y_j, row i listing its (j, b_ij) pairs
 Substitution = list[list[tuple[int, int]]]
+# the rewritten generators that leave rows: (degree, exponent vectors, coefficients)
+Others = tuple[tuple[int, tuple[Exponents, ...], tuple[int, ...]], ...]
 
-# How many standard-monomial tables are kept, least recently used dropped
-# first.  One key serves every algebra with the same exponent bounds.
+# How many standard-monomial tables, and how many sets of shared pieces, are
+# kept, least recently used dropped first.  A table serves every algebra
+# with the same exponent bounds, a set of pieces every algebra with the
+# same presentation.
 STANDARD_TABLES = 128
 
 
@@ -288,12 +307,24 @@ class DegreePiece(NamedTuple):
         return self.ambient_dim - self.ideal_rank
 
 
+@lru_cache(maxsize=STANDARD_TABLES)
+def shared_pieces(num_vars: int, bounds: Bounds, others: Others) -> dict[int, DegreePiece]:
+    """The graded pieces, by degree, of every algebra with this presentation.
+
+    A piece is computed from the number of variables, the bounds and the
+    rewritten generators alone, so algebras that agree on them share one
+    dict, filled in as pieces are computed.
+    """
+    return {}
+
+
 class QuotientAlgebra:
     """Quotient of the polynomial ring by a homogeneous ideal.
 
     Reached as ``ideal.algebra``.  It keeps the ideal's generators, not
     the ideal, so the ideal alone owns it.  Pieces are computed on demand
-    and cached.  ``hilbert_function`` scans degrees upward and stops at the
+    into the dict shared by every algebra with the same presentation.
+    ``hilbert_function`` scans degrees upward and stops at the
     first zero piece; the scan is abandoned (NotArtinianError) past the
     socle bound of a complete intersection in the top generator degree,
     which no Artinian quotient can exceed.
@@ -303,7 +334,6 @@ class QuotientAlgebra:
         self.num_vars = n = ideal.num_vars
         self.generators = gens = ideal.generators
         self._degrees = ideal.generator_degrees
-        self._pieces: dict[int, DegreePiece] = {}
         self._hilbert: tuple[int, ...] | None = None
         # the latest multiplier's base (a form or a polynomial) and the
         # algebras of I + (g) for the multipliers g on it
@@ -340,15 +370,30 @@ class QuotientAlgebra:
             g = gcd(*t)
             tails.append([x // g for x in t])
         scale = lcm(*(t[-1] for t in tails))
-        self._substitution = [
+        substitution = [
             [(k, -r * (scale // t[-1])) for k, r in enumerate(t[:-1]) if r] for t in tails
         ]
-        # (degree, exponent vectors, integer coefficients)
-        self._others: list[tuple[int, list[Exponents], list[int]]] = []
-        for degree, g in zip(self._degrees, gens):
-            terms = self._rewrite(g)
-            if terms:  # a chosen power, or any generator inside the monomial part, adds nothing
-                self._others.append((degree, [w for w, _ in terms], [c for _, c in terms]))
+        # The frame: the first power in candidate order whose form pushes to
+        # sum_j p_j y_j with two or more p_j nonzero has its y_j scaled by
+        # P / p_j, P the lcm of the p_j, so it becomes P^k (sum_j y_j)^k.  A
+        # chosen power still pushes to a multiple of its y_i.
+        for _, i in powers:
+            pushed = push_form(gens[i][0].coeffs, substitution, n)
+            nonzero = [p for p in pushed if p]
+            if len(nonzero) > 1:
+                top = lcm(*nonzero)
+                factor = [top // p if p else 1 for p in pushed]
+                substitution = [[(k, b * factor[k]) for k, b in row] for row in substitution]
+                break
+        self._substitution = substitution
+        # (degree, exponent vectors, integer coefficients) of every generator
+        # that leaves rows: with the bounds, the whole presentation
+        self._others: Others = tuple(
+            (degree, tuple(w for w, _ in terms), tuple(c for _, c in terms))
+            for degree, terms in zip(self._degrees, map(self._rewrite, gens))
+            if terms  # a chosen power, or any generator inside the monomial part, adds nothing
+        )
+        self._pieces = shared_pieces(n, self._bounds, self._others)
 
     # -- normalized coordinates ------------------------------------------
 

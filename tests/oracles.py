@@ -261,7 +261,7 @@ def naive_best_of_attempts(gen_dicts, gen_degrees, num_vars, forms, strong):
     return False, len(forms), best[1], hf, best[2]
 
 
-# -- powers of five linear forms in four variables, by fat points --------------
+# -- powers of five or six linear forms in four variables, by fat points ---------
 #
 # By Emsalem-Iarrobino, the degree-j piece of R / (L_1^{a_1}, ..., L_r^{a_r})
 # has the dimension of the degree-j forms vanishing to order j - a_i + 1 at
@@ -278,29 +278,49 @@ def det(matrix):
     return sum((-1) ** j * a * det(minor) for j, (a, minor) in enumerate(zip(matrix[0], minors)) if a)
 
 
-def no_three_collinear_on(forms, ell):
-    """Are the points the forms cut on the plane ell = 0 distinct, with no
-    three on a line?  Three cut forms are dependent exactly when
-    det[L_i, L_j, L_k, ell] = 0."""
-    return all(det([list(a), list(b), list(c), list(ell)]) for a, b, c in itertools.combinations(forms, 3))
+def cut_to_plane(form, ell):
+    """The coefficients of the form cut to the plane ell = 0, in the other
+    three variables: x_k = -sum_{i != k} ell_i x_i / ell_k solves ell = 0
+    for its first nonzero coefficient, times ell_k."""
+    k = next(i for i, c in enumerate(ell) if c)
+    return [ell[k] * a - form[k] * c for i, (a, c) in enumerate(zip(form, ell)) if i != k]
+
+
+def general_on(forms, ell):
+    """Are the points the forms cut on the plane ell = 0 in general position
+    for Cremona reduction: distinct, no three on a line and, for six, not
+    all on a conic?  Three points lie on a line when their 3 x 3
+    determinant vanishes, six on a conic when the 6 x 6 determinant of
+    their degree-2 monomials does."""
+    points = [cut_to_plane(form, ell) for form in forms]
+    if not all(det(list(three)) for three in itertools.combinations(points, 3)):
+        return False
+    if len(points) < 6:
+        return True
+    return all(
+        det([[x * x, y * y, z * z, x * y, x * z, y * z] for x, y, z in six])
+        for six in itertools.combinations(points, 6)
+    )
 
 
 def fat_points_p2(degree, multiplicities):
     """Dimension of the degree-``degree`` forms in three variables vanishing
-    to the given orders at at most five points of P^2, no three collinear.
+    to the given orders at at most six points of P^2 in general position
+    (no three on a line, and not six on a conic).
 
     Cremona reduction.  A line through two points whose orders add up past
     the degree is a fixed component: it is split off, lowering the degree
     and both orders by one.  Three points whose orders add up past the
     degree are the base of a quadratic transformation, which keeps the
-    dimension and, for five points, the general position.  What is left is
-    in standard form, and for at most eight points in general position a
-    standard system is non-special: its dimension is the expected one.
+    dimension and, for at most six points, the general position.  What is
+    left is in standard form, and for at most eight points in general
+    position a standard system is non-special: its dimension is the
+    expected one.
     """
     d = degree
     ms = sorted((m for m in multiplicities if m > 0), reverse=True)
-    if len(ms) > 5:
-        raise ValueError("no three collinear is general position only up to five points")
+    if len(ms) > 6:
+        raise ValueError("general position is checked here only up to six points")
     while True:
         if d < 0 or (ms and ms[0] > d):
             return 0
@@ -317,6 +337,6 @@ def fat_points_p2(degree, multiplicities):
 def fat_point_rank(exponents, target_degree, target_dim):
     """Rank of multiplication by l into degree j = ``target_degree`` on
     R / (L_i^{a_i}) in four variables, h_A(j) = ``target_dim``, when the
-    L_i cut points on l = 0 with no three collinear."""
+    L_i cut points on l = 0 in general position (``general_on``)."""
     j = target_degree
     return target_dim - fat_points_p2(j, [max(j - a + 1, 0) for a in exponents])

@@ -15,12 +15,12 @@ from oracles import (
     dict_from_graded,
     fat_point_rank,
     frac_rank,
+    general_on,
     naive_best_of_attempts,
     naive_hilbert,
     naive_ideal_dim,
     naive_membership,
     naive_multiplication_rank,
-    no_three_collinear_on,
 )
 from wlpcheck import (
     CheckConfig,
@@ -396,7 +396,7 @@ def test_four_variable_wlp_ranks_match_fat_points():
     for ideal, report in checked:
         forms, exponents = zip(*ideal.generators)
         assert len(forms) == 5
-        assert no_three_collinear_on([form.coeffs for form in forms], report.form.coeffs)
+        assert general_on([form.coeffs for form in forms], report.form.coeffs)
         for r in report.records:
             assert r.rank == fat_point_rank(exponents, r.degree + 1, r.target_dim), r
 
@@ -407,12 +407,37 @@ def test_five_mixed_powers_in_four_variables_match_fat_points(exponents, salt):
     *forms, ell = seeded_forms(4, 6, salt)
     # a special plane makes the cut points special, and fat points there
     # need more than Cremona reduction
-    assume(no_three_collinear_on([form.coeffs for form in forms], ell.coeffs))
+    assume(general_on([form.coeffs for form in forms], ell.coeffs))
     alg = GradedIdeal.from_powers(zip(forms, exponents)).algebra
     assume(alg.is_artinian())
     hf = alg.hilbert_function()
     for m in range(len(hf) - 1):
         assert multiplication_rank(alg, (ell, 1), m) == fat_point_rank(exponents, m + 1, hf[m + 1])
+
+
+@pytest.mark.parametrize("power", [4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_six_general_powers_in_four_variables_match_fat_points(power, seed):
+    # six points are where general position first asks for more than no
+    # three on a line: the six must not lie on a conic either
+    config = TrialConfig(seed=seed, num_vars=4, min_degree=power, max_degree=power, min_generators=6, max_generators=6)
+    ideal, report = wlp_trial(0, config)
+    forms, exponents = zip(*ideal.generators)
+    if not general_on([form.coeffs for form in forms], report.form.coeffs):
+        pytest.skip("the witness plane cuts the six forms in special position")
+    for r in report.records:
+        assert r.rank == fat_point_rank(exponents, r.degree + 1, r.target_dim), r
+
+
+def test_six_points_on_a_conic_are_not_general():
+    # on the plane w = 0 the forms cut the points (x, y, z), and x^2 - yz
+    # vanishes on all six: a smooth conic, so no three are on a line
+    on_conic = [(1, 1, 1, 0), (2, 4, 1, 0), (3, 9, 1, 0), (2, 1, 4, 0), (6, 4, 9, 0), (-1, 1, 1, 0)]
+    w = (0, 0, 0, 1)
+    assert general_on(on_conic[:5], w)
+    assert not general_on(on_conic, w)
+    assert general_on(on_conic[:5] + [(1, 2, 3, 0)], w)
+    assert not general_on(on_conic[:4] + [(1, 2, 3, 0), (2, 4, 6, 0)], w)  # one point twice
 
 
 # -- best of attempts: the cutoff against the plain oracle -----------------------

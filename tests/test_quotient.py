@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import weakref
 from fractions import Fraction
 from math import comb
@@ -15,6 +16,7 @@ from conftest import combine, expand_power, expanded, powers_ideal, seeded_forms
 from oracles import (
     dict_from_graded,
     dict_linear,
+    dict_pow,
     monomials,
     naive_hilbert,
     naive_ideal_dim,
@@ -24,7 +26,7 @@ from wlpcheck import GenericityError, GradedIdeal, NotArtinianError, linear_form
 from wlpcheck.binary import power_quotient_dim
 from wlpcheck.linalg import FAST_PRIME, IntRowBasis, rank_mod_prime
 from wlpcheck.poly import GradedPoly, basis_size, exponent_vectors
-from wlpcheck import linalg, quotient
+from wlpcheck import cli, linalg, quotient
 from wlpcheck.quotient import QuotientAlgebra
 from wlpcheck.rng import TrialConfig
 from wlpcheck.trials import run_random_trials
@@ -523,3 +525,75 @@ def test_the_shared_tables_stay_within_their_bound():
     assert info.maxsize == quotient.STANDARD_TABLES
     assert info.misses > info.maxsize  # the sweep asked for more tables than are kept
     assert info.currsize == info.maxsize
+
+
+# -- the frame, and one set of pieces per presentation ---------------------------
+
+
+def _counting_pieces(monkeypatch) -> list[int]:
+    computed: list[int] = []
+    original = QuotientAlgebra._compute_piece
+
+    def counting(self, m):
+        computed.append(m)
+        return original(self, m)
+
+    monkeypatch.setattr(QuotientAlgebra, "_compute_piece", counting)
+    return computed
+
+
+def test_five_general_quartics_share_one_presentation(monkeypatch):
+    # n + 1 general forms are a projective frame: after the frame scaling
+    # every draw has the same rewritten generators, so the second ideal's
+    # Hilbert function is read from the first one's pieces
+    computed = _counting_pieces(monkeypatch)
+    first, second = (seeded_power_ideal((4,) * 5, seed=seed, num_vars=4).algebra for seed in (3, 4))
+    assert first.hilbert_function() == (1, 4, 10, 20, 30, 36, 34, 20)
+    assert computed
+    computed.clear()
+    assert second.hilbert_function() == first.hilbert_function()
+    assert computed == []
+    # the leftover quartic is (y_1 + ... + y_4)^4, made primitive
+    assert second._others == first._others
+    assert max(c for _, _, coeffs in first._others for c in coeffs) == 12
+
+
+def test_a_leftover_power_on_one_coordinate_is_not_the_frame(capsys):
+    powers = [([1, 0, 0], 2), ([2, 0, 0], 3), ([0, 1, 0], 2), ([0, 0, 1], 2)]
+    alg = GradedIdeal.from_powers((linear_form(c), k) for c, k in powers).algebra
+    # (2x)^3 pushes to a multiple of y_1 alone: no coordinate is scaled, and
+    # the power lies inside the monomial part
+    assert alg._substitution == [[(0, 1)], [(1, 1)], [(2, 1)]]
+    assert alg._others == ()
+    description = {"variables": 3, "powers": [{"form": c, "power": k} for c, k in powers]}
+    assert cli.main(["hilbert", json.dumps(description)]) == 0
+    assert "1 3 3 1" in capsys.readouterr().out
+
+
+def test_four_quartics_in_a_hyperplane_match_the_dense_oracle():
+    # the fourth form depends on the first three, so it is the frame while
+    # the fifth picks the last coordinate; the frame scales three
+    # coordinates and leaves the fourth alone
+    plane = [(3, -1, 2), (1, 4, -2), (-2, 1, 5), (2, -3, 5)]
+    fifth = (1, -3, 2, 7)
+    alg = powers_ideal(*(((*form, 0), 4) for form in plane), (fifth, 4)).algebra
+    assert alg._bounds == (4, 4, 4, 4)
+    frame, last = (quotient.push_form(c, alg._substitution, 4) for c in ((2, -3, 5, 0), fifth))
+    assert frame[3] == 0 and frame[0] == frame[1] == frame[2] != 0
+    assert last[:3] == [0, 0, 0]
+    # x, y, z and the fifth form are coordinates, so the quotient is the
+    # dense oracle's quotient by the four plane quartics in x, y, z, tensored
+    # with k[t] / (t^4)
+    cut = naive_hilbert([dict_pow(dict_linear(form), 4) for form in plane], [4] * 4, 3, 12)
+    expected = [sum(cut[m - i] for i in range(4) if 0 <= m - i < len(cut)) for m in range(len(cut) + 3)]
+    assert alg.hilbert_function() == tuple(expected)
+
+
+def test_the_shared_pieces_stay_within_their_bound():
+    x = linear_form([1])
+    for k in range(1, quotient.STANDARD_TABLES + 11):
+        GradedIdeal.from_powers([(x, k)]).algebra.hilbert_function()
+    info = quotient.shared_pieces.cache_info()
+    assert info.maxsize == quotient.STANDARD_TABLES
+    assert info.misses == quotient.STANDARD_TABLES + 10
+    assert info.currsize == quotient.STANDARD_TABLES
