@@ -261,7 +261,7 @@ def naive_best_of_attempts(gen_dicts, gen_degrees, num_vars, forms, strong):
     return False, len(forms), best[1], hf, best[2]
 
 
-# -- powers of five or six linear forms in four variables, by fat points ---------
+# -- powers of five to seven linear forms in four variables, by fat points ------
 #
 # By Emsalem-Iarrobino, the degree-j piece of R / (L_1^{a_1}, ..., L_r^{a_r})
 # has the dimension of the degree-j forms vanishing to order j - a_i + 1 at
@@ -288,10 +288,11 @@ def cut_to_plane(form, ell):
 
 def general_on(forms, ell):
     """Are the points the forms cut on the plane ell = 0 in general position
-    for Cremona reduction: distinct, no three on a line and, for six, not
-    all on a conic?  Three points lie on a line when their 3 x 3
+    for Cremona reduction: distinct, no three on a line and, for six or
+    seven, no six on a conic?  Three points lie on a line when their 3 x 3
     determinant vanishes, six on a conic when the 6 x 6 determinant of
-    their degree-2 monomials does."""
+    their degree-2 monomials does.  Eight points would also need no cubic
+    through all of them singular at one."""
     points = [cut_to_plane(form, ell) for form in forms]
     if not all(det(list(three)) for three in itertools.combinations(points, 3)):
         return False
@@ -305,22 +306,23 @@ def general_on(forms, ell):
 
 def fat_points_p2(degree, multiplicities):
     """Dimension of the degree-``degree`` forms in three variables vanishing
-    to the given orders at at most six points of P^2 in general position
-    (no three on a line, and not six on a conic).
+    to the given orders at at most seven points of P^2 in general position
+    (no three on a line, and no six on a conic).
 
     Cremona reduction.  A line through two points whose orders add up past
     the degree is a fixed component: it is split off, lowering the degree
     and both orders by one.  Three points whose orders add up past the
     degree are the base of a quadratic transformation, which keeps the
-    dimension and, for at most six points, the general position.  What is
-    left is in standard form, and for at most eight points in general
-    position a standard system is non-special: its dimension is the
-    expected one.
+    dimension.  For at most eight points, general position is a property
+    of the blown-up surface (a del Pezzo surface), so the transformation
+    keeps it too.  What is left is in standard form, and for at most eight
+    points in general position a standard system is non-special: its
+    dimension is the expected one.
     """
     d = degree
     ms = sorted((m for m in multiplicities if m > 0), reverse=True)
-    if len(ms) > 6:
-        raise ValueError("general position is checked here only up to six points")
+    if len(ms) > 7:
+        raise ValueError("general position is checked here only up to seven points")
     while True:
         if d < 0 or (ms and ms[0] > d):
             return 0

@@ -28,7 +28,7 @@ from wlpcheck.binary import (
     syzygy_shifts_from_hilbert,
 )
 from wlpcheck.lefschetz import multiplication_rank
-from wlpcheck.poly import GradedPoly
+from wlpcheck.poly import GradedPoly, basis_size
 from wlpcheck.quotient import QuotientAlgebra
 from wlpcheck.rng import TrialConfig
 from wlpcheck.splitting import restriction_h1, syzygy_h2
@@ -160,7 +160,7 @@ def test_criterion_5_resolution_formulas_equal_observed_values():
         resolution = binary_power_resolution(exponents)
         assert alg.socle_degree() == resolution.socle_degree, exponents
         observed_shifts = syzygy_shifts_from_hilbert(
-            exponents, lambda m: alg.piece(m).ideal_rank
+            exponents, lambda m: basis_size(2, m) - alg.piece(m)
         )
         assert tuple(sorted(observed_shifts)) == tuple(sorted(resolution.shifts)), exponents
         high_count = sum(1 for b in resolution.shifts if b == resolution.socle_degree + 2)
@@ -195,7 +195,7 @@ def test_criterion_6_balanced_splitting_formula_on_the_grid():
         )
         alg2 = QuotientAlgebra(ideal2)
         observed = syzygy_shifts_from_hilbert(
-            degrees, lambda m: alg2.piece(m).ideal_rank
+            degrees, lambda m: basis_size(2, m) - alg2.piece(m)
         )
         assert tuple(sorted(observed)) == expected, degrees
         binary_checked += 1

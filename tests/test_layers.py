@@ -68,6 +68,13 @@ def test_records_hold_one_representation(name):
     assert not {file for file, tree in TREES.items() if name in _names(tree)}
 
 
+@pytest.mark.parametrize("name", ["DegreePiece", "ideal_rank", "ambient_dim", "_compute_piece", "_hilbert"])
+def test_a_piece_is_its_dimension(name):
+    # the shared dict of pieces maps each degree to the dimension of the
+    # quotient piece: no record around it, and no second cache of it
+    assert not {file for file, tree in TREES.items() if name in _names(tree)}
+
+
 def test_the_generator_format_is_told_apart_only_where_it_is_owned():
     # a power (form, k) is a tuple, a polynomial is not
     def tells_a_power(node) -> bool:
