@@ -9,8 +9,9 @@ rows are eliminated by cross-multiplication, so no division ever leaves
 the integers and every answer is exact.  A row under reduction sheds its
 content only once it has outgrown the pivot rows that reduce it, and every
 stored row is primitive.  ``IntRowBasis`` is the only exact elimination
-routine: it computes the exact ranks of graded pieces, and it also picks the
-normalized coordinates of a quotient and inverts their change of basis (see
+routine: it computes the exact ranks of graded pieces and the cokernels
+that small pieces are ranked in, and it also picks the normalized
+coordinates of a quotient and inverts their change of basis (see
 :mod:`wlpcheck.quotient`).
 
 ``exact_rank`` is the one rule for when a rank is trusted.  A piece below
@@ -30,8 +31,8 @@ cutoff.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Sequence
 
 FAST_PRIME = 2**31 - 1
 # Matrices with at least this many entries are screened mod p with numpy, the
@@ -114,6 +115,62 @@ class IntRowBasis:
 
     def extend(self, rows: Iterable[Sequence[int]]) -> int:
         return sum(1 for row in rows if self.insert(row))
+
+    def cokernel(self) -> Cokernel:
+        """A projection whose kernel is the row span.
+
+        Back-substitution, fraction-free, clears every row at the other
+        rows' pivots, leaving row i with d_i at its pivot p_i.  Then
+        v - sum_i (v_{p_i} / d_i) row_i is zero at every pivot, and zero
+        everywhere exactly when v lies in the span.  Its entry at a
+        non-pivot c, times D = lcm(d_i), is
+        D v_c - sum_i v_{p_i} (D / d_i) row_i[c]: one coordinate of the
+        projection, with those weights made primitive.  The stored rows are
+        left as they are.
+        """
+        # each row, last first, is reduced against the rows after it, which
+        # are already cleared; they are zero at its pivot, so the pivot entry
+        # only gains a positive factor
+        done = IntRowBasis(self.ncols)
+        for p, row in zip(self.pivots[::-1], self.rows[::-1]):
+            v = done.reduce(row)
+            g = gcd(*v)
+            done.pivots.insert(0, p)
+            done.rows.insert(0, [x // g for x in v])
+        pivots, rows = done.pivots, done.rows
+        big = lcm(*(row[p] for p, row in zip(pivots, rows)))
+        taken = set(pivots)
+        images: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+        width = 0
+        for c in range(self.ncols):
+            if c not in taken:
+                weights = [(c, big)] + [(p, -(big // row[p]) * row[c]) for p, row in zip(pivots, rows) if row[c]]
+                g = gcd(*(w for _, w in weights))
+                for j, w in weights:
+                    images[j].append((width, w // g))
+                width += 1
+        return Cokernel(width, images)
+
+
+class Cokernel(NamedTuple):
+    """A projection π of integer row vectors onto ``width`` coordinates,
+    kept as the image of each unit vector: ``images[j]`` lists the
+    (coordinate, weight) pairs of π(e_j)."""
+
+    width: int
+    images: list[list[tuple[int, int]]]
+
+    def project(self, rows: Iterable[Sequence[int]]) -> list[list[int]]:
+        """π of each row: the sum of x π(e_j) over its nonzero entries x."""
+        out = []
+        for row in rows:
+            image = [0] * self.width
+            for x, pairs in zip(row, self.images):
+                if x:
+                    for k, w in pairs:
+                        image[k] += x * w
+            out.append(image)
+        return out
 
 
 def exact_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:

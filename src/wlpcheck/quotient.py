@@ -9,7 +9,8 @@ degree, its exact rank, and therefore the dimension of the quotient piece.
 A piece is kept as that one integer; its rows and any echelon basis are
 dropped once the rank is read.  The rank is
 :func:`wlpcheck.linalg.exact_rank` of the piece's integer rows, built once,
-so every number that leaves this module is exact.  Rows are built from
+or of their projection into a shared cokernel (below), so every number
+that leaves this module is exact.  Rows are built from
 monomial codes: an exponent vector u is the integer sum_i u_i w_i for
 mixed-radix weights w, and a monomial multiple adds one code to another,
 with no carry since each radix is above every exponent a product of two
@@ -65,12 +66,30 @@ variables, the bounds and the rewritten generators.  Algebras with the
 same presentation share one dict of pieces, so a piece computed for one
 is exact for all of them.
 
+The framed power is the first rewritten generator, and the others follow
+in generator order.  So the algebras I + (l) of one ideal, for every l
+drawn, share their bounds and their first rewritten generator, and differ
+only in the last one.  A small piece, below ``NUMPY_CELLS`` entries with a
+row per shift, of an algebra with two or more rewritten generators is
+therefore ranked in the cokernel of the first generator's rows, in every
+degree where that generator has rows.  That cokernel is a projection π
+onto a few coordinates, kept as the sparse integer image of each column
+(:meth:`wlpcheck.linalg.IntRowBasis.cokernel`), whose kernel is exactly
+the span of those rows.  The rank of all the rows is the first generator's
+rank plus the rank of π applied to the other rows, so the piece is the
+number of coordinates of π less that rank.  An empty cokernel makes the
+piece zero, and the other rows are then never built.  The cokernels are
+shared, by degree, among the algebras with the same number of variables,
+bounds and first rewritten generator, so each I + (l) builds and
+eliminates only its own last generator's rows.  A bigger piece is ranked
+whole by :func:`wlpcheck.linalg.exact_rank`, with its screen mod p.
+
 The standard monomials of a degree, their codes and their column indices
 form a table that depends on the number of variables, the exponent bounds
 and the degree alone.  One table serves every algebra with those bounds
 (an ideal's algebra and each I + (l) it adjoins share most of them).  At
-most ``STANDARD_TABLES`` tables, and as many sets of shared pieces, are
-kept, least recently used dropped first.
+most ``STANDARD_TABLES`` tables, and as many sets of shared pieces and of
+shared cokernels, are kept, least recently used dropped first.
 """
 
 from __future__ import annotations
@@ -82,7 +101,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GenericityError, NotArtinianError
 from .frozen import Frozen
-from .linalg import IntRowBasis, exact_rank
+from .linalg import NUMPY_CELLS, Cokernel, IntRowBasis, exact_rank
 from .poly import Exponents, GradedPoly, LinearForm, exponent_vectors
 
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -92,13 +111,15 @@ Generator = GradedPoly | tuple[LinearForm, int]
 Bounds = tuple[int | None, ...]
 # a linear substitution x_i -> sum_j b_ij y_j, row i listing its (j, b_ij) pairs
 Substitution = list[list[tuple[int, int]]]
-# the rewritten generators that leave rows: (degree, exponent vectors, coefficients)
-Others = tuple[tuple[int, tuple[Exponents, ...], tuple[int, ...]], ...]
+# a rewritten generator that leaves rows: (degree, exponent vectors, coefficients)
+Rewritten = tuple[int, tuple[Exponents, ...], tuple[int, ...]]
+Others = tuple[Rewritten, ...]
 
-# How many standard-monomial tables, and how many sets of shared pieces, are
-# kept, least recently used dropped first.  A table serves every algebra
-# with the same exponent bounds, a set of pieces every algebra with the
-# same presentation.
+# How many standard-monomial tables, and how many sets of shared pieces and
+# of shared cokernels, are kept, least recently used dropped first.  A table
+# serves every algebra with the same exponent bounds, a set of pieces every
+# algebra with the same presentation, and a set of cokernels every algebra
+# with the same bounds and first rewritten generator.
 STANDARD_TABLES = 128
 
 
@@ -302,6 +323,15 @@ def shared_pieces(num_vars: int, bounds: Bounds, others: Others) -> dict[int, in
     return {}
 
 
+@lru_cache(maxsize=STANDARD_TABLES)
+def shared_cokernels(num_vars: int, bounds: Bounds, first: Rewritten) -> dict[int, Cokernel]:
+    """The cokernel, by degree, of the rows of the first rewritten generator
+    of every algebra with these variables and bounds: a projection π
+    with π(v) = 0 exactly when v lies in the span of those rows.  Filled in as pieces are computed.
+    """
+    return {}
+
+
 class QuotientAlgebra:
     """Quotient of the polynomial ring by a homogeneous ideal.
 
@@ -364,6 +394,7 @@ class QuotientAlgebra:
         # P / p_j, P the lcm of the p_j, so it becomes P^k (sum_j y_j)^k.  A
         # chosen power pushes to a multiple of its y_i, so it is skipped, and
         # the scaling keeps it so.
+        framed = None
         for _, i in powers:
             if i in chosen:
                 continue
@@ -373,17 +404,23 @@ class QuotientAlgebra:
                 top = lcm(*nonzero)
                 factor = [top // p if p else 1 for p in pushed]
                 substitution = [[(k, b * factor[k]) for k, b in row] for row in substitution]
+                framed = i
                 break
         self._substitution = substitution
         # (degree, exponent vectors, integer coefficients) of every generator
-        # that leaves rows: with the bounds, the whole presentation
-        rewritten = ((self._degrees[i], self._rewrite(g)) for i, g in enumerate(gens) if i not in chosen)
+        # that leaves rows, the framed power first, the rest in generator
+        # order: with the bounds, the whole presentation
+        order = sorted((i for i in range(len(gens)) if i not in chosen), key=lambda i: i != framed)
+        rewritten = ((self._degrees[i], self._rewrite(gens[i])) for i in order)
         self._others: Others = tuple(
             (degree, tuple(w for w, _ in terms), tuple(c for _, c in terms))
             for degree, terms in rewritten
             if terms  # a generator inside the monomial part adds nothing
         )
         self._pieces = shared_pieces(n, self._bounds, self._others)
+        # the cokernels of the first generator's rows, which small pieces
+        # are ranked in when another generator leaves rows too
+        self._cokernels = shared_cokernels(n, self._bounds, self._others[0]) if len(self._others) > 1 else None
 
     # -- normalized coordinates ------------------------------------------
 
@@ -421,7 +458,11 @@ class QuotientAlgebra:
     # -- graded pieces -------------------------------------------------
 
     def spanning_rows(self, m: int) -> list[list[int]]:
-        """Integer rows spanning the degree-m ideal piece modulo its monomial part.
+        """Integer rows spanning the degree-m ideal piece modulo its monomial part."""
+        return self._rows(m, self._others)
+
+    def _rows(self, m: int, others: Others) -> list[list[int]]:
+        """The degree-m rows of the given rewritten generators.
 
         The target columns, their codes and the shift monomials come from
         the shared tables; shifts are recoded only when an unbounded
@@ -430,7 +471,7 @@ class QuotientAlgebra:
         table = self._standard(m)
         weights = table.weights
         rows: list[list[int]] = []
-        for degree, exps, coeffs in self._others:
+        for degree, exps, coeffs in others:
             if degree <= m:
                 terms = list(zip(_codes(exps, weights), coeffs))
                 shifts = self._standard(m - degree)
@@ -463,9 +504,33 @@ class QuotientAlgebra:
             raise ValueError("degree must be nonnegative")
         got = self._pieces.get(m)
         if got is None:
-            ncols = len(self._standard(m).exponents)
-            got = self._pieces[m] = ncols - exact_rank(self.spanning_rows(m), ncols)
+            got = self._pieces[m] = self._dimension(m)
         return got
+
+    def _dimension(self, m: int) -> int:
+        """The dimension of the degree-m piece, computed.
+
+        A piece below ``NUMPY_CELLS`` entries, counting a row per shift, of
+        an algebra with two or more generators leaving rows is ranked in the
+        shared cokernel π of the first generator's rows, once that generator
+        has rows in degree m: the span of all the rows has the first one's
+        rank plus the rank of π(the other rows), so the piece is the width
+        of π less that rank.  Every other piece is ranked whole.
+        """
+        others = self._others
+        ncols = len(self._standard(m).exponents)
+        shifts = sum(len(self._standard(m - degree).exponents) for degree, _, _ in others if degree <= m)
+        if self._cokernels is None or others[0][0] > m or ncols * shifts >= NUMPY_CELLS:
+            return ncols - exact_rank(self.spanning_rows(m), ncols)
+        cokernel = self._cokernels.get(m)
+        if cokernel is None:
+            basis = IntRowBasis(ncols)
+            basis.extend(self._rows(m, others[:1]))
+            cokernel = self._cokernels[m] = basis.cokernel()
+        if not cokernel.width:
+            return 0
+        projected = cokernel.project(self._rows(m, others[1:]))
+        return cokernel.width - exact_rank(projected, cokernel.width)
 
     # perfbench/selftest.py injects a wrong rank through this name
     dimension = piece

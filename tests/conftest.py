@@ -9,16 +9,17 @@ import pytest
 from oracles import dict_from_graded, dict_linear, dict_mul, dict_pow
 from wlpcheck import GradedIdeal, linear_form
 from wlpcheck.poly import GradedPoly
-from wlpcheck.quotient import shared_pieces, standard_table
+from wlpcheck.quotient import shared_cokernels, shared_pieces, standard_table
 from wlpcheck.rng import distinct_forms, stream
 
 
 @pytest.fixture(autouse=True)
 def fresh_shared_caches():
-    """Each test starts with no shared pieces and no standard tables, so
-    what it counts is its own work, and a rank that a monkeypatched test
+    """Each test starts with no shared pieces, cokernels or standard tables,
+    so what it counts is its own work, and a rank that a monkeypatched test
     got wrong on purpose cannot reach a later test."""
     shared_pieces.cache_clear()
+    shared_cokernels.cache_clear()
     standard_table.cache_clear()
 
 

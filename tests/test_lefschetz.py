@@ -27,13 +27,14 @@ from wlpcheck import (
     GradedIdeal,
     lefschetz,
     linear_form,
+    quotient,
     slp_check,
     wlp_check,
 )
 from wlpcheck.lefschetz import multiplication_rank
-from wlpcheck.linalg import FAST_PRIME
+from wlpcheck.linalg import FAST_PRIME, IntRowBasis
 from wlpcheck.poly import GradedPoly, basis_size
-from wlpcheck.quotient import QuotientAlgebra
+from wlpcheck.quotient import QuotientAlgebra, standard_table
 from wlpcheck.rng import TrialConfig, distinct_forms, stream, witness_forms
 from wlpcheck.trials import random_power_ideal, wlp_trial
 
@@ -531,17 +532,45 @@ def test_a_shortfall_mod_p_is_not_a_miss(monkeypatch):
     assert _plain(report) == _oracle(CUBES, forms, "slp")
 
 
+def test_every_adjoined_algebra_shares_the_framed_power_s_cokernels(monkeypatch):
+    # the five I + (l) of one fourvar check have the same bounds and the same
+    # framed power first, so they share one dict of cokernels, and each
+    # degree's cokernel is computed once
+    computed = []
+    cokernel = IntRowBasis.cokernel
+
+    def counted(basis):
+        computed.append(basis.ncols)
+        return cokernel(basis)
+
+    monkeypatch.setattr(IntRowBasis, "cokernel", counted)
+    draws = stream(1, 0)
+    ideal = random_power_ideal(draws, FOURVAR)
+    report = wlp_check(ideal, FOURVAR.check_config(seed=draws.next_uint64()))
+    assert report.attempts_used == 5
+    info = quotient.shared_cokernels.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    assert info.maxsize == quotient.STANDARD_TABLES
+    # degrees 4-7 of the first I + (l), each once (below degree 4 the framed
+    # quartic leaves no rows, and there is nothing to project out)
+    assert computed == [len(standard_table(4, (1, 4, 4, 4), m).exponents) for m in range(4, 8)]
+
+
 def test_a_losing_form_is_ranked_only_where_the_best_one_missed(monkeypatch):
     # every form misses once, at (1, 5), so each form after the first is
     # abandoned at its first rank, one degree-6 piece of its I + (l)
     computed = []  # rows are built once per computed piece
-    compute = QuotientAlgebra.spanning_rows
+    cokernels = []  # and the framed quartic's once per degree, for every I + (l)
+    compute = QuotientAlgebra._rows
 
-    def counted(alg, m):
-        computed.append((alg.generators, m))
-        return compute(alg, m)
+    def counted(alg, m, others):
+        if others == alg._others[:1] != alg._others:
+            cokernels.append(m)
+        else:
+            computed.append((alg.generators, m))
+        return compute(alg, m, others)
 
-    monkeypatch.setattr(QuotientAlgebra, "spanning_rows", counted)
+    monkeypatch.setattr(QuotientAlgebra, "_rows", counted)
     draws = stream(1, 0)
     ideal = random_power_ideal(draws, FOURVAR)  # its Hilbert function is computed here
     report = wlp_check(ideal, FOURVAR.check_config(seed=draws.next_uint64()))
@@ -550,5 +579,9 @@ def test_a_losing_form_is_ranked_only_where_the_best_one_missed(monkeypatch):
     degrees = {}  # the degrees computed in each algebra: I, then each I + (l)
     for generators, m in computed:
         degrees.setdefault(generators, []).append(m)
-    assert list(degrees.values()) == [list(range(9)), list(range(1, 8)), [6], [6], [6], [6]]
-    assert len(computed) == 20
+    # the first I + (l) computes degrees 1-7, but the framed power's rows
+    # span the degree-7 piece, so its cokernel is empty and the last
+    # quartic's rows there are never built
+    assert list(degrees.values()) == [list(range(9)), list(range(1, 7)), [6], [6], [6], [6]]
+    assert len(computed) == 19
+    assert cokernels == list(range(4, 8))

@@ -89,6 +89,35 @@ def test_modular_rank_never_exceeds_exact(rows):
     assert modular == exact
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda ncols: st.tuples(
+            *(st.lists(st.lists(small_int, min_size=ncols, max_size=ncols), max_size=6) for _ in range(2))
+        )
+    ).filter(lambda pair: pair[0] or pair[1])
+)
+def test_ranking_in_a_cokernel_matches_naive_elimination(pair):
+    # the cokernel of the first rows kills exactly their span, so the rank of
+    # the other rows projected into it is what they add to that span
+    first, other = pair
+    ncols = len((first or other)[0])
+    basis = IntRowBasis(ncols)
+    basis.extend(first)
+    stored = [list(row) for row in basis.rows]
+    cokernel = basis.cokernel()
+    assert basis.rows == stored  # the basis is left as it was
+    assert cokernel.width == ncols - frac_rank(first)
+    weights = [[] for _ in range(cokernel.width)]  # each coordinate's, made primitive
+    for pairs in cokernel.images:
+        for k, w in pairs:
+            weights[k].append(w)
+    assert all(gcd(*coordinate) == 1 for coordinate in weights)
+    assert not any(map(any, cokernel.project(first)))
+    projected = cokernel.project(other)
+    assert frac_rank(projected) == frac_rank(first + other) - frac_rank(first)
+
+
 @settings(max_examples=100, deadline=None)
 @given(int_matrix())
 def test_basis_contains_agrees_with_solveability(rows):

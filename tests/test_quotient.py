@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import combine, expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal, times
@@ -17,6 +17,7 @@ from oracles import (
     dict_from_graded,
     dict_linear,
     dict_pow,
+    frac_rank,
     monomials,
     naive_hilbert,
     naive_ideal_dim,
@@ -440,13 +441,16 @@ def test_integer_rows_that_vanish_mod_p_fall_back_to_exact_rank(monkeypatch):
 
 def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
     built = []
-    original = QuotientAlgebra.spanning_rows
+    cokernels = []
+    original = QuotientAlgebra._rows
 
-    def counting(self, m):
-        built.append(m)
-        return original(self, m)
+    def counting(self, m, others):
+        # the two cubes leave rows from degree 3 on, where a piece builds the
+        # second cube's rows, and the first cube's once for their cokernel
+        (cokernels if others == self._others[:1] else built).append(m)
+        return original(self, m, others)
 
-    monkeypatch.setattr(QuotientAlgebra, "spanning_rows", counting)
+    monkeypatch.setattr(QuotientAlgebra, "_rows", counting)
     # a rank mod p one short of full sends every piece with rows to exact
     # elimination, which must reuse the rows already built
     real = linalg.rank_mod_prime
@@ -456,7 +460,11 @@ def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
     assert QuotientAlgebra(ideal).hilbert_function() == expected
-    assert built == list(range(len(expected) + 1))
+    # the first cube's rows span the degree-3 piece, the first zero one: its
+    # cokernel is empty, and the second cube's rows there are never built
+    assert len(expected) == 3
+    assert cokernels == [3]
+    assert built == [0, 1, 2]
 
 
 # -- rewriting and the shared standard-monomial tables ----------------------
@@ -615,3 +623,56 @@ def test_the_shared_pieces_stay_within_their_bound():
     assert info.maxsize == quotient.STANDARD_TABLES
     assert info.misses == quotient.STANDARD_TABLES + 10
     assert info.currsize == quotient.STANDARD_TABLES
+
+
+# -- small pieces ranked in the shared cokernel of the first generator ----------
+
+
+def _assert_every_piece_matches_all_its_rows(alg) -> list[int]:
+    """Each piece up to the first zero one is the standard monomials less the
+    rank of all its rows, by the Fraction oracle; returns the width of each
+    cokernel used, by degree."""
+    sizes = []
+    m = 0
+    while True:
+        piece = alg.piece(m)
+        assert piece == len(alg._standard(m).exponents) - frac_rank(alg.spanning_rows(m))
+        if m in alg._cokernels:
+            sizes.append(alg._cokernels[m].width)
+        if piece == 0:
+            return sizes
+        m += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(2, 4), min_size=n + 2, max_size=n + 4))
+    ),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_small_pieces_ranked_in_a_cokernel_match_the_oracle(shape, seed):
+    num_vars, exponents = shape
+    alg = seeded_power_ideal(exponents, seed=seed, num_vars=num_vars).algebra
+    assume(2 <= len(alg._others) <= 4)
+    # some piece from the first generator's degree on is ranked in a cokernel
+    assert _assert_every_piece_matches_all_its_rows(alg)
+
+
+def test_the_fourvar_adjoined_pieces_are_ranked_in_the_framed_power_s_cokernel():
+    # I + (l) for five general quartics: l and three quartics are coordinates,
+    # the framed quartic (y_1 + ... + y_4)^4 comes first and the fifth
+    # quartic last.  The framed quartic's cokernel has 11, 9, 4 and 0
+    # coordinates in degrees 4-7, against 12, 12, 10 and 6 standard monomials.
+    ideal = seeded_power_ideal([4] * 5, seed=45, num_vars=4)
+    alg = ideal.algebra.adjoined((seeded_forms(4, 1, seed=46)[0], 1))
+    assert alg._bounds == (1, 4, 4, 4)
+    assert [len(exps) for _, exps, _ in alg._others] == [12, 12]
+    assert alg._others[0] == ideal.algebra.adjoined((seeded_forms(4, 1, seed=47)[0], 1))._others[0]
+    assert [alg.piece(m) for m in range(4, 8)] == [10, 6, 1, 0]
+    for m in range(4, 8):
+        assert alg.piece(m) == len(alg._standard(m).exponents) - frac_rank(alg.spanning_rows(m))
+    assert [alg._cokernels[m].width for m in range(4, 8)] == [11, 9, 4, 0]
+    degree_six = alg._cokernels[6].images
+    assert sum(map(len, degree_six)) == 20
+    assert max(abs(w).bit_length() for pairs in degree_six for _, w in pairs) <= 4
