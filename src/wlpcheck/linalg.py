@@ -10,8 +10,8 @@ the integers and every answer is exact.  A row under reduction sheds its
 content only once it has outgrown the pivot rows that reduce it, and every
 stored row is primitive.  ``IntRowBasis`` is the only exact elimination
 routine: it computes the exact ranks of graded pieces and the cokernels
-that small pieces are ranked in, and it also picks the normalized
-coordinates of a quotient and inverts their change of basis (see
+that pieces are ranked in, and it also picks the normalized coordinates
+of a quotient and inverts their change of basis (see
 :mod:`wlpcheck.quotient`).
 
 ``exact_rank`` is the one rule for when a rank is trusted.  A piece below

@@ -69,20 +69,20 @@ is exact for all of them.
 The framed power is the first rewritten generator, and the others follow
 in generator order.  So the algebras I + (l) of one ideal, for every l
 drawn, share their bounds and their first rewritten generator, and differ
-only in the last one.  A small piece, below ``NUMPY_CELLS`` entries with a
-row per shift, of an algebra with two or more rewritten generators is
-therefore ranked in the cokernel of the first generator's rows, in every
-degree where that generator has rows.  That cokernel is a projection π
-onto a few coordinates, kept as the sparse integer image of each column
-(:meth:`wlpcheck.linalg.IntRowBasis.cokernel`), whose kernel is exactly
-the span of those rows.  The rank of all the rows is the first generator's
-rank plus the rank of π applied to the other rows, so the piece is the
-number of coordinates of π less that rank.  An empty cokernel makes the
-piece zero, and the other rows are then never built.  The cokernels are
-shared, by degree, among the algebras with the same number of variables,
-bounds and first rewritten generator, so each I + (l) builds and
-eliminates only its own last generator's rows.  A bigger piece is ranked
-whole by :func:`wlpcheck.linalg.exact_rank`, with its screen mod p.
+only in the last one.  A piece of an algebra with a framed power and
+another rewritten generator is therefore ranked in the cokernel of the
+framed power's rows, in every degree where it has rows.  That cokernel is
+a projection π onto a few coordinates, kept as the sparse integer image
+of each column (:meth:`wlpcheck.linalg.IntRowBasis.cokernel`), whose
+kernel is exactly the span of those rows.  The rank of all the rows is the
+framed power's rank plus the rank of π applied to the other rows, so the
+piece is the number of coordinates of π less that rank, and that rank is
+:func:`wlpcheck.linalg.exact_rank`, with its screen mod p.  An empty
+cokernel makes the piece zero, and the other rows are then never built.
+The cokernels are shared, by degree, among the algebras with the same
+number of variables, bounds and framed power, so each I + (l) builds and
+eliminates only its own last generator's rows.  An algebra with no framed
+power shares no cokernel, and its pieces are ranked whole.
 
 The standard monomials of a degree, their codes and their column indices
 form a table that depends on the number of variables, the exponent bounds
@@ -101,7 +101,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GenericityError, NotArtinianError
 from .frozen import Frozen
-from .linalg import NUMPY_CELLS, Cokernel, IntRowBasis, exact_rank
+from .linalg import Cokernel, IntRowBasis, exact_rank
 from .poly import Exponents, GradedPoly, LinearForm, exponent_vectors
 
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -325,9 +325,10 @@ def shared_pieces(num_vars: int, bounds: Bounds, others: Others) -> dict[int, in
 
 @lru_cache(maxsize=STANDARD_TABLES)
 def shared_cokernels(num_vars: int, bounds: Bounds, first: Rewritten) -> dict[int, Cokernel]:
-    """The cokernel, by degree, of the rows of the first rewritten generator
-    of every algebra with these variables and bounds: a projection π
-    with π(v) = 0 exactly when v lies in the span of those rows.  Filled in as pieces are computed.
+    """The cokernel, by degree, of the rows of the framed power, the first
+    rewritten generator of every algebra with these variables and bounds
+    that has one: a projection π with π(v) = 0 exactly when v lies in the
+    span of those rows.  Filled in as pieces are computed.
     """
     return {}
 
@@ -411,16 +412,18 @@ class QuotientAlgebra:
         # that leaves rows, the framed power first, the rest in generator
         # order: with the bounds, the whole presentation
         order = sorted((i for i in range(len(gens)) if i not in chosen), key=lambda i: i != framed)
-        rewritten = ((self._degrees[i], self._rewrite(gens[i])) for i in order)
+        rewritten = [(self._degrees[i], self._rewrite(gens[i])) for i in order]
         self._others: Others = tuple(
             (degree, tuple(w for w, _ in terms), tuple(c for _, c in terms))
             for degree, terms in rewritten
             if terms  # a generator inside the monomial part adds nothing
         )
         self._pieces = shared_pieces(n, self._bounds, self._others)
-        # the cokernels of the first generator's rows, which small pieces
-        # are ranked in when another generator leaves rows too
-        self._cokernels = shared_cokernels(n, self._bounds, self._others[0]) if len(self._others) > 1 else None
+        # the cokernels of the framed power's rows, which pieces are ranked
+        # in when another generator leaves rows too (a framed power inside
+        # the monomial part leaves none)
+        shared = framed is not None and bool(rewritten[0][1]) and len(self._others) > 1
+        self._cokernels = shared_cokernels(n, self._bounds, self._others[0]) if shared else None
 
     # -- normalized coordinates ------------------------------------------
 
@@ -510,17 +513,16 @@ class QuotientAlgebra:
     def _dimension(self, m: int) -> int:
         """The dimension of the degree-m piece, computed.
 
-        A piece below ``NUMPY_CELLS`` entries, counting a row per shift, of
-        an algebra with two or more generators leaving rows is ranked in the
-        shared cokernel π of the first generator's rows, once that generator
-        has rows in degree m: the span of all the rows has the first one's
-        rank plus the rank of π(the other rows), so the piece is the width
-        of π less that rank.  Every other piece is ranked whole.
+        A piece of an algebra with a framed power and another generator
+        leaving rows is ranked in the shared cokernel π of the framed
+        power's rows, once it has rows in degree m: the span of all the rows
+        has the framed power's rank plus the rank of π(the other rows), so
+        the piece is the width of π less that rank.  Every other piece is
+        ranked whole.
         """
         others = self._others
         ncols = len(self._standard(m).exponents)
-        shifts = sum(len(self._standard(m - degree).exponents) for degree, _, _ in others if degree <= m)
-        if self._cokernels is None or others[0][0] > m or ncols * shifts >= NUMPY_CELLS:
+        if self._cokernels is None or others[0][0] > m:
             return ncols - exact_rank(self.spanning_rows(m), ncols)
         cokernel = self._cokernels.get(m)
         if cokernel is None:

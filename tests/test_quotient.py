@@ -405,17 +405,38 @@ def test_a_big_piece_certified_mod_p_runs_no_exact_elimination(monkeypatch):
     assert basis_size(4, 7) - piece == basis_size(4, 7) - 40 + 20
 
 
+def _one_short_mod_p(monkeypatch) -> list[int]:
+    """Screen every matrix mod p, and make each screen one short of the
+    true rank, so every one falls back to exact elimination; returns the
+    list of screened row counts."""
+    screened = []
+    real = linalg.rank_mod_prime
+
+    def one_short(rows, ncols):
+        screened.append(len(rows))
+        return max(real(rows, ncols) - 1, 0)
+
+    monkeypatch.setattr(linalg, "NUMPY_CELLS", 1)
+    monkeypatch.setattr(linalg, "rank_mod_prime", one_short)
+    return screened
+
+
 def test_a_low_modular_rank_is_never_trusted(monkeypatch):
     # an unlucky prime gives a rank mod p below min(#rows, #cols); such an
-    # answer must send the piece to exact elimination
-    real = linalg.rank_mod_prime
-    monkeypatch.setattr(linalg, "NUMPY_CELLS", 1)  # screen every piece mod p
-    monkeypatch.setattr(linalg, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
-    ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
-    gen_dicts, gen_degrees = _ideal_dicts(ideal)
-    expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
-    assert expected is not None
-    assert QuotientAlgebra(ideal).hilbert_function() == expected
+    # answer must send the piece to exact elimination, whether the piece is
+    # ranked whole (four cubes: one leaves rows) or in the framed cube's
+    # cokernel (five cubes: two leave rows)
+    screened = _one_short_mod_p(monkeypatch)
+    for exponents, in_cokernel in (([3, 3, 3, 3], False), ([3, 3, 3, 3, 3], True)):
+        ideal = seeded_power_ideal(exponents, seed=44, index=0, num_vars=3)
+        gen_dicts, gen_degrees = _ideal_dicts(ideal)
+        expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
+        assert expected is not None
+        screened.clear()
+        alg = QuotientAlgebra(ideal)
+        assert alg.hilbert_function() == expected
+        assert screened  # the fallback was reached
+        assert (alg._cokernels is not None) == in_cokernel
 
 
 def test_integer_rows_that_vanish_mod_p_fall_back_to_exact_rank(monkeypatch):
@@ -446,25 +467,25 @@ def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
 
     def counting(self, m, others):
         # the two cubes leave rows from degree 3 on, where a piece builds the
-        # second cube's rows, and the first cube's once for their cokernel
+        # second cube's rows, and the framed cube's once for their cokernel
         (cokernels if others == self._others[:1] else built).append(m)
         return original(self, m, others)
 
     monkeypatch.setattr(QuotientAlgebra, "_rows", counting)
     # a rank mod p one short of full sends every piece with rows to exact
     # elimination, which must reuse the rows already built
-    real = linalg.rank_mod_prime
-    monkeypatch.setattr(linalg, "NUMPY_CELLS", 1)  # screen every piece mod p
-    monkeypatch.setattr(linalg, "rank_mod_prime", lambda rows, ncols: max(real(rows, ncols) - 1, 0))
-    ideal = seeded_power_ideal([2, 2, 3, 3, 2], seed=44, index=0, num_vars=3)
+    screened = _one_short_mod_p(monkeypatch)
+    ideal = seeded_power_ideal([3, 3, 3, 3, 3], seed=44, index=0, num_vars=3)
     gen_dicts, gen_degrees = _ideal_dicts(ideal)
     expected = naive_hilbert(gen_dicts, gen_degrees, 3, 3 * 3 + 1)
     assert QuotientAlgebra(ideal).hilbert_function() == expected
-    # the first cube's rows span the degree-3 piece, the first zero one: its
-    # cokernel is empty, and the second cube's rows there are never built
-    assert len(expected) == 3
-    assert cokernels == [3]
-    assert built == [0, 1, 2]
+    assert expected == (1, 3, 6, 5, 1)
+    # the second cube's projected rows are screened in degrees 3 and 4;
+    # in degree 5 the framed cube's rows span the piece, so its cokernel is
+    # empty and the second cube's rows there are never built
+    assert screened == [1, 3]
+    assert cokernels == [3, 4, 5]
+    assert built == [0, 1, 2, 3, 4]
 
 
 # -- rewriting and the shared standard-monomial tables ----------------------
@@ -625,7 +646,7 @@ def test_the_shared_pieces_stay_within_their_bound():
     assert info.currsize == quotient.STANDARD_TABLES
 
 
-# -- small pieces ranked in the shared cokernel of the first generator ----------
+# -- pieces ranked in the shared cokernel of the framed power ------------------
 
 
 def _assert_every_piece_matches_all_its_rows(alg) -> list[int]:
@@ -651,12 +672,33 @@ def _assert_every_piece_matches_all_its_rows(alg) -> list[int]:
     ),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_small_pieces_ranked_in_a_cokernel_match_the_oracle(shape, seed):
+def test_pieces_ranked_in_a_cokernel_match_the_oracle(shape, seed):
     num_vars, exponents = shape
     alg = seeded_power_ideal(exponents, seed=seed, num_vars=num_vars).algebra
-    assume(2 <= len(alg._others) <= 4)
-    # some piece from the first generator's degree on is ranked in a cokernel
+    assume(2 <= len(alg._others) <= 4 and alg._cokernels is not None)
+    # every piece from the framed power's degree on is ranked in a cokernel
     assert _assert_every_piece_matches_all_its_rows(alg)
+
+
+def test_an_algebra_with_no_framed_power_ranks_its_pieces_whole(monkeypatch):
+    # three coordinate quintics and two quartic monomials: no power is left
+    # to frame, so nothing shares a cokernel with it, and none is computed
+    computed = []
+    cokernel = IntRowBasis.cokernel
+
+    def counted(basis):
+        computed.append(basis.ncols)
+        return cokernel(basis)
+
+    monkeypatch.setattr(IntRowBasis, "cokernel", counted)
+    quintics = powers_ideal(((1, 0, 0), 5), ((0, 1, 0), 5), ((0, 0, 1), 5))
+    monomials = tuple(GradedPoly(3, 4, [(e, 1)]) for e in ((2, 1, 1), (1, 2, 1)))
+    alg = GradedIdeal(3, quintics.generators + monomials).algebra
+    assert len(alg._others) == 2
+    assert alg._cokernels is None
+    assert alg.hilbert_function() == (1, 3, 6, 10, 13, 13, 10, 6, 3)
+    assert computed == []
+    assert quotient.shared_cokernels.cache_info().currsize == 0
 
 
 def test_the_fourvar_adjoined_pieces_are_ranked_in_the_framed_power_s_cokernel():
@@ -676,3 +718,30 @@ def test_the_fourvar_adjoined_pieces_are_ranked_in_the_framed_power_s_cokernel()
     degree_six = alg._cokernels[6].images
     assert sum(map(len, degree_six)) == 20
     assert max(abs(w).bit_length() for pairs in degree_six for _, w in pairs) <= 4
+
+
+def test_a_big_piece_is_ranked_in_the_cokernel_with_its_screen(monkeypatch):
+    # seven general quartics in four variables: four are coordinates, and the
+    # framed quartic comes first of the three that leave rows.  Every piece
+    # from degree 4 on is ranked in its cokernel, whatever its size; the
+    # projected rows of degrees 6 and 7, at or above NUMPY_CELLS entries,
+    # are screened mod p like any other matrix
+    screened = []
+    real = linalg.rank_mod_prime
+
+    def counted(rows, ncols):
+        screened.append((len(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rank_mod_prime", counted)
+    alg = seeded_power_ideal([4] * 7, seed=45, num_vars=4).algebra
+    assert [degree for degree, _, _ in alg._others] == [4, 4, 4]
+    assert alg.hilbert_function() == (1, 4, 10, 20, 28, 28, 14)
+    assert screened == [(20, 34), (40, 20)]
+    assert [alg._cokernels[m].width for m in range(4, 8)] == [30, 36, 34, 20]
+    for m in range(8):
+        rows = alg.spanning_rows(m)
+        ncols = len(alg._standard(m).exponents)
+        assert alg.piece(m) == ncols - frac_rank(rows)
+        if m in (6, 7):
+            assert len(rows) * ncols >= linalg.NUMPY_CELLS
