@@ -11,7 +11,10 @@ content only once it has outgrown the pivot rows that reduce it, and every
 stored row is primitive.  ``IntRowBasis`` is the only exact elimination
 routine: it computes the exact ranks of graded pieces and the cokernels
 that pieces are ranked in, and it also picks the normalized coordinates
-of a quotient and inverts their change of basis (see
+of a quotient (a form is kept when inserting it raises the rank, and the
+unit vectors off the pivots complete them).  Its one back-substitution,
+``IntRowBasis.reduced``, serves both the cokernels and the inverse of
+that change of basis, read off the reduced rows [C | I] (see
 :mod:`wlpcheck.quotient`).
 
 ``exact_rank`` is the one rule for when a rank is trusted.  A piece below
@@ -116,17 +119,11 @@ class IntRowBasis:
     def extend(self, rows: Iterable[Sequence[int]]) -> int:
         return sum(1 for row in rows if self.insert(row))
 
-    def cokernel(self) -> Cokernel:
-        """A projection whose kernel is the row span.
-
-        Back-substitution, fraction-free, clears every row at the other
-        rows' pivots, leaving row i with d_i at its pivot p_i.  Then
-        v - sum_i (v_{p_i} / d_i) row_i is zero at every pivot, and zero
-        everywhere exactly when v lies in the span.  Its entry at a
-        non-pivot c, times D = lcm(d_i), is
-        D v_c - sum_i v_{p_i} (D / d_i) row_i[c]: one coordinate of the
-        projection, with those weights made primitive.  The stored rows are
-        left as they are.
+    def reduced(self) -> list[list[int]]:
+        """The stored rows cleared at each other's pivots, by fraction-free
+        back-substitution: row i is zero at every pivot but its own, p_i,
+        primitive, and positive at p_i.  They span the same space, and the
+        stored rows are left as they are.
         """
         # each row, last first, is reduced against the rows after it, which
         # are already cleared; they are zero at its pivot, so the pivot entry
@@ -137,7 +134,19 @@ class IntRowBasis:
             g = gcd(*v)
             done.pivots.insert(0, p)
             done.rows.insert(0, [x // g for x in v])
-        pivots, rows = done.pivots, done.rows
+        return done.rows
+
+    def cokernel(self) -> Cokernel:
+        """A projection whose kernel is the row span.
+
+        The reduced rows (:meth:`reduced`) have d_i at pivot p_i and zero
+        at the other pivots.  Then v - sum_i (v_{p_i} / d_i) row_i is zero
+        at every pivot, and zero everywhere exactly when v lies in the
+        span.  Its entry at a non-pivot c, times D = lcm(d_i), is
+        D v_c - sum_i v_{p_i} (D / d_i) row_i[c]: one coordinate of the
+        projection, with those weights made primitive.
+        """
+        pivots, rows = self.pivots, self.reduced()
         big = lcm(*(row[p] for p, row in zip(pivots, rows)))
         taken = set(pivots)
         images: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]

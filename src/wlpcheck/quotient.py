@@ -24,8 +24,13 @@ exactly when multiplication by f is zero on the degree-0 piece.
 
 Pieces are computed in normalized coordinates.  When the algebra is built
 it picks a maximal linearly independent set of the power generators'
-forms L_1, ..., L_k (smallest exponents first, ties by generator order) and
-completes them to a basis with unit vectors.  In the coordinates
+forms L_1, ..., L_k (smallest exponents first, ties by generator order),
+each one kept when inserting it into an echelon basis raises the rank, and
+completes them to a basis with the unit vectors e_j at the columns j where
+no picked row has its pivot.  The change of basis is inverted by the same
+elimination: the rows [c_k | e_k], cleared at each other's pivots by
+:meth:`wlpcheck.linalg.IntRowBasis.reduced`, become [d_k e_k | a_k] with
+a_k equal to d_k times row k of the inverse.  In the coordinates
 y_i = L_i the chosen powers become the monomials y_i^{a_i}, so the monomial
 part of every graded piece is counted rather than eliminated: only the
 standard monomials, those with u_i < a_i for every bounded coordinate, are
@@ -61,10 +66,10 @@ power a monomial, so the argument above covers it.  Powers of n + 1
 general forms in n variables then have a presentation that depends on
 their exponents alone, not on the coefficients of the forms.
 
-A graded piece is a function of the presentation alone: the number of
-variables, the bounds and the rewritten generators.  Algebras with the
-same presentation share one dict of pieces, so a piece computed for one
-is exact for all of them.
+A graded piece is a function of the presentation alone: the bounds, one
+per variable, and the rewritten generators.  Algebras with the same
+presentation share one dict of pieces, so a piece computed for one is
+exact for all of them.
 
 The framed power is the first rewritten generator, and the others follow
 in generator order.  So the algebras I + (l) of one ideal, for every l
@@ -80,13 +85,13 @@ piece is the number of coordinates of π less that rank, and that rank is
 :func:`wlpcheck.linalg.exact_rank`, with its screen mod p.  An empty
 cokernel makes the piece zero, and the other rows are then never built.
 The cokernels are shared, by degree, among the algebras with the same
-number of variables, bounds and framed power, so each I + (l) builds and
-eliminates only its own last generator's rows.  An algebra with no framed
-power shares no cokernel, and its pieces are ranked whole.
+bounds and framed power, so each I + (l) builds and eliminates only its
+own last generator's rows.  An algebra with no framed power shares no
+cokernel, and its pieces are ranked whole.
 
 The standard monomials of a degree, their codes and their column indices
-form a table that depends on the number of variables, the exponent bounds
-and the degree alone.  One table serves every algebra with those bounds
+form a table that depends on the exponent bounds, one per variable, and
+the degree alone.  One table serves every algebra with those bounds
 (an ideal's algebra and each I + (l) it adjoins share most of them).  At
 most ``STANDARD_TABLES`` tables, and as many sets of shared pieces and of
 shared cokernels, are kept, least recently used dropped first.
@@ -157,9 +162,10 @@ class StandardTable(NamedTuple):
 
 
 @lru_cache(maxsize=STANDARD_TABLES)
-def standard_table(num_vars: int, bounds: Bounds, degree: int) -> StandardTable:
-    """The degree-``degree`` monomials with u_i < bounds[i] wherever a bound is set."""
-    exponents = tuple(exponent_vectors(num_vars, degree, bounds))
+def standard_table(bounds: Bounds, degree: int) -> StandardTable:
+    """The degree-``degree`` monomials in len(bounds) variables with
+    u_i < bounds[i] wherever a bound is set."""
+    exponents = tuple(exponent_vectors(len(bounds), degree, bounds))
     weights = _weights(bounds, degree)
     codes = tuple(_codes(exponents, weights))
     return StandardTable(exponents, weights, codes, {code: j for j, code in enumerate(codes)})
@@ -312,11 +318,11 @@ class GradedIdeal(Frozen):
 
 
 @lru_cache(maxsize=STANDARD_TABLES)
-def shared_pieces(num_vars: int, bounds: Bounds, others: Others) -> dict[int, int]:
+def shared_pieces(bounds: Bounds, others: Others) -> dict[int, int]:
     """The dimensions of the graded pieces, by degree, of every algebra with
     this presentation.
 
-    A piece is computed from the number of variables, the bounds and the
+    A piece is computed from the bounds, one per variable, and the
     rewritten generators alone, so algebras that agree on them share one
     dict, filled in as pieces are computed.
     """
@@ -324,11 +330,11 @@ def shared_pieces(num_vars: int, bounds: Bounds, others: Others) -> dict[int, in
 
 
 @lru_cache(maxsize=STANDARD_TABLES)
-def shared_cokernels(num_vars: int, bounds: Bounds, first: Rewritten) -> dict[int, Cokernel]:
+def shared_cokernels(bounds: Bounds, first: Rewritten) -> dict[int, Cokernel]:
     """The cokernel, by degree, of the rows of the framed power, the first
-    rewritten generator of every algebra with these variables and bounds
-    that has one: a projection π with π(v) = 0 exactly when v lies in the
-    span of those rows.  Filled in as pieces are computed.
+    rewritten generator of every algebra with these bounds that has one: a
+    projection π with π(v) = 0 exactly when v lies in the span of those
+    rows.  Filled in as pieces are computed.
     """
     return {}
 
@@ -352,45 +358,36 @@ class QuotientAlgebra:
         # the latest multiplier's base (a form or a polynomial) and the
         # algebras of I + (g) for the multipliers g on it
         self._adjoined: tuple[LinearForm | GradedPoly, dict[Generator, QuotientAlgebra]] | None = None
-        # normalized coordinates: y_k = c_k . x for integer rows c_k (the
-        # power forms' coefficients, then unit vectors); bounds[k] is the
-        # exponent of the chosen power y_k^{a_k}, None for a unit vector, and
-        # chosen holds the indices of the chosen powers.  One basis of the
-        # rows [c_k | e_k | 0] both picks the c_k and inverts them.
+        # normalized coordinates: y_k = c_k . x for integer rows c_k, the
+        # picked power forms and then unit vectors; bounds[k] is the exponent
+        # of the chosen power y_k^{a_k}, None for a unit vector, and chosen
+        # holds the indices of the chosen powers.  A power form is picked
+        # when it is independent of those before it, smallest exponents
+        # first, and the unit vectors e_j off the picked forms' pivots
+        # complete them to a basis, with no reduction and sparse rows.
         powers = sorted((g[1], i) for i, g in enumerate(gens) if isinstance(g, tuple))
-        candidates = [(a, gens[i][0].coeffs, i) for a, i in powers]
-        candidates += [(None, [int(i == j) for i in range(n)], None) for j in range(n)]
-        span = IntRowBasis(2 * n + 1)
-        bounds: list[int | None] = []
-        chosen: set[int | None] = set()
-        for a, c, i in candidates:
-            if len(bounds) == n:  # the c_k span, so no later candidate is independent
-                break
-            v = span.reduce([*c, *(int(k == len(bounds)) for k in range(n)), 0])
-            if any(v[:n]):  # c is independent of the accepted rows
-                span.insert(v)
-                bounds.append(a)
-                chosen.add(i)
-        self._bounds = tuple(bounds)
-        # Reducing [e_j | 0 | 1] subtracts sum_k b_k [c_k | e_k | 0] from a
-        # positive multiple s of it until the first block, of rank n, is zero.
-        # That leaves [0 | r | s] with r = -b and s e_j = sum_k b_k c_k, that
-        # is s x_j = -r . y.  So x = B y / D for row j of B equal to -r D / s
-        # and D the lcm of the s: B is a positive multiple of C^-1, C the
-        # matrix of the c_k, and a degree-d polynomial only picks up the
-        # scalar D^-d, which changes no span.  reduce leaves a content in
-        # [r | s]; it is stripped here, or B would carry it into every
-        # rewritten coefficient.  Rows of B are (k, B_jk) pairs.
-        tails = []
-        for j in range(n):
-            t = span.reduce([int(i == j) for i in range(2 * n)] + [1])[n:]
-            g = gcd(*t)
-            tails.append([x // g for x in t])
-        scale = lcm(*(t[-1] for t in tails))
+        pick = IntRowBasis(n)
+        picked = [(a, i) for a, i in powers if pick.insert(gens[i][0].coeffs)]
+        chosen = {i for _, i in picked}
+        taken = set(pick.pivots)
+        eye = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
+        rows = [gens[i][0].coeffs for _, i in picked] + [eye[j] for j in range(n) if j not in taken]
+        self._bounds = tuple([a for a, _ in picked] + [None] * (n - len(picked)))
+        # The reduced rows of [C | I], C the matrix of the c_k, are
+        # [d_j e_j | a_j] with a_j equal to d_j times row j of C^-1.  So
+        # x = B y / D for row j of B equal to (D / d_j) a_j and D the lcm of
+        # the d_j: B is a positive multiple of C^-1, and a degree-d polynomial
+        # only picks up the scalar D^-d, which changes no span.  Rows of B are
+        # (k, B_jk) pairs.
+        inverse = IntRowBasis(2 * n)
+        for k, c in enumerate(rows):
+            inverse.insert([*c, *eye[k]])
+        reduced = inverse.reduced()
+        scale = lcm(*(row[j] for j, row in enumerate(reduced)))
         substitution = [
-            [(k, -r * (scale // t[-1])) for k, r in enumerate(t[:-1]) if r] for t in tails
+            [(k, scale // row[j] * x) for k, x in enumerate(row[n:]) if x] for j, row in enumerate(reduced)
         ]
-        # The frame: the first power in candidate order whose form pushes to
+        # The frame: the first power in pick order whose form pushes to
         # sum_j p_j y_j with two or more p_j nonzero has its y_j scaled by
         # P / p_j, P the lcm of the p_j, so it becomes P^k (sum_j y_j)^k.  A
         # chosen power pushes to a multiple of its y_i, so it is skipped, and
@@ -418,18 +415,18 @@ class QuotientAlgebra:
             for degree, terms in rewritten
             if terms  # a generator inside the monomial part adds nothing
         )
-        self._pieces = shared_pieces(n, self._bounds, self._others)
+        self._pieces = shared_pieces(self._bounds, self._others)
         # the cokernels of the framed power's rows, which pieces are ranked
         # in when another generator leaves rows too (a framed power inside
         # the monomial part leaves none)
         shared = framed is not None and bool(rewritten[0][1]) and len(self._others) > 1
-        self._cokernels = shared_cokernels(n, self._bounds, self._others[0]) if shared else None
+        self._cokernels = shared_cokernels(self._bounds, self._others[0]) if shared else None
 
     # -- normalized coordinates ------------------------------------------
 
     def _standard(self, m: int) -> StandardTable:
         """The standard monomials of degree m, from the shared table."""
-        return standard_table(self.num_vars, self._bounds, m)
+        return standard_table(self._bounds, m)
 
     def _rewrite(self, g: Generator) -> IntTerms:
         """Primitive integer multiple of g in normalized coordinates, projected.
@@ -451,7 +448,7 @@ class QuotientAlgebra:
             powers = [[p ** e for e in range(k + 1)] for p in pushed]
             acc = {
                 v: top // prod(map(factorials.__getitem__, v)) * prod(map(list.__getitem__, powers, v))
-                for v in standard_table(self.num_vars, caps, k).exponents
+                for v in standard_table(caps, k).exponents
             }
         else:
             acc = push_poly(g, self._substitution, self._bounds)
@@ -533,9 +530,6 @@ class QuotientAlgebra:
             return 0
         projected = cokernel.project(self._rows(m, others[1:]))
         return cokernel.width - exact_rank(projected, cokernel.width)
-
-    # perfbench/selftest.py injects a wrong rank through this name
-    dimension = piece
 
     # -- Hilbert function ----------------------------------------------
 

@@ -126,6 +126,13 @@ def test_a_thousand_variables_are_not_artinian_not_a_crash():
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.endswith("\ndimensions so far: 1 999 ...\n")
     assert "Traceback" not in done.stderr
+    # one linear power in 1000 variables: its form picks one coordinate and
+    # 999 unit vectors complete it, so the coordinate rows stay sparse
+    ideal = {"variables": n, "powers": [{"form": [1] * n, "power": 1}]}
+    done = _python("-m", "wlpcheck.cli", "hilbert", json.dumps(ideal), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "do not span" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_genericity_failure_is_four(capsys, monkeypatch):

@@ -553,7 +553,7 @@ def test_every_adjoined_algebra_shares_the_framed_power_s_cokernels(monkeypatch)
     assert info.maxsize == quotient.STANDARD_TABLES
     # degrees 4-7 of the first I + (l), each once (below degree 4 the framed
     # quartic leaves no rows, and there is nothing to project out)
-    assert computed == [len(standard_table(4, (1, 4, 4, 4), m).exponents) for m in range(4, 8)]
+    assert computed == [len(standard_table((1, 4, 4, 4), m).exponents) for m in range(4, 8)]
 
 
 def test_a_losing_form_is_ranked_only_where_the_best_one_missed(monkeypatch):

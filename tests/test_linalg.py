@@ -247,7 +247,8 @@ def _reduced_over_q(basis, vec):
 @settings(max_examples=60, deadline=None)
 @given(sized_matrix(1, NUMPY_CELLS - 1), factors, st.booleans())
 def test_reduce_returns_a_positive_multiple_of_the_reduced_row(rows, factor, sign):
-    # the coordinate inversion of a quotient reads the sign and the ratios of
+    # back-substitution (IntRowBasis.reduced, behind the cokernels and the
+    # coordinate inversion of a quotient) reads the sign and the ratios of
     # the reduced row, not its scale
     *span, target = rows
     basis = IntRowBasis(len(target))
@@ -262,3 +263,40 @@ def test_reduce_returns_a_positive_multiple_of_the_reduced_row(rows, factor, sig
     ratio = got[nonzero[0]] / want[nonzero[0]]
     assert ratio > 0
     assert got == [ratio * x for x in want]
+
+
+# -- back-substitution: rows cleared at each other's pivots --------------------
+
+
+def test_reduced_rows_clear_each_other_s_pivots():
+    basis = IntRowBasis(3)
+    basis.extend([[1, 2, 3], [0, 1, 4]])
+    assert basis.reduced() == [[1, 0, -5], [0, 1, 4]]
+    # the rows [C | I] reduce to [d_j e_j | a_j], a_j being d_j times row j of C^-1
+    basis = IntRowBasis(4)
+    basis.extend([[2, 0, 1, 0], [1, 3, 0, 1]])
+    assert basis.reduced() == [[2, 0, 1, 0], [0, 6, -1, 2]]
+    # clearing column 1 leaves the first row with content 3, shed before
+    # column 2, whose entry has outgrown the pivot 1: the pivot stays positive
+    basis = IntRowBasis(4)
+    basis.extend([[3, 1, 3 * 2**100, 1], [0, 1, 0, 1], [0, 0, 1, 5]])
+    assert basis.reduced() == [[1, 0, 0, -5 * 2**100], [0, 1, 0, 1], [0, 0, 1, 5]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sized_matrix(1, NUMPY_CELLS - 1))
+def test_reduced_rows_are_primitive_cleared_and_span_the_basis(rows):
+    # half of the draws have entries far above the pivots they meet, so
+    # back-substitution sheds content on the way
+    basis = IntRowBasis(len(rows[0]))
+    basis.extend(rows)
+    stored = [list(row) for row in basis.rows]
+    reduced = basis.reduced()
+    assert basis.rows == stored  # the basis is left as it was
+    assert len(reduced) == basis.rank
+    assert frac_rank(reduced) == frac_rank(reduced + rows) == frac_rank(rows)
+    for p, row in zip(basis.pivots, reduced):
+        assert not any(row[:p])
+        assert row[p] > 0
+        assert not any(row[q] for q in basis.pivots if q != p)
+        assert gcd(*row) == 1

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import combine, expand_power, expanded, powers_ideal, seeded_forms, seeded_power_ideal, times
 from oracles import (
+    det,
     dict_from_graded,
     dict_linear,
     dict_pow,
     frac_rank,
+    frac_rref,
     monomials,
     naive_hilbert,
     naive_ideal_dim,
@@ -488,6 +490,66 @@ def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
     assert built == [0, 1, 2, 3, 4]
 
 
+# -- normalized coordinates: picked forms, then unit vectors off their pivots --
+
+
+@st.composite
+def mixed_ideals(draw):
+    """An ideal in 2-5 variables of powers and polynomials.  The power forms
+    are small multiples of at most n + 2 base forms, so repeated and
+    proportional forms are common, and often fewer than n are independent."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    coeffs = st.integers(min_value=-3, max_value=3)
+    base = draw(st.lists(st.lists(coeffs, min_size=n, max_size=n).filter(any), min_size=1, max_size=n + 2))
+    powers = st.tuples(st.sampled_from(base), st.sampled_from([-2, -1, 1, 3]), st.integers(min_value=1, max_value=4))
+    gens = [(linear_form([s * c for c in form]), k) for form, s, k in draw(st.lists(powers, max_size=n + 3))]
+    for degree in draw(st.lists(st.integers(min_value=1, max_value=3), min_size=0 if gens else 1, max_size=2)):
+        terms = st.dictionaries(st.sampled_from(monomials(n, degree)), coeffs.filter(bool), min_size=1, max_size=4)
+        gens.append(GradedPoly(n, degree, draw(terms).items()))
+    return GradedIdeal(n, tuple(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_ideals())
+def test_the_coordinates_are_the_picked_forms_then_unit_vectors_off_their_pivots(ideal):
+    n, alg = ideal.num_vars, ideal.algebra
+    gens = ideal.generators
+    powers = [gens[i] for _, i in sorted((g[1], i) for i, g in enumerate(gens) if isinstance(g, tuple))]
+    # smallest exponents first, a form is picked when it is independent of
+    # those before it
+    picked = []
+    for form, a in powers:
+        if frac_rank([c for _, c in picked] + [list(form.coeffs)]) > len(picked):
+            picked.append((a, list(form.coeffs)))
+    forms = [c for _, c in picked]
+    off = [j for j in range(n) if j not in frac_rref(forms)[1]]
+    assert alg._bounds == tuple(a for a, _ in picked) + (None,) * len(off)
+
+    def push(coeffs):
+        return {j: x for j, x in enumerate(quotient.push_form(coeffs, alg._substitution, n)) if x}
+
+    # y_k = c_k . x, for c_k the picked forms and then the unit vectors e_j
+    # off their pivots, so c_k pushes to a positive multiple of y_k, times
+    # the sign the frame gives y_k
+    coordinates = forms + [[int(i == j) for i in range(n)] for j in off]
+    signs = [1] * n
+    for form, _ in powers:
+        framed = push(form.coeffs)
+        if len(framed) > 1:
+            # the first power whose pushed form has two or more terms is the
+            # frame: it pushes to P (sum_j y_j), P > 0, for y_j scaled by
+            # P / p_j, and p_j has the sign of its coordinate in the c_k
+            # (Cramer's rule)
+            assert len(set(framed.values())) == 1 and min(framed.values()) > 0
+            for j in framed:
+                signs[j] = det(coordinates) * det(coordinates[:j] + [list(form.coeffs)] + coordinates[j + 1:])
+            break
+    for k, coeffs in enumerate(coordinates):
+        pushed = push(coeffs)
+        assert list(pushed) == [k]
+        assert pushed[k] * signs[k] > 0
+
+
 # -- rewriting and the shared standard-monomial tables ----------------------
 
 
@@ -548,7 +610,7 @@ def test_the_shared_tables_list_the_standard_monomials_in_column_order(num_vars,
     def code(u, weights):
         return sum(a * w for a, w in zip(u, weights))
 
-    tables = [quotient.standard_table(num_vars, bounds, m) for m in range(9)]
+    tables = [quotient.standard_table(bounds, m) for m in range(9)]
     for m, table in enumerate(tables):
         assert table.exponents == tuple(exponent_vectors(num_vars, m, bounds))
         assert table.codes == tuple(code(u, table.weights) for u in table.exponents)
