@@ -13,9 +13,10 @@ routine: it computes the exact ranks of graded pieces and the cokernels
 that pieces are ranked in, and it also picks the normalized coordinates
 of a quotient (a form is kept when inserting it raises the rank, and the
 unit vectors off the pivots complete them).  Its one back-substitution,
-``IntRowBasis.reduced``, serves both the cokernels and the inverse of
-that change of basis, read off the reduced rows [C | I] (see
-:mod:`wlpcheck.quotient`).
+``IntRowBasis.reduced``, returns rows scaled to one common pivot, so both
+the cokernels and the inverse of that change of basis, the reduced rows
+[C | I] (see :mod:`wlpcheck.quotient`), read their weights straight off
+them, with no rescaling of their own.
 
 ``exact_rank`` is the one rule for when a rank is trusted.  A piece below
 ``NUMPY_CELLS`` entries is eliminated exactly at once.  A bigger one is
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 FAST_PRIME = 2**31 - 1
 # Matrices with at least this many entries are screened mod p with numpy, the
@@ -121,65 +122,49 @@ class IntRowBasis:
 
     def reduced(self) -> list[list[int]]:
         """The stored rows cleared at each other's pivots, by fraction-free
-        back-substitution: row i is zero at every pivot but its own, p_i,
-        primitive, and positive at p_i.  They span the same space, and the
-        stored rows are left as they are.
+        back-substitution, and scaled to one common pivot: row i is zero at
+        every pivot but its own, p_i, where it is D > 0, the least value
+        such rows can share.  They span the same space, and the stored rows
+        are left as they are.
         """
         # each row, last first, is reduced against the rows after it, which
         # are already cleared; they are zero at its pivot, so the pivot entry
-        # only gains a positive factor
+        # only gains a positive factor.  Row i is then primitive with pivot
+        # d_i, and D is the lcm of the d_i.
         done = IntRowBasis(self.ncols)
         for p, row in zip(self.pivots[::-1], self.rows[::-1]):
             v = done.reduce(row)
             g = gcd(*v)
             done.pivots.insert(0, p)
             done.rows.insert(0, [x // g for x in v])
-        return done.rows
+        common = lcm(*(row[p] for p, row in zip(self.pivots, done.rows)))
+        return [[common // row[p] * x for x in row] for p, row in zip(self.pivots, done.rows)]
 
-    def cokernel(self) -> Cokernel:
-        """A projection whose kernel is the row span.
+    def cokernel(self) -> list[list[tuple[int, int]]]:
+        """A projection π whose kernel is the row span, onto ncols - rank
+        coordinates, one per non-pivot column in order.  It is kept as the
+        image of each unit vector: entry j lists the (coordinate, weight)
+        pairs of π(e_j).
 
-        The reduced rows (:meth:`reduced`) have d_i at pivot p_i and zero
-        at the other pivots.  Then v - sum_i (v_{p_i} / d_i) row_i is zero
-        at every pivot, and zero everywhere exactly when v lies in the
-        span.  Its entry at a non-pivot c, times D = lcm(d_i), is
-        D v_c - sum_i v_{p_i} (D / d_i) row_i[c]: one coordinate of the
-        projection, with those weights made primitive.
+        The reduced rows (:meth:`reduced`) have D at pivot p_i and zero at
+        the other pivots.  Then D v - sum_i v_{p_i} row_i is zero at every
+        pivot, and zero everywhere exactly when v lies in the span.  Its
+        entry at a non-pivot c, D v_c - sum_i v_{p_i} row_i[c], is one
+        coordinate of π, with those weights made primitive.
         """
         pivots, rows = self.pivots, self.reduced()
-        big = lcm(*(row[p] for p, row in zip(pivots, rows)))
+        common = rows[0][pivots[0]] if rows else 1
         taken = set(pivots)
         images: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
         width = 0
         for c in range(self.ncols):
             if c not in taken:
-                weights = [(c, big)] + [(p, -(big // row[p]) * row[c]) for p, row in zip(pivots, rows) if row[c]]
+                weights = [(c, common)] + [(p, -row[c]) for p, row in zip(pivots, rows) if row[c]]
                 g = gcd(*(w for _, w in weights))
                 for j, w in weights:
                     images[j].append((width, w // g))
                 width += 1
-        return Cokernel(width, images)
-
-
-class Cokernel(NamedTuple):
-    """A projection π of integer row vectors onto ``width`` coordinates,
-    kept as the image of each unit vector: ``images[j]`` lists the
-    (coordinate, weight) pairs of π(e_j)."""
-
-    width: int
-    images: list[list[tuple[int, int]]]
-
-    def project(self, rows: Iterable[Sequence[int]]) -> list[list[int]]:
-        """π of each row: the sum of x π(e_j) over its nonzero entries x."""
-        out = []
-        for row in rows:
-            image = [0] * self.width
-            for x, pairs in zip(row, self.images):
-                if x:
-                    for k, w in pairs:
-                        image[k] += x * w
-            out.append(image)
-        return out
+        return images
 
 
 def exact_rank(rows: Sequence[Sequence[int]], ncols: int) -> int:

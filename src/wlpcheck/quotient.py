@@ -8,13 +8,13 @@ computes one graded piece at a time: the row space of the ideal in that
 degree, its exact rank, and therefore the dimension of the quotient piece.
 A piece is kept as that one integer; its rows and any echelon basis are
 dropped once the rank is read.  The rank is
-:func:`wlpcheck.linalg.exact_rank` of the piece's integer rows, built once,
-or of their projection into a shared cokernel (below), so every number
-that leaves this module is exact.  Rows are built from
-monomial codes: an exponent vector u is the integer sum_i u_i w_i for
-mixed-radix weights w, and a monomial multiple adds one code to another,
-with no carry since each radix is above every exponent a product of two
-standard monomials can reach.
+:func:`wlpcheck.linalg.exact_rank` of the piece's integer rows, built once
+in the space they are ranked in: the standard monomials, or a shared
+cokernel (below), so every number that leaves this module is exact.  Rows
+are built from monomial codes: an exponent vector u is the integer
+sum_i u_i w_i for mixed-radix weights w, and a monomial multiple adds one
+code to another, with no carry since each radix is above every exponent a
+product of two standard monomials can reach.
 
 Every question about the quotient is answered by dimensions of pieces.
 :func:`multiplication_rank` gives the rank of multiplication by g out of
@@ -29,13 +29,13 @@ each one kept when inserting it into an echelon basis raises the rank, and
 completes them to a basis with the unit vectors e_j at the columns j where
 no picked row has its pivot.  The change of basis is inverted by the same
 elimination: the rows [c_k | e_k], cleared at each other's pivots by
-:meth:`wlpcheck.linalg.IntRowBasis.reduced`, become [d_k e_k | a_k] with
-a_k equal to d_k times row k of the inverse.  In the coordinates
-y_i = L_i the chosen powers become the monomials y_i^{a_i}, so the monomial
-part of every graded piece is counted rather than eliminated: only the
-standard monomials, those with u_i < a_i for every bounded coordinate, are
-columns, and only the remaining generators, rewritten and projected onto
-them, are rows.  A linear change of coordinates is a graded automorphism
+:meth:`wlpcheck.linalg.IntRowBasis.reduced` over one common pivot D,
+become [D e_k | b_k] with b_k equal to D times row k of the inverse.  In
+the coordinates y_i = L_i the chosen powers become the monomials
+y_i^{a_i}, so the monomial part of every graded piece is counted rather
+than eliminated: only the standard monomials, those with u_i < a_i for
+every bounded coordinate, are columns, and only the remaining generators,
+rewritten and projected onto them, are rows.  A linear change of coordinates is a graded automorphism
 of the polynomial ring.  It maps the ideal onto its rewritten form and
 multiplication by g onto multiplication by the rewritten g, so Hilbert
 functions, ranks of multiplication maps and ideal membership are the same
@@ -77,21 +77,24 @@ drawn, share their bounds and their first rewritten generator, and differ
 only in the last one.  A piece of an algebra with a framed power and
 another rewritten generator is therefore ranked in the cokernel of the
 framed power's rows, in every degree where it has rows.  That cokernel is
-a projection π onto a few coordinates, kept as the sparse integer image
-of each column (:meth:`wlpcheck.linalg.IntRowBasis.cokernel`), whose
-kernel is exactly the span of those rows.  The rank of all the rows is the
-framed power's rank plus the rank of π applied to the other rows, so the
-piece is the number of coordinates of π less that rank, and that rank is
-:func:`wlpcheck.linalg.exact_rank`, with its screen mod p.  An empty
-cokernel makes the piece zero, and the other rows are then never built.
+a projection π onto a few coordinates, whose kernel is exactly the span of
+those rows, kept as the sparse integer image of each standard monomial's
+code (:meth:`wlpcheck.linalg.IntRowBasis.cokernel`).  The rank of all the
+rows is the framed power's rank plus the rank of π applied to the other
+rows, so the piece is the number of coordinates of π less that rank, and
+that rank is :func:`wlpcheck.linalg.exact_rank`, with its screen mod p.
+The other rows are built straight into π by :func:`shifted_rows`, the
+same builder that writes a row ranked whole: each code's image is then
+its own column with weight 1.  An empty cokernel makes the piece zero,
+and the other rows are then never built.
 The cokernels are shared, by degree, among the algebras with the same
 bounds and framed power, so each I + (l) builds and eliminates only its
 own last generator's rows.  An algebra with no framed power shares no
 cokernel, and its pieces are ranked whole.
 
-The standard monomials of a degree, their codes and their column indices
-form a table that depends on the exponent bounds, one per variable, and
-the degree alone.  One table serves every algebra with those bounds
+The standard monomials of a degree, their codes and each code's image,
+its column, form a table that depends on the exponent bounds, one per
+variable, and the degree alone.  One table serves every algebra with those bounds
 (an ideal's algebra and each I + (l) it adjoins share most of them).  At
 most ``STANDARD_TABLES`` tables, and as many sets of shared pieces and of
 shared cokernels, are kept, least recently used dropped first.
@@ -106,7 +109,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GenericityError, NotArtinianError
 from .frozen import Frozen
-from .linalg import Cokernel, IntRowBasis, exact_rank
+from .linalg import IntRowBasis, exact_rank
 from .poly import Exponents, GradedPoly, LinearForm, exponent_vectors
 
 IntTerms = tuple[tuple[Exponents, int], ...]
@@ -119,6 +122,9 @@ Substitution = list[list[tuple[int, int]]]
 # a rewritten generator that leaves rows: (degree, exponent vectors, coefficients)
 Rewritten = tuple[int, tuple[Exponents, ...], tuple[int, ...]]
 Others = tuple[Rewritten, ...]
+# the space a piece's rows are built and ranked in: the image of each
+# standard monomial's code, as (coordinate, weight) pairs
+Target = dict[int, Sequence[tuple[int, int]]]
 
 # How many standard-monomial tables, and how many sets of shared pieces and
 # of shared cokernels, are kept, least recently used dropped first.  A table
@@ -152,13 +158,14 @@ def _weights(bounds: Bounds, degree: int) -> tuple[int, ...]:
 
 class StandardTable(NamedTuple):
     """The standard monomials of one degree: exponent vectors in graded-lex
-    (column) order, their codes under ``weights`` and each code's column.
-    Tables are shared, so ``columns`` is only ever read."""
+    (column) order, their codes under ``weights`` and each code's image in
+    a piece ranked whole, the one pair (column, 1).  Tables are shared, so
+    ``images`` is only ever read."""
 
     exponents: tuple[Exponents, ...]
     weights: tuple[int, ...]
     codes: tuple[int, ...]
-    columns: dict[int, int]
+    images: Target
 
 
 @lru_cache(maxsize=STANDARD_TABLES)
@@ -168,31 +175,36 @@ def standard_table(bounds: Bounds, degree: int) -> StandardTable:
     exponents = tuple(exponent_vectors(len(bounds), degree, bounds))
     weights = _weights(bounds, degree)
     codes = tuple(_codes(exponents, weights))
-    return StandardTable(exponents, weights, codes, {code: j for j, code in enumerate(codes)})
+    return StandardTable(exponents, weights, codes, {code: ((j, 1),) for j, code in enumerate(codes)})
 
 
-def shifted_rows(terms: Sequence[tuple[int, int]], shifts: Iterable[int], target: dict[int, int]) -> list[list[int]]:
-    """Rows for monomial multiples: one row per shift monomial.
+def shifted_rows(
+    terms: Sequence[tuple[int, int]], shifts: Iterable[int], target: Target, width: int
+) -> list[list[int]]:
+    """Rows for monomial multiples, one per shift monomial, built in the
+    space they are ranked in.
 
     Monomials are integer codes in a mixed radix above every exponent a
     product can reach, so the code of a product is the sum of the codes.
-    ``terms`` lists the (code, coefficient) pairs of a polynomial; the row
-    for shift s is the coefficient vector of s * poly over the monomials
-    indexed by ``target``.  Products missing from ``target`` are dropped,
-    which projects onto the standard monomials, and a row is dropped when
-    all of its products are.
+    ``terms`` lists the (code, coefficient) pairs of a polynomial, and
+    ``target`` maps the code of each standard monomial to its image among
+    ``width`` coordinates: its own column in a piece ranked whole, its
+    projection in a piece ranked in a cokernel.  The row for shift s is the
+    image of s * poly.  Products missing from ``target`` are dropped, which
+    projects onto the standard monomials, and a row is dropped when all of
+    its products are.
     """
-    width = len(target)
     get = target.get
     out = []
     for s in shifts:
         row = None
         for code, c in terms:
-            j = get(code + s)
-            if j is not None:
+            image = get(code + s)
+            if image is not None:
                 if row is None:
                     row = [0] * width
-                row[j] = c
+                for k, w in image:
+                    row[k] += c * w
         if row is not None:
             out.append(row)
     return out
@@ -330,11 +342,13 @@ def shared_pieces(bounds: Bounds, others: Others) -> dict[int, int]:
 
 
 @lru_cache(maxsize=STANDARD_TABLES)
-def shared_cokernels(bounds: Bounds, first: Rewritten) -> dict[int, Cokernel]:
+def shared_cokernels(bounds: Bounds, first: Rewritten) -> dict[int, tuple[int, Target]]:
     """The cokernel, by degree, of the rows of the framed power, the first
     rewritten generator of every algebra with these bounds that has one: a
     projection π with π(v) = 0 exactly when v lies in the span of those
-    rows.  Filled in as pieces are computed.
+    rows, kept as its width and the image under π of each standard
+    monomial's code, the target the other rows are built in.  Filled in as
+    pieces are computed.
     """
     return {}
 
@@ -374,19 +388,15 @@ class QuotientAlgebra:
         rows = [gens[i][0].coeffs for _, i in picked] + [eye[j] for j in range(n) if j not in taken]
         self._bounds = tuple([a for a, _ in picked] + [None] * (n - len(picked)))
         # The reduced rows of [C | I], C the matrix of the c_k, are
-        # [d_j e_j | a_j] with a_j equal to d_j times row j of C^-1.  So
-        # x = B y / D for row j of B equal to (D / d_j) a_j and D the lcm of
-        # the d_j: B is a positive multiple of C^-1, and a degree-d polynomial
-        # only picks up the scalar D^-d, which changes no span.  Rows of B are
+        # [D e_j | b_j] over one common pivot D > 0, with b_j equal to D
+        # times row j of C^-1.  So x = B y / D for row j of B equal to b_j:
+        # B is a positive multiple of C^-1, and a degree-d polynomial only
+        # picks up the scalar D^-d, which changes no span.  Rows of B are
         # (k, B_jk) pairs.
         inverse = IntRowBasis(2 * n)
         for k, c in enumerate(rows):
             inverse.insert([*c, *eye[k]])
-        reduced = inverse.reduced()
-        scale = lcm(*(row[j] for j, row in enumerate(reduced)))
-        substitution = [
-            [(k, scale // row[j] * x) for k, x in enumerate(row[n:]) if x] for j, row in enumerate(reduced)
-        ]
+        substitution = [[(k, x) for k, x in enumerate(row[n:]) if x] for row in inverse.reduced()]
         # The frame: the first power in pick order whose form pushes to
         # sum_j p_j y_j with two or more p_j nonzero has its y_j scaled by
         # P / p_j, P the lcm of the p_j, so it becomes P^k (sum_j y_j)^k.  A
@@ -424,10 +434,6 @@ class QuotientAlgebra:
 
     # -- normalized coordinates ------------------------------------------
 
-    def _standard(self, m: int) -> StandardTable:
-        """The standard monomials of degree m, from the shared table."""
-        return standard_table(self._bounds, m)
-
     def _rewrite(self, g: Generator) -> IntTerms:
         """Primitive integer multiple of g in normalized coordinates, projected.
 
@@ -459,24 +465,24 @@ class QuotientAlgebra:
 
     def spanning_rows(self, m: int) -> list[list[int]]:
         """Integer rows spanning the degree-m ideal piece modulo its monomial part."""
-        return self._rows(m, self._others)
+        table = standard_table(self._bounds, m)
+        return self._rows(m, self._others, table.images, len(table.codes))
 
-    def _rows(self, m: int, others: Others) -> list[list[int]]:
-        """The degree-m rows of the given rewritten generators.
+    def _rows(self, m: int, others: Others, target: Target, width: int) -> list[list[int]]:
+        """The degree-m rows of the given rewritten generators, in ``target``.
 
-        The target columns, their codes and the shift monomials come from
-        the shared tables; shifts are recoded only when an unbounded
-        coordinate that is not the last makes the weights depend on the degree.
+        The codes and the shift monomials come from the shared tables;
+        shifts are recoded only when an unbounded coordinate that is not
+        the last makes the weights depend on the degree.
         """
-        table = self._standard(m)
-        weights = table.weights
+        weights = standard_table(self._bounds, m).weights
         rows: list[list[int]] = []
         for degree, exps, coeffs in others:
             if degree <= m:
                 terms = list(zip(_codes(exps, weights), coeffs))
-                shifts = self._standard(m - degree)
+                shifts = standard_table(self._bounds, m - degree)
                 codes = shifts.codes if shifts.weights == weights else _codes(shifts.exponents, weights)
-                rows.extend(shifted_rows(terms, codes, table.columns))
+                rows.extend(shifted_rows(terms, codes, target, width))
         return rows
 
     def adjoined(self, g: Generator) -> "QuotientAlgebra":
@@ -514,22 +520,23 @@ class QuotientAlgebra:
         leaving rows is ranked in the shared cokernel π of the framed
         power's rows, once it has rows in degree m: the span of all the rows
         has the framed power's rank plus the rank of π(the other rows), so
-        the piece is the width of π less that rank.  Every other piece is
-        ranked whole.
+        the piece is the width of π less that rank.  The other rows are
+        built straight into π.  Every other piece is ranked whole.
         """
         others = self._others
-        ncols = len(self._standard(m).exponents)
+        table = standard_table(self._bounds, m)
+        ncols = len(table.codes)
         if self._cokernels is None or others[0][0] > m:
             return ncols - exact_rank(self.spanning_rows(m), ncols)
         cokernel = self._cokernels.get(m)
         if cokernel is None:
             basis = IntRowBasis(ncols)
-            basis.extend(self._rows(m, others[:1]))
-            cokernel = self._cokernels[m] = basis.cokernel()
-        if not cokernel.width:
+            basis.extend(self._rows(m, others[:1], table.images, ncols))
+            cokernel = self._cokernels[m] = (ncols - basis.rank, dict(zip(table.codes, basis.cokernel())))
+        width, target = cokernel
+        if not width:
             return 0
-        projected = cokernel.project(self._rows(m, others[1:]))
-        return cokernel.width - exact_rank(projected, cokernel.width)
+        return width - exact_rank(self._rows(m, others[1:], target, width), width)
 
     # -- Hilbert function ----------------------------------------------
 

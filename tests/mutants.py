@@ -46,15 +46,21 @@ COORDINATES = QUOTIENT + "::test_the_coordinates_are_the_picked_forms_then_unit_
 
 MUTANTS = {
     "unscaled-inverse": Mutant(
-        "drop the D / d_j scaling of the inverse of the normalized coordinates",
-        "wlpcheck.quotient", "QuotientAlgebra.__init__",
-        (("scale // row[j] * x", "x"),),
+        "drop the common pivot of the reduced rows, read by the inverse of the normalized coordinates",
+        "wlpcheck.linalg", "IntRowBasis.reduced",
+        (("[common // row[p] * x for x in row]", "row"),),
         (COORDINATES,),
     ),
     "negated-substitution-row": Mutant(
         "negate the first row of the substitution into normalized coordinates",
         "wlpcheck.quotient", "QuotientAlgebra.__init__",
-        (("scale // row[j] * x", "(scale // row[j] * x if j else -scale // row[j] * x)"),),
+        (("[(k, x) for k, x", "[(k, -x if row[0] else x) for k, x"),),
+        (COORDINATES,),
+    ),
+    "skipped-frame": Mutant(
+        "skip the frame scaling of the normalized coordinates",
+        "wlpcheck.quotient", "QuotientAlgebra.__init__",
+        (("substitution = [[(k, b * factor[k]) for k, b in row] for row in substitution]", "pass"),),
         (COORDINATES,),
     ),
     "exact-rank-minus-one": Mutant(
@@ -72,14 +78,50 @@ MUTANTS = {
     "flipped-cokernel-weight": Mutant(
         "flip the sign of each cokernel coordinate's weight on its own column",
         "wlpcheck.linalg", "IntRowBasis.cokernel",
-        (("[(c, big)]", "[(c, -big)]"),),
+        (("[(c, common)]", "[(c, -common)]"),),
         (LINALG, QUOTIENT),
+    ),
+    "dropped-image-weight": Mutant(
+        "build each row with the weight of every image pair taken as 1",
+        "wlpcheck.quotient", "shifted_rows",
+        (("row[k] += c * w", "row[k] += c"),),
+        (QUOTIENT,),
     ),
     "negated-stripped-row": Mutant(
         "negate a row under reduction when its content is stripped",
         "wlpcheck.linalg", "IntRowBasis.reduce",
         (("v = [x // g for x in v]", "v = [-x // g for x in v]"),),
         (LINALG, QUOTIENT),
+    ),
+    "piece-off-by-one": Mutant(
+        "add 1 to every degree-3 piece",
+        "wlpcheck.quotient", "QuotientAlgebra.piece",
+        (("self._dimension(m)", "self._dimension(m) + (m == 3)"),),
+        (QUOTIENT + "::test_restriction_has_the_hilbert_function_of_the_ideal_plus_the_line",),
+    ),
+    "stale-shift-codes": Mutant(
+        "reuse the shift monomials' own codes even where the weights depend on the degree",
+        "wlpcheck.quotient", "QuotientAlgebra._rows",
+        (("shifts.codes if shifts.weights == weights else _codes(shifts.exponents, weights)", "shifts.codes"),),
+        (QUOTIENT + "::test_non_power_non_artinian_reports_partial_dims",),
+    ),
+    "late-abandon": Mutant(
+        "abandon a losing form only past as many misses as the best form has",
+        "wlpcheck.lefschetz", "_rank_records",
+        (("misses == len(first)", "misses == len(first) + 1"),),
+        ("tests/test_lefschetz.py::test_four_cubes_slp_fails_only_at_cube_of_witness",),
+    ),
+    "dropped-denominators": Mutant(
+        "clear rationals to integers by keeping only their numerators",
+        "wlpcheck.poly", "_cleared",
+        (("x.numerator * (mult // x.denominator)", "x.numerator"),),
+        ("tests/test_poly.py::test_coeffs_frozen_cases",),
+    ),
+    "predicted-rank-plus-one": Mutant(
+        "add 1 to every rank predicted from the splitting type",
+        "wlpcheck.splitting", "predict_wlp",
+        (("hf[m + 1], rank, kernel", "hf[m + 1], rank + 1, kernel"),),
+        ("tests/test_splitting.py::test_prediction_for_squares",),
     ),
 }
 

@@ -20,6 +20,16 @@ from wlpcheck import GenericityError, cli, splitting
 SQUARES = "corpus:three-squares"
 QUINTICS = "corpus:mixed-quintics-and-monomials"
 NOT_ARTINIAN = '{"variables": 3, "powers": [{"form": [1, 0, 0], "power": 2}]}'
+# power forms spanning fewer coordinates than variables: bounds (2, None, None)
+NARROW_POWERS_3 = (
+    '{"variables":3,"powers":[{"form":[1,1,0],"power":2}],"polynomials":'
+    '[{"degree":3,"terms":{"0 3 0":1,"1 1 1":2}},{"degree":3,"terms":{"0 0 3":1}}]}'
+)
+# and bounds (2, 3, None, None)
+NARROW_POWERS_4 = (
+    '{"variables":4,"powers":[{"form":[1,2,0,0],"power":2},{"form":[0,1,1,0],"power":3}],"polynomials":'
+    '[{"degree":3,"terms":{"0 0 1 2":1,"0 0 3 0":1}},{"degree":3,"terms":{"0 0 0 3":2,"1 1 1 0":1}}]}'
+)
 
 
 def _python(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
@@ -465,8 +475,9 @@ def test_closed_stdout_keeps_the_exit_code():
 
 
 # The fixed point: exit code and stdout of the seeded sweep, of verify-paper,
-# of hilbert, wlp and slp on every corpus entry and of split and predict on
-# two of them, byte for byte.  Regenerate
+# of hilbert, wlp and slp on every corpus entry, of split and predict on
+# three of them, of plain-text wlp on one, and of hilbert and wlp on two
+# inline ideals, byte for byte.  Regenerate
 # a digest with, for example,
 #   PYTHONPATH=src python -m wlpcheck.cli random-trials --json --count 100 | sha256sum
 #   PYTHONPATH=src python -m wlpcheck.cli predict corpus:four-general-cubes --json | sha256sum
@@ -509,6 +520,23 @@ FIXED_POINT = {
         (1, "cdd9fb38caae526f2c02f9190eb3b9f5c34b9fe8c0d1120366c1dd49b236b373"),
     ("slp", QUINTICS, "--json"):
         (1, "d92a8cf54dcd81ff666e8671bccfb19f29609c286c4873f196beb9ac4c64c26e"),
+    ("split", SQUARES, "--json"):
+        (0, "499541d3927c7c991b6f375d0ce8dace0149d65969576cd62fe598732a9bfcf1"),
+    ("predict", SQUARES, "--json"):
+        (0, "7663347288c77c20ba59200c5c396ad53bed3b37d0acd17b8554ead0b69111f0"),
+    # plain text, from the cokernel route in four variables
+    ("wlp", "corpus:four-variable-cubes"):
+        (1, "5bbddfd90bb08da8f330d018cd0703050ca60c4a5ed1cc6bbadf4cf90b820f14"),
+    # power forms that span fewer coordinates than there are variables:
+    # unbounded completing coordinates, and shift codes recoded by degree
+    ("hilbert", NARROW_POWERS_3, "--json"):
+        (0, "514eed6c13d5b3dcca35c0ff5d404d74179ed4323e1cc6cebb96d78be94c04fb"),
+    ("wlp", NARROW_POWERS_3, "--json"):
+        (0, "0d3b1ed51ab28626cc8b1042d8cc08c1b5d4a618291b65850bf36cb3abfaa6c4"),
+    ("hilbert", NARROW_POWERS_4, "--json"):
+        (0, "abc613ad76bf9d08603db50e9d0f98fc4282ad0f29275734b10586e0453f0f9f"),
+    ("wlp", NARROW_POWERS_4, "--json"):
+        (0, "b7699ef3587429d60bb78ace9cf26657f9b7e1ebe22cbb59949879664fbc864e"),
 }
 
 

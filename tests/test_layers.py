@@ -75,6 +75,14 @@ def test_a_piece_is_its_dimension(name):
     assert not {file for file, tree in TREES.items() if name in _names(tree)}
 
 
+@pytest.mark.parametrize("name", ["Cokernel", "project", "_standard"])
+def test_a_row_is_built_once_in_the_space_it_is_ranked_in(name):
+    # shifted_rows writes each row straight into its target, the standard
+    # monomials or a shared cokernel: no dense row projected in a second
+    # pass, and no second door to the shared tables
+    assert not {file for file, tree in TREES.items() if name in _names(tree)}
+
+
 def test_the_generator_format_is_told_apart_only_where_it_is_owned():
     # a power (form, k) is a tuple, a polynomial is not
     def tells_a_power(node) -> bool:

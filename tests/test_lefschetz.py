@@ -563,12 +563,12 @@ def test_a_losing_form_is_ranked_only_where_the_best_one_missed(monkeypatch):
     cokernels = []  # and the framed quartic's once per degree, for every I + (l)
     compute = QuotientAlgebra._rows
 
-    def counted(alg, m, others):
+    def counted(alg, m, others, target, width):
         if others == alg._others[:1] != alg._others:
             cokernels.append(m)
         else:
             computed.append((alg.generators, m))
-        return compute(alg, m, others)
+        return compute(alg, m, others, target, width)
 
     monkeypatch.setattr(QuotientAlgebra, "_rows", counted)
     draws = stream(1, 0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,17 +105,29 @@ def test_ranking_in_a_cokernel_matches_naive_elimination(pair):
     basis = IntRowBasis(ncols)
     basis.extend(first)
     stored = [list(row) for row in basis.rows]
-    cokernel = basis.cokernel()
+    images = basis.cokernel()
     assert basis.rows == stored  # the basis is left as it was
-    assert cokernel.width == ncols - frac_rank(first)
-    weights = [[] for _ in range(cokernel.width)]  # each coordinate's, made primitive
-    for pairs in cokernel.images:
+    assert len(images) == ncols
+    width = ncols - frac_rank(first)
+    weights = [[] for _ in range(width)]  # each coordinate's, made primitive
+    for pairs in images:
         for k, w in pairs:
             weights[k].append(w)
     assert all(gcd(*coordinate) == 1 for coordinate in weights)
-    assert not any(map(any, cokernel.project(first)))
-    projected = cokernel.project(other)
-    assert frac_rank(projected) == frac_rank(first + other) - frac_rank(first)
+
+    def project(rows):
+        # a row's image is the sum of x π(e_j) over its entries x
+        out = []
+        for row in rows:
+            image = [0] * width
+            for x, pairs in zip(row, images):
+                for k, w in pairs:
+                    image[k] += x * w
+            out.append(image)
+        return out
+
+    assert not any(map(any, project(first)))
+    assert frac_rank(project(other)) == frac_rank(first + other) - frac_rank(first)
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,10 +284,11 @@ def test_reduced_rows_clear_each_other_s_pivots():
     basis = IntRowBasis(3)
     basis.extend([[1, 2, 3], [0, 1, 4]])
     assert basis.reduced() == [[1, 0, -5], [0, 1, 4]]
-    # the rows [C | I] reduce to [d_j e_j | a_j], a_j being d_j times row j of C^-1
+    # the rows [C | I] reduce to [D e_j | b_j] over the common pivot D = 6,
+    # b_j being D times row j of C^-1
     basis = IntRowBasis(4)
     basis.extend([[2, 0, 1, 0], [1, 3, 0, 1]])
-    assert basis.reduced() == [[2, 0, 1, 0], [0, 6, -1, 2]]
+    assert basis.reduced() == [[6, 0, 3, 0], [0, 6, -1, 2]]
     # clearing column 1 leaves the first row with content 3, shed before
     # column 2, whose entry has outgrown the pivot 1: the pivot stays positive
     basis = IntRowBasis(4)
@@ -297,6 +310,9 @@ def test_reduced_rows_are_primitive_cleared_and_span_the_basis(rows):
     assert frac_rank(reduced) == frac_rank(reduced + rows) == frac_rank(rows)
     for p, row in zip(basis.pivots, reduced):
         assert not any(row[:p])
-        assert row[p] > 0
         assert not any(row[q] for q in basis.pivots if q != p)
-        assert gcd(*row) == 1
+    # one common pivot D > 0, the least one: the lcm of the pivots of the
+    # rows made primitive, so the rows together are primitive
+    pivots = [row[p] for p, row in zip(basis.pivots, reduced)]
+    assert pivots == [lcm(*(row[p] // gcd(*row) for p, row in zip(basis.pivots, reduced)))] * len(pivots)
+    assert not reduced or gcd(*(x for row in reduced for x in row)) == 1

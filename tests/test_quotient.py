@@ -467,11 +467,11 @@ def test_a_piece_that_falls_back_builds_its_rows_once(monkeypatch):
     cokernels = []
     original = QuotientAlgebra._rows
 
-    def counting(self, m, others):
+    def counting(self, m, others, target, width):
         # the two cubes leave rows from degree 3 on, where a piece builds the
         # second cube's rows, and the framed cube's once for their cokernel
         (cokernels if others == self._others[:1] else built).append(m)
-        return original(self, m, others)
+        return original(self, m, others, target, width)
 
     monkeypatch.setattr(QuotientAlgebra, "_rows", counting)
     # a rank mod p one short of full sends every piece with rows to exact
@@ -614,16 +614,18 @@ def test_the_shared_tables_list_the_standard_monomials_in_column_order(num_vars,
     for m, table in enumerate(tables):
         assert table.exponents == tuple(exponent_vectors(num_vars, m, bounds))
         assert table.codes == tuple(code(u, table.weights) for u in table.exponents)
-        assert table.columns == {c: j for j, c in enumerate(table.codes)}
-        assert len(table.columns) == len(table.exponents)
+        # each code's image in a piece ranked whole is its column, weight 1
+        assert table.images == {c: ((j, 1),) for j, c in enumerate(table.codes)}
+        assert len(table.images) == len(table.exponents)
         # under the weights of degree m, a product of standard monomials
         # lands on a column exactly when it is standard, and on its own
         for d in range(m + 1):
             for s in tables[m - d].exponents:
                 for u in tables[d].exponents:
                     product = tuple(a + b for a, b in zip(s, u))
-                    j = table.columns.get(code(s, table.weights) + code(u, table.weights))
-                    assert j == (table.exponents.index(product) if product in table.exponents else None)
+                    image = table.images.get(code(s, table.weights) + code(u, table.weights))
+                    want = ((table.exponents.index(product), 1),) if product in table.exponents else None
+                    assert image == want
 
 
 def test_the_shared_tables_stay_within_their_bound():
@@ -719,9 +721,9 @@ def _assert_every_piece_matches_all_its_rows(alg) -> list[int]:
     m = 0
     while True:
         piece = alg.piece(m)
-        assert piece == len(alg._standard(m).exponents) - frac_rank(alg.spanning_rows(m))
+        assert piece == len(quotient.standard_table(alg._bounds, m).exponents) - frac_rank(alg.spanning_rows(m))
         if m in alg._cokernels:
-            sizes.append(alg._cokernels[m].width)
+            sizes.append(alg._cokernels[m][0])
         if piece == 0:
             return sizes
         m += 1
@@ -775,9 +777,9 @@ def test_the_fourvar_adjoined_pieces_are_ranked_in_the_framed_power_s_cokernel()
     assert alg._others[0] == ideal.algebra.adjoined((seeded_forms(4, 1, seed=47)[0], 1))._others[0]
     assert [alg.piece(m) for m in range(4, 8)] == [10, 6, 1, 0]
     for m in range(4, 8):
-        assert alg.piece(m) == len(alg._standard(m).exponents) - frac_rank(alg.spanning_rows(m))
-    assert [alg._cokernels[m].width for m in range(4, 8)] == [11, 9, 4, 0]
-    degree_six = alg._cokernels[6].images
+        assert alg.piece(m) == len(quotient.standard_table(alg._bounds, m).exponents) - frac_rank(alg.spanning_rows(m))
+    assert [alg._cokernels[m][0] for m in range(4, 8)] == [11, 9, 4, 0]
+    degree_six = alg._cokernels[6][1].values()
     assert sum(map(len, degree_six)) == 20
     assert max(abs(w).bit_length() for pairs in degree_six for _, w in pairs) <= 4
 
@@ -800,10 +802,10 @@ def test_a_big_piece_is_ranked_in_the_cokernel_with_its_screen(monkeypatch):
     assert [degree for degree, _, _ in alg._others] == [4, 4, 4]
     assert alg.hilbert_function() == (1, 4, 10, 20, 28, 28, 14)
     assert screened == [(20, 34), (40, 20)]
-    assert [alg._cokernels[m].width for m in range(4, 8)] == [30, 36, 34, 20]
+    assert [alg._cokernels[m][0] for m in range(4, 8)] == [30, 36, 34, 20]
     for m in range(8):
         rows = alg.spanning_rows(m)
-        ncols = len(alg._standard(m).exponents)
+        ncols = len(quotient.standard_table(alg._bounds, m).exponents)
         assert alg.piece(m) == ncols - frac_rank(rows)
         if m in (6, 7):
             assert len(rows) * ncols >= linalg.NUMPY_CELLS
