@@ -59,8 +59,8 @@ def run_sweep(config: TrialConfig) -> dict:
         "trials": rows,
         "summary": {
             "total": len(rows),
-            "wlp_true": sum(1 for r in rows if r["wlp"]),
-            "routes_agree": sum(1 for r in rows if r["routes_agree"]),
+            "wlp_true": report.num_wlp,
+            "routes_agree": report.num_consistent,
             "gap_table": [
                 {"gap": gap, "wlp": wlp, "count": count}
                 for (gap, wlp), count in sorted(gap_counts.items())

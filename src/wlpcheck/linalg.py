@@ -127,16 +127,14 @@ class IntRowBasis:
         such rows can share.  They span the same space, and the stored rows
         are left as they are.
         """
-        # each row, last first, is reduced against the rows after it, which
-        # are already cleared; they are zero at its pivot, so the pivot entry
-        # only gains a positive factor.  Row i is then primitive with pivot
-        # d_i, and D is the lcm of the d_i.
+        # the rows are inserted, last first, into a fresh basis: each is
+        # reduced against the rows after it, which are already cleared; they
+        # are zero at its pivot, so the pivot entry only gains a positive
+        # factor.  Row i is then primitive with pivot d_i, and D is the lcm
+        # of the d_i.
         done = IntRowBasis(self.ncols)
-        for p, row in zip(self.pivots[::-1], self.rows[::-1]):
-            v = done.reduce(row)
-            g = gcd(*v)
-            done.pivots.insert(0, p)
-            done.rows.insert(0, [x // g for x in v])
+        for row in reversed(self.rows):
+            done.insert(row)
         common = lcm(*(row[p] for p, row in zip(self.pivots, done.rows)))
         return [[common // row[p] * x for x in row] for p, row in zip(self.pivots, done.rows)]
 

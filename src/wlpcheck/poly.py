@@ -11,7 +11,9 @@ degree.  A polynomial is a validated record of its terms; it has no
 arithmetic.
 
 This is the one module where rationals become integers.  Coefficients may
-be given as ints, Fractions or fraction strings; a linear form or a
+be given as ints, Fractions or fraction strings.  A float or a bool is
+rejected with a TypeError, and a string that is not a fraction with a
+ValueError: nothing downstream tolerates rounding.  A linear form or a
 polynomial stores them times the lcm of their denominators (after merging,
 for a polynomial), so ints given as ints are stored as they are.  Scaling
 a generator, a multiplier or a candidate member of an ideal by a nonzero
@@ -86,11 +88,17 @@ def basis_size(num_vars: int, degree: int) -> int:
 
 
 def _exact(value) -> int | Fraction:
+    """The one rule for which coefficient values are exact."""
+    if isinstance(value, bool):
+        raise TypeError("coefficient must be an integer or a fraction string")
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad fraction string {value!r}") from None
+    raise TypeError(f"coefficient must be exact, got {type(value).__name__}")
 
 
 def _cleared(values: Sequence[int | Fraction]) -> tuple[int, ...]:

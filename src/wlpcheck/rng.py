@@ -43,16 +43,11 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
-    def below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("need a positive range")
-        return self.next_uint64() % n
-
     def integer(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi]; the modulo bias is irrelevant here."""
         if hi < lo:
             raise ValueError("empty range")
-        return lo + self.below(hi - lo + 1)
+        return lo + self.next_uint64() % (hi - lo + 1)
 
 
 def stream(seed: int, index: int) -> SplitMix64:

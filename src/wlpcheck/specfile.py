@@ -11,8 +11,8 @@ An ideal description is a JSON object:
 ``powers`` lists linear forms with exponents; ``polynomials`` lists
 homogeneous polynomials, each a map from space-separated exponent vectors
 to coefficients.  Coefficients are integers or exact fraction strings such
-as "3/2"; floats are rejected because nothing downstream tolerates
-rounding.  At least one generator is required.
+as "3/2"; :mod:`wlpcheck.poly` decides which values are exact, and its
+error message is the one reported.  At least one generator is required.
 
 Corpus files use the same schema plus "name", "description" and an
 "expect" object of precomputed values that the verify command re-checks.
@@ -21,7 +21,6 @@ Corpus files use the same schema plus "name", "description" and an
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
@@ -32,19 +31,6 @@ from .quotient import Generator, GradedIdeal
 
 def _fail(where: str, message: str) -> SpecFormatError:
     return SpecFormatError(message, where=where)
-
-
-def parse_coefficient(value, where: str) -> int | Fraction:
-    if isinstance(value, bool):
-        raise _fail(where, "coefficient must be an integer or a fraction string")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise _fail(where, f"bad fraction string {value!r}") from None
-    raise _fail(where, f"coefficient must be exact, got {type(value).__name__}")
 
 
 def _parse_exponents(key: str, where: str) -> tuple[int, ...]:
@@ -73,11 +59,13 @@ def parse_ideal(data, where: str = "ideal") -> GradedIdeal:
         form_data = entry.get("form")
         if not isinstance(form_data, list) or len(form_data) != num_vars:
             raise _fail(spot, f"'form' must list {num_vars} coefficients")
-        coeffs = tuple(parse_coefficient(c, spot) for c in form_data)
+        try:
+            form = LinearForm(form_data)
+        except (TypeError, ValueError) as exc:  # a coefficient that is not exact
+            raise _fail(spot, str(exc)) from None
         exponent = entry.get("power")
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 1:
             raise _fail(spot, "'power' must be a positive integer")
-        form = LinearForm(coeffs)
         if form.is_zero:
             raise _fail(spot, "the zero form has no meaningful power")
         generators.append((form, exponent))
@@ -91,10 +79,7 @@ def parse_ideal(data, where: str = "ideal") -> GradedIdeal:
 
     if not generators:
         raise _fail(where, "no generators given")
-    try:
-        return GradedIdeal(num_vars, tuple(generators))
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from None
+    return GradedIdeal(num_vars, tuple(generators))
 
 
 def parse_polynomial(entry, num_vars: int, where: str) -> GradedPoly:
@@ -106,10 +91,11 @@ def parse_polynomial(entry, num_vars: int, where: str) -> GradedPoly:
     terms = entry.get("terms")
     if not isinstance(terms, dict) or not terms:
         raise _fail(where, "'terms' must be a nonempty object")
-    pairs = [(_parse_exponents(k, where), parse_coefficient(v, where)) for k, v in terms.items()]
+    # keys are parsed as GradedPoly reaches them, so the first bad term is reported
+    pairs = ((_parse_exponents(k, where), v) for k, v in terms.items())
     try:
         poly = GradedPoly(num_vars, degree, pairs)
-    except ValueError as exc:  # an exponent vector that is not a monomial of the degree
+    except (TypeError, ValueError) as exc:  # not a monomial of the degree, or not exact
         raise _fail(where, str(exc)) from None
     if poly.is_zero:
         raise _fail(where, "the terms cancel to the zero polynomial")

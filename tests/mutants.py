@@ -117,6 +117,12 @@ MUTANTS = {
         (("x.numerator * (mult // x.denominator)", "x.numerator"),),
         ("tests/test_poly.py::test_coeffs_frozen_cases",),
     ),
+    "bool-coefficient": Mutant(
+        "read a bool coefficient as the integer 1 or 0",
+        "wlpcheck.poly", "_exact",
+        (("if isinstance(value, bool):", "if False:"),),
+        ("tests/test_specfile.py",),
+    ),
     "predicted-rank-plus-one": Mutant(
         "add 1 to every rank predicted from the splitting type",
         "wlpcheck.splitting", "predict_wlp",

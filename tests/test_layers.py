@@ -52,8 +52,8 @@ def test_module_names_are_distinct():
         ("_cleared", {"poly.py"}),
         # one sampler of linear forms, behind witness_forms and random_power_ideal
         ("distinct_forms", {"rng.py", "trials.py"}),
-        # only the parser and poly hold a rational
-        ("Fraction", {"poly.py", "specfile.py"}),
+        # only poly holds a rational
+        ("Fraction", {"poly.py"}),
     ],
 )
 def test_a_name_is_referenced_only_at_home(name, homes):
@@ -61,10 +61,11 @@ def test_a_name_is_referenced_only_at_home(name, homes):
     assert where and where <= homes
 
 
-@pytest.mark.parametrize("name", ["integer_coeffs", "integer_terms", "render_coefficient"])
+@pytest.mark.parametrize("name", ["integer_coeffs", "integer_terms", "render_coefficient", "parse_coefficient"])
 def test_records_hold_one_representation(name):
     # a form or polynomial stores its cleared integers, which every rank
-    # reads: no second, integer view of it, and no renderer of rationals
+    # reads: no second, integer view of it, no renderer of rationals, and
+    # no second parser of coefficients
     assert not {file for file, tree in TREES.items() if name in _names(tree)}
 
 

@@ -24,6 +24,7 @@ from oracles import (
 )
 from wlpcheck import (
     CheckConfig,
+    GenericityError,
     GradedIdeal,
     lefschetz,
     linear_form,
@@ -79,6 +80,13 @@ def test_sampler_avoids_and_exhausts():
     assert len(taken) == 4
     assert not any(f.is_zero for f in taken)
     assert not any(f.proportional_to(g) for i, f in enumerate(taken) for g in taken[:i])
+
+
+@pytest.mark.parametrize("check", [wlp_check, slp_check])
+def test_an_empty_witness_stream_is_a_genericity_failure(monkeypatch, check):
+    monkeypatch.setattr(lefschetz, "witness_forms", lambda config, num_vars: iter(()))
+    with pytest.raises(GenericityError, match="could not sample a linear form within 256 tries"):
+        check(SQUARES, CheckConfig(bound=1))
 
 
 # -- frozen examples ----------------------------------------------------------

@@ -315,3 +315,7 @@ def test_restriction_kills_the_modulus():
     ideal = GradedIdeal(3, ((ell, 2), ell.as_poly(), times(ell.as_poly(), g), (y, 2), (z, 3)))
     restricted = ideal.restricted(ell)
     assert restricted.generators == (_cut((y, 2), ell), _cut((z, 3), ell))
+
+
+def test_proportionality_needs_the_same_variables():
+    assert not linear_form([1, 2]).proportional_to(linear_form([1, 2, 0]))

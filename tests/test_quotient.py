@@ -95,6 +95,18 @@ def test_restricting_everything_away_is_rejected():
         only.restricted(linear_form([1, 0, 0]))
 
 
+@pytest.mark.parametrize("ell", [linear_form([0, 0, 0]), linear_form([1, 0])], ids=["zero", "two-variables"])
+def test_restriction_needs_a_nonzero_form_in_the_ideal_s_variables(ell):
+    with pytest.raises(ValueError, match="restriction needs a nonzero form"):
+        SQUARES.restricted(ell)
+
+
+def test_a_negative_degree_has_no_piece():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        SQUARES.algebra.piece(-1)
+    assert SQUARES.algebra.piece(0) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_restriction_has_the_hilbert_function_of_the_ideal_plus_the_line(data):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from wlpcheck import GradedPoly, SpecFormatError, load_ideal_file, parse_ideal, render_ideal
+from wlpcheck.poly import LinearForm
 from wlpcheck.specfile import (
     corpus_names,
     load_corpus_entry,
@@ -90,6 +91,41 @@ def test_parse_errors(mutation, fragment):
     with pytest.raises(SpecFormatError) as info:
         parse_ideal(data)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (True, TypeError, "coefficient must be an integer or a fraction string"),
+        (0.5, TypeError, "coefficient must be exact, got float"),
+        (None, TypeError, "coefficient must be exact, got NoneType"),
+        ("1/0", ValueError, "bad fraction string '1/0'"),
+        ("x", ValueError, "bad fraction string 'x'"),
+    ],
+)
+def test_poly_alone_decides_which_coefficients_are_exact(value, error, message):
+    # the library raises what the parser reports after the JSON spot
+    with pytest.raises(error) as raised:
+        LinearForm([1, value])
+    assert str(raised.value) == message
+    with pytest.raises(error) as raised:
+        GradedPoly(2, 2, [((1, 1), value)])
+    assert str(raised.value) == message
+    with pytest.raises(SpecFormatError) as reported:
+        parse_ideal({"variables": 2, "powers": [{"form": [1, value], "power": 2}]})
+    assert str(reported.value) == f"ideal.powers[0]: {message}"
+    with pytest.raises(SpecFormatError) as reported:
+        parse_ideal({"variables": 2, "polynomials": [{"degree": 2, "terms": {"1 1": value}}]})
+    assert str(reported.value) == f"ideal.polynomials[0]: {message}"
+
+
+def test_the_first_bad_term_is_reported():
+    terms = {"1 1": 1, "2 x": "1/0", "0 2": 0.5}
+    with pytest.raises(SpecFormatError, match="bad exponent key '2 x'"):
+        parse_polynomial({"degree": 2, "terms": terms}, 2, "here")
+    terms = {"1 1": 0.5, "2 x": 1}
+    with pytest.raises(SpecFormatError, match="got float"):
+        parse_polynomial({"degree": 2, "terms": terms}, 2, "here")
 
 
 def test_cancelling_terms_rejected():
