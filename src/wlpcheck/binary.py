@@ -110,8 +110,6 @@ def syzygy_shifts_from_hilbert(
     total = sum(degrees)
 
     def k(m: int) -> int:
-        if m < 0:
-            return 0
         return sum(max(m - d + 1, 0) for d in degrees) - ideal_dim(m)
 
     shifts: list[int] = []

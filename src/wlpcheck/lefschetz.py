@@ -8,7 +8,9 @@ reads it off two Hilbert-function values:
 For g = l^k the last generator of I + (g) is the power (l, k), never
 expanded in the original coordinates.  This module keeps only the policy:
 which candidate forms are tried, which (power, degree) positions are
-ranked, and which form is reported.
+ranked, and which form is reported.  One loop holds it: each candidate's
+table is ranked in an inner loop, which breaks off once the form can no
+longer beat the best before it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import GenericityError
 from .poly import LinearForm
-from .quotient import GradedIdeal, QuotientAlgebra, multiplication_rank
+from .quotient import GradedIdeal, multiplication_rank
 from .rng import MAX_SAMPLE_TRIES, CheckConfig, witness_forms
 
 
@@ -54,27 +56,6 @@ class LefschetzReport(NamedTuple):
         return len(self.hilbert) - 1
 
 
-def _rank_records(
-    alg: QuotientAlgebra, form: LinearForm, positions: list[tuple[int, int]], first: tuple[tuple[int, int], ...]
-) -> tuple[MapRankRecord, ...] | None:
-    """The form's rank table at ``positions``, in their order, or None.
-
-    The positions in ``first``, where the best form so far missed, are
-    ranked before the others.  None means that as many ranks missed as
-    ``first`` has positions, and the table was dropped there.
-    """
-    hf = alg.hilbert_function()
-    ranked: dict[tuple[int, int], MapRankRecord] = {}
-    misses = 0
-    for k, m in [*first, *(p for p in positions if p not in first)]:
-        record = ranked[k, m] = MapRankRecord(k, m, hf[m], hf[m + k], multiplication_rank(alg, (form, k), m))
-        if not record.maximal:
-            misses += 1
-            if misses == len(first):
-                return None
-    return tuple(ranked[p] for p in positions)
-
-
 def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> LefschetzReport:
     """Try up to config.attempts distinct forms; keep the best showing.
 
@@ -83,12 +64,13 @@ def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> Lef
     property.  The first form with no miss is the witness.  Otherwise the
     report is the form with the fewest misses, the earliest on a tie.
 
-    Once the best form so far has b misses, a later form is ranked first
-    where that one missed, in (power, degree) order, and is abandoned as
-    soon as b of its ranks miss: it can neither hold nor have fewer misses.
-    Every miss counted is an exact rank.  A form that is not abandoned has
-    the rest of its table ranked in the same pass, on the same algebras of
-    I + (l^k), one per power, and has fewer misses than the best before it.
+    Each form's table is ranked in one inner loop.  Once the best form so
+    far has b misses, a later form is ranked first where that one missed,
+    in (power, degree) order, and the loop breaks as soon as b of its ranks
+    miss: the form can neither hold nor have fewer misses.  Every miss
+    counted is an exact rank.  A form whose loop runs out has its whole
+    table ranked, on the same algebras of I + (l^k), one per power, and has
+    fewer misses than the best before it.
     """
     alg = ideal.algebra
     hf = alg.hilbert_function()
@@ -99,12 +81,19 @@ def _best_of_attempts(ideal: GradedIdeal, config: CheckConfig, kind: str) -> Lef
     best: LefschetzReport | None = None
     # a stream that ends early has exhausted the coefficient pool: judge what we saw
     for tried, form in enumerate(islice(forms, config.attempts), 1):
-        records = _rank_records(alg, form, positions, best.failures if best else ())
-        if records is None:
-            continue
-        best = LefschetzReport(kind, False, form, tried, hf, records)
-        if not best.failures:
-            return best._replace(holds=True)
+        first = best.failures if best else ()
+        ranked: dict[tuple[int, int], MapRankRecord] = {}
+        misses = 0
+        for k, m in [*first, *(p for p in positions if p not in first)]:
+            record = ranked[k, m] = MapRankRecord(k, m, hf[m], hf[m + k], multiplication_rank(alg, (form, k), m))
+            if not record.maximal:
+                misses += 1
+                if misses == len(first):
+                    break
+        else:
+            best = LefschetzReport(kind, False, form, tried, hf, tuple(ranked[p] for p in positions))
+            if not best.failures:
+                return best._replace(holds=True)
     if best is None:
         raise GenericityError(
             f"could not sample a linear form within {MAX_SAMPLE_TRIES} tries (bound {config.bound})"

@@ -35,36 +35,39 @@ the coordinates y_i = L_i the chosen powers become the monomials
 y_i^{a_i}, so the monomial part of every graded piece is counted rather
 than eliminated: only the standard monomials, those with u_i < a_i for
 every bounded coordinate, are columns, and only the remaining generators,
-rewritten and projected onto them, are rows.  A linear change of coordinates is a graded automorphism
-of the polynomial ring.  It maps the ideal onto its rewritten form and
-multiplication by g onto multiplication by the rewritten g, so Hilbert
-functions, ranks of multiplication maps and ideal membership are the same
-in both coordinate systems.  Callers only ever see original coordinates.
+rewritten and projected onto them, are rows.  A linear change of
+coordinates is a graded automorphism of the polynomial ring.  It maps the
+ideal onto its rewritten form and multiplication by g onto multiplication
+by the rewritten g, so Hilbert functions, ranks of multiplication maps and
+ideal membership are the same in both coordinate systems.  Callers only
+ever see original coordinates.
 
 Every generator but the chosen powers is rewritten in integers and
 projected onto the standard monomials.  A chosen power is y_i^{a_i} up to
-a scalar, so it lies in the monomial part and is never rewritten.  A
-leftover power (form, k) pushes its form through the change of
-coordinates and expands the k-th power by the multinomial theorem over
+a scalar, so it lies in the monomial part and is never rewritten.  The
+form of each leftover power (form, k) is pushed through the change of
+coordinates once, in the order the coordinates were picked, right after
+the inverse; its k-th power is expanded by the multinomial theorem over
 the degree-k standard monomials on the pushed form's support.  A
 polynomial is read as a sum of products of linear forms, a term c x^u as
 c times u_i copies of x_i for each i, each pushed through the change of
 coordinates.  Each product is multiplied out one factor at a time and
-projected after every factor, by the exponent bounds alone.  The nonstandard monomials span an
-ideal, so a monomial dropped early could only have yielded nonstandard
-monomials later.  Nothing is ever expanded in the original coordinates.
-The two pushes, :func:`push_form` and :func:`push_poly`, take any integer
-substitution: with no bounds, they also cut an ideal to a hyperplane
-(:meth:`GradedIdeal.restricted`).
+projected after every factor, by the exponent bounds alone.  The
+nonstandard monomials span an ideal, so a monomial dropped early could
+only have yielded nonstandard monomials later.  Nothing is ever expanded
+in the original coordinates.  The two pushes, :func:`push_form` and
+:func:`push_poly`, take any integer substitution: with no bounds, they
+also cut an ideal to a hyperplane (:meth:`GradedIdeal.restricted`).
 
-The coordinates are then scaled to a frame.  The first power generator,
-in the order the coordinates were picked, whose form pushes to
-sum_j p_j y_j with two or more p_j nonzero has each such y_j scaled by
-P / p_j, P the lcm of the p_j, so that power becomes (sum_j y_j)^k up to a
-scalar.  Scaling the y_j is a graded automorphism that keeps every chosen
-power a monomial, so the argument above covers it.  Powers of n + 1
-general forms in n variables then have a presentation that depends on
-their exponents alone, not on the coefficients of the forms.
+The coordinates are then scaled to a frame, read off those pushes.  The
+first leftover power, in pick order, whose form pushes to sum_j p_j y_j
+with two or more p_j nonzero has each such y_j scaled by P / p_j, P the
+lcm of the p_j, so that power becomes (sum_j y_j)^k up to a scalar.
+Scaling the y_j is a graded automorphism that keeps every chosen power a
+monomial, so the argument above covers it.  Every push is scaled by the
+same factors, which is pushing through the scaled substitution.  Powers
+of n + 1 general forms in n variables then have a presentation that
+depends on their exponents alone, not on the coefficients of the forms.
 
 A graded piece is a function of the presentation alone: the bounds, one
 per variable, and the rewritten generators.  Algebras with the same
@@ -94,10 +97,11 @@ cokernel, and its pieces are ranked whole.
 
 The standard monomials of a degree, their codes and each code's image,
 its column, form a table that depends on the exponent bounds, one per
-variable, and the degree alone.  One table serves every algebra with those bounds
-(an ideal's algebra and each I + (l) it adjoins share most of them).  At
-most ``STANDARD_TABLES`` tables, and as many sets of shared pieces and of
-shared cokernels, are kept, least recently used dropped first.
+variable, and the degree alone.  One table serves every algebra with
+those bounds (an ideal's algebra and each I + (l) it adjoins share most of
+them).  At most ``STANDARD_TABLES`` tables, and as many sets of shared
+pieces and of shared cokernels, are kept, least recently used dropped
+first.
 """
 
 from __future__ import annotations
@@ -397,29 +401,25 @@ class QuotientAlgebra:
         for k, c in enumerate(rows):
             inverse.insert([*c, *eye[k]])
         substitution = [[(k, x) for k, x in enumerate(row[n:]) if x] for row in inverse.reduced()]
-        # The frame: the first power in pick order whose form pushes to
-        # sum_j p_j y_j with two or more p_j nonzero has its y_j scaled by
-        # P / p_j, P the lcm of the p_j, so it becomes P^k (sum_j y_j)^k.  A
-        # chosen power pushes to a multiple of its y_i, so it is skipped, and
-        # the scaling keeps it so.
-        framed = None
-        for _, i in powers:
-            if i in chosen:
-                continue
-            pushed = push_form(gens[i][0].coeffs, substitution, n)
-            nonzero = [p for p in pushed if p]
-            if len(nonzero) > 1:
-                top = lcm(*nonzero)
-                factor = [top // p if p else 1 for p in pushed]
-                substitution = [[(k, b * factor[k]) for k, b in row] for row in substitution]
-                framed = i
-                break
+        # Each leftover power's form is pushed once, in pick order.  The
+        # frame: the first push sum_j p_j y_j with two or more p_j nonzero
+        # has its y_j scaled by P / p_j, P the lcm of the p_j, so that power
+        # becomes P^k (sum_j y_j)^k.  A chosen power pushes to a multiple of
+        # its y_i and the scaling keeps it so.  Scaling the pushes by the
+        # same factors is pushing through the scaled substitution.
+        pushes = {i: push_form(gens[i][0].coeffs, substitution, n) for _, i in powers if i not in chosen}
+        framed = next((i for i, pushed in pushes.items() if sum(map(bool, pushed)) > 1), None)
+        if framed is not None:
+            top = lcm(*filter(None, pushes[framed]))
+            factor = [top // p if p else 1 for p in pushes[framed]]
+            substitution = [[(k, b * factor[k]) for k, b in row] for row in substitution]
+            pushes = {i: list(map(mul, pushed, factor)) for i, pushed in pushes.items()}
         self._substitution = substitution
         # (degree, exponent vectors, integer coefficients) of every generator
         # that leaves rows, the framed power first, the rest in generator
         # order: with the bounds, the whole presentation
         order = sorted((i for i in range(len(gens)) if i not in chosen), key=lambda i: i != framed)
-        rewritten = [(self._degrees[i], self._rewrite(gens[i])) for i in order]
+        rewritten = [(self._degrees[i], self._rewrite(gens[i], pushes.get(i))) for i in order]
         self._others: Others = tuple(
             (degree, tuple(w for w, _ in terms), tuple(c for _, c in terms))
             for degree, terms in rewritten
@@ -434,20 +434,19 @@ class QuotientAlgebra:
 
     # -- normalized coordinates ------------------------------------------
 
-    def _rewrite(self, g: Generator) -> IntTerms:
+    def _rewrite(self, g: Generator, pushed: list[int] | None) -> IntTerms:
         """Primitive integer multiple of g in normalized coordinates, projected.
 
-        A power (form, k) pushes its form through B and expands the k-th
-        power by the multinomial theorem over the degree-k standard
+        A power (form, k) comes with its form pushed through B, and expands
+        the k-th power by the multinomial theorem over the degree-k standard
         monomials on the pushed form's support: the table for the
         algebra's bounds with a bound of 1 off the support.  That is the
         algebra's own table when the support is full, and it never grows
-        with coordinates the form misses.  A polynomial goes through
-        :func:`push_poly`.
+        with coordinates the form misses.  A polynomial, with no push, goes
+        through :func:`push_poly`.
         """
         if isinstance(g, tuple):
-            form, k = g
-            pushed = push_form(form.coeffs, self._substitution, self.num_vars)
+            k = g[1]
             caps = tuple(a if p else 1 for a, p in zip(self._bounds, pushed))
             top = factorial(k)
             factorials = [factorial(e) for e in range(k + 1)]

@@ -63,6 +63,12 @@ MUTANTS = {
         (("substitution = [[(k, b * factor[k]) for k, b in row] for row in substitution]", "pass"),),
         (COORDINATES,),
     ),
+    "unscaled-pushes": Mutant(
+        "leave the leftover powers' pushed forms unscaled by the frame",
+        "wlpcheck.quotient", "QuotientAlgebra.__init__",
+        (("pushes = {i: list(map(mul, pushed, factor)) for i, pushed in pushes.items()}", "pass"),),
+        (QUOTIENT,),
+    ),
     "exact-rank-minus-one": Mutant(
         "lower every nonzero rank found by exact elimination by one",
         "wlpcheck.linalg", "exact_rank",
@@ -107,7 +113,7 @@ MUTANTS = {
     ),
     "late-abandon": Mutant(
         "abandon a losing form only past as many misses as the best form has",
-        "wlpcheck.lefschetz", "_rank_records",
+        "wlpcheck.lefschetz", "_best_of_attempts",
         (("misses == len(first)", "misses == len(first) + 1"),),
         ("tests/test_lefschetz.py::test_four_cubes_slp_fails_only_at_cube_of_witness",),
     ),

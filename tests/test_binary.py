@@ -56,6 +56,15 @@ def test_resolution_frozen():
     assert minimal_power_degrees([3, 3, 3, 3, 3]) == (3, 3, 3, 3)
 
 
+def test_exponent_lists_must_be_nonempty_and_positive():
+    with pytest.raises(ValueError):
+        minimal_power_degrees([])
+    with pytest.raises(ValueError):
+        minimal_power_degrees([0, 2])
+    with pytest.raises(ValueError):
+        syzygy_shifts_from_hilbert([3], lambda m: power_ideal_dim([3], m))
+
+
 def test_resolution_needs_two_minimal_generators():
     with pytest.raises(NotArtinianError):
         binary_power_resolution([4])

@@ -393,6 +393,36 @@ def test_random_trials_small(capsys):
     ]
 
 
+def test_a_failed_verification_is_one(capsys, monkeypatch):
+    from wlpcheck import verify
+
+    failed = verify.EntryVerification("made-up", (verify.CheckOutcome("hilbert", False, [1, 3], [1, 2]),))
+    monkeypatch.setattr(verify, "verify_all", lambda config: (failed,))
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 1
+    assert out.splitlines() == [
+        "[FAILED] made-up: 1 checks",
+        "        hilbert: expected [1, 3], got [1, 2]",
+        "some entries FAILED",
+    ]
+
+
+def test_a_failing_sweep_is_one(capsys, monkeypatch):
+    from wlpcheck import trials
+
+    failing = trials.TrialResult(0, (2, 3, 4), (1, 3, 3), False, True, False)
+    monkeypatch.setattr(trials, "run_random_trials", lambda config: trials.TrialsReport((failing,)))
+    code, out, _ = run(capsys, "random-trials", "--count", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1:] == [
+        "weak Lefschetz holds: 0/1",
+        "both routes agree:    0/1",
+        "  trial 0: degrees (2, 3, 4) wlp=False predicted=True agree=False",
+        "sweep verdict: INCONSISTENT OR FAILING",
+    ]
+
+
 def test_fraction_coefficients_serialize_exactly(capsys):
     ideal = (
         '{"variables": 3, "powers": ['

@@ -110,6 +110,10 @@ def test_rendering():
     assert str(GradedPoly(2, 3)) == "0"
 
 
+def test_a_constant_renders_as_its_number():
+    assert str(GradedPoly(2, 0, [((0, 0), -5)])) == "-5"
+
+
 # -- linear forms -------------------------------------------------------------
 
 
@@ -118,6 +122,13 @@ def test_proportionality():
     assert a.proportional_to(linear_form([-1, 2, -3]))
     assert not a.proportional_to(linear_form([2, -4, 5]))
     assert not a.proportional_to(linear_form([0, 0, 1]))
+
+
+def test_a_form_or_polynomial_needs_a_variable():
+    with pytest.raises(ValueError):
+        LinearForm([])
+    with pytest.raises(ValueError):
+        GradedPoly(0, 1)
 
 
 def test_zero_form_rejected_in_ideal_context():

@@ -61,6 +61,13 @@ def test_ideal_validation():
             GradedIdeal(3, (bad_power,))
 
 
+def test_an_ideal_needs_a_variable_and_a_generator():
+    with pytest.raises(ValueError):
+        GradedIdeal(0, ())
+    with pytest.raises(ValueError):
+        GradedIdeal.from_polys([])
+
+
 def test_degrees_and_power_flags():
     ideal = powers_ideal(((1, 0), 2), ((0, 1), 5))
     assert ideal.generator_degrees == (2, 5)
@@ -588,7 +595,30 @@ def test_a_power_rewrites_as_its_expansion(num_vars, degrees, salt, k):
     ]
     probes += [(form, k) for form in seeded_forms(num_vars, 2, salt, 1)]
     for g in probes:
-        assert dict(alg._rewrite(g)) == dict(alg._rewrite(expand_power(*g))), g
+        pushed = quotient.push_form(g[0].coeffs, alg._substitution, num_vars)
+        assert dict(alg._rewrite(g, pushed)) == dict(alg._rewrite(expand_power(*g), None)), g
+
+
+def test_a_leftover_power_s_form_is_pushed_once_per_algebra(monkeypatch):
+    # five general quartics leave one power, and I + (l) and I + (l^6) leave
+    # two: each is pushed once, and the frame and the rewrite share the push
+    pushed = []
+    original = quotient.push_form
+
+    def counting(coeffs, substitution, num_vars):
+        pushed.append(coeffs)
+        return original(coeffs, substitution, num_vars)
+
+    monkeypatch.setattr(quotient, "push_form", counting)
+    *quartics, ell = seeded_forms(4, 6, seed=11)
+    ideal = GradedIdeal.from_powers((form, 4) for form in quartics)
+    alg = ideal.algebra
+    counts = [len(pushed)]
+    for g in ((ell, 1), (ell, 6)):
+        pushed.clear()
+        alg.adjoined(g)
+        counts.append(len(pushed))
+    assert counts == [1, 2, 2]
 
 
 def test_a_leftover_power_is_expanded_on_its_support_alone(monkeypatch):

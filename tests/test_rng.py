@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +63,13 @@ def test_integer_respects_bounds(seed, lo, width):
     for _ in range(20):
         value = g.integer(lo, hi)
         assert lo <= value <= hi
+
+
+def test_an_empty_range_and_a_negative_stream_index_are_rejected():
+    with pytest.raises(ValueError):
+        SplitMix64(0).integer(3, 2)
+    with pytest.raises(ValueError):
+        stream(1, -1)
 
 
 def test_streams_are_reproducible_and_distinct():

@@ -132,6 +132,12 @@ def test_splitting_requires_three_variables():
         splitting_type_at(binary, linear_form([1, 1]))
 
 
+def test_predictions_require_three_variables():
+    four = powers_ideal(*((tuple(int(i == j) for j in range(4)), 2) for i in range(4)))
+    with pytest.raises(ValueError):
+        predict_wlp(four, linear_form([1, 1, 1, 1]))
+
+
 def test_generic_splitting_agrees_with_formula():
     stype, witness = generic_splitting_type(FOUR_CUBES, CheckConfig())
     assert stype.shifts == (4, 4, 4)

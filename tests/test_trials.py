@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from wlpcheck import run_random_trials
-from wlpcheck.rng import TrialConfig
+from wlpcheck import GenericityError, run_random_trials
+from wlpcheck.rng import TrialConfig, stream
+from wlpcheck.trials import random_power_ideal
 
 
 def test_config_validation():
@@ -21,6 +22,14 @@ def test_config_validation():
         TrialConfig(count=5, bound=0)
     with pytest.raises(ValueError):
         TrialConfig(count=5, attempts=0)
+
+
+def test_more_generators_than_forms_in_the_box_is_a_genericity_failure():
+    # {-1, 0, 1}^3 holds 13 forms up to scale, so a 14th distinct one is
+    # never drawn
+    config = TrialConfig(bound=1, min_generators=14, max_generators=14)
+    with pytest.raises(GenericityError):
+        random_power_ideal(stream(1, 0), config)
 
 
 def test_small_sweep_is_consistent_and_reproducible():
